@@ -73,7 +73,7 @@ pub use encode::{encode, EncodeError};
 pub use exec::{step, AlignPolicy, Control, MemAccess, Outcome};
 pub use inst::{BranchOp, Inst, JumpKind, MemOp, Operand, OperateOp, PalFunc, SourceRegs};
 pub use interp::{run_to_halt, DecodeCache, RunError, RunStats};
-pub use mem::Memory;
+pub use mem::{Memory, PageHasher};
 pub use parse::{parse_program, ParseError};
 pub use program::{DataSegment, Program};
 pub use reg::Reg;

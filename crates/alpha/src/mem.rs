@@ -12,9 +12,11 @@ const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Multiplicative hasher for page numbers. Page indices are small dense
-/// integers, so a single Fibonacci multiply spreads them well; the default
-/// SipHash costs more than the page access it guards.
+/// Multiplicative hasher for integer keys the program generates itself:
+/// page numbers here, guest instruction addresses in the translator's
+/// per-PC maps. Such keys are small and dense, so a single Fibonacci
+/// multiply spreads them well; the default SipHash costs more than the
+/// lookup it guards.
 #[derive(Default)]
 pub struct PageHasher(u64);
 

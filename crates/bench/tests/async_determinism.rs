@@ -108,3 +108,45 @@ fn warm_start_is_architecturally_invisible() {
         }
     }
 }
+
+/// Region promotion fires at zero-progress engine exits, so the VM can
+/// pass its safe point twice at one retired count. An asynchronous
+/// recording must anchor its installs so that a scheduled replay, which
+/// applies each event at the first safe point reaching its anchor,
+/// re-derives the same promotions. Reply timing varies from run to run,
+/// so the check repeats the recording.
+#[test]
+fn region_promotion_replays_under_any_reply_timing() {
+    let workloads: Vec<_> = suite(1)
+        .into_iter()
+        .filter(|w| ["bzip2", "vortex"].contains(&w.name))
+        .collect();
+    for round in 0..8 {
+        for w in &workloads {
+            for form in [IsaForm::Basic, IsaForm::Modified] {
+                let what = format!("{} ({form:?}) round {round}", w.name);
+                let mut cfg = config(form, true);
+                cfg.engine.region_trigger = Some(64);
+                let budget = w.budget * 2;
+                let mut recorded = Vm::new(cfg, &w.program);
+                assert_eq!(recorded.run(budget, &mut NullSink), VmExit::Halted);
+                let events = recorded.take_bg_events();
+                let mut replayed = Vm::new(
+                    VmConfig {
+                        async_translate: false,
+                        ..cfg
+                    },
+                    &w.program,
+                );
+                replayed.set_install_schedule(&events);
+                assert_eq!(replayed.run(budget, &mut NullSink), VmExit::Halted);
+                assert_eq!(replayed.bg_events(), events.as_slice(), "{what}");
+                assert_eq!(
+                    replayed.cpu().registers(),
+                    recorded.cpu().registers(),
+                    "{what}"
+                );
+            }
+        }
+    }
+}

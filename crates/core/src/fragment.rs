@@ -9,10 +9,15 @@
 //! direct branch (paper §3.2).
 
 use crate::classify::UsageCat;
-use alpha_isa::Reg;
+use alpha_isa::{PageHasher, Reg};
 use ildp_isa::{Acc, IInst, ITarget, IsaForm};
 use ildp_uarch::{DynInst, InstClass};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// Hasher for the V-address-keyed maps probed on the interpreter's
+/// per-instruction path (fragment entry lookup, candidate counters).
+pub(crate) type AddrHasher = BuildHasherDefault<PageHasher>;
 
 /// Identifier of an installed fragment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -155,7 +160,7 @@ impl Fragment {
 #[derive(Clone, Debug, Default)]
 pub struct TranslationCache {
     slots: Vec<Option<Fragment>>,
-    by_vstart: HashMap<u64, FragmentId>,
+    by_vstart: HashMap<u64, FragmentId, AddrHasher>,
     by_istart: HashMap<u64, FragmentId>,
     /// V-target → sites awaiting a fragment at that address.
     pending: HashMap<u64, Vec<(FragmentId, u32)>>,

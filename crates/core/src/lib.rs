@@ -9,7 +9,7 @@
 //!
 //! Pipeline (paper Section 3):
 //!
-//! 1. interpret and profile ([`interp_step`]) with MRET hot-path detection;
+//! 1. interpret and profile ([`interp_block`]) with MRET hot-path detection;
 //! 2. collect a superblock along the interpreted path
 //!    ([`Superblock`], [`decompose`]);
 //! 3. classify value usage ([`analyze`]), form strands and assign
@@ -67,8 +67,8 @@ pub use pipeline::{
     TranslateResponse, INJECTED_PANIC_MARKER,
 };
 pub use profile::{
-    collect_superblock, collect_superblock_with_output, interp_step, Candidates, InterpEvent,
-    ProfileConfig,
+    collect_superblock, collect_superblock_with_output, interp_block, Candidates, CodeIndex,
+    InterpEvent, ProfileConfig,
 };
 pub use replay::{ReplayEvent, ReplayLog, Sabotage, REPLAY_MAGIC, REPLAY_VERSION};
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -13,12 +13,13 @@
 //! register-indirect jump or trap, a backward taken conditional branch, a
 //! revisited address (cycle), or the maximum size (paper: 200).
 
-use crate::fragment::TranslationCache;
+use crate::fragment::{AddrHasher, TranslationCache};
 use crate::superblock::{CollectedFlow, SbEnd, SbInst, Superblock};
 use alpha_isa::{
     step, AlignPolicy, BranchOp, Control, CpuState, DecodeCache, Inst, Memory, Program, Trap,
 };
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 /// Profiling configuration (paper §4.1: threshold 50, maximum superblock
 /// size 200).
@@ -46,7 +47,7 @@ impl Default for ProfileConfig {
 /// number of counters; so do we).
 #[derive(Clone, Debug, Default)]
 pub struct Candidates {
-    counters: HashMap<u64, u32>,
+    counters: HashMap<u64, u32, AddrHasher>,
 }
 
 impl Candidates {
@@ -106,11 +107,13 @@ impl Candidates {
     }
 }
 
-/// The result of one interpretation step inside the VM loop.
+/// Why [`interp_block`] returned control to its caller.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InterpEvent {
-    /// Ordinary instruction executed; continue interpreting.
-    Continue,
+    /// The block ended at an ordinary boundary: a taken control transfer,
+    /// a PC with an installed fragment, or the retired-count limit. The
+    /// caller services its safe point and continues.
+    BlockEnd,
     /// The program halted.
     Halted,
     /// A candidate address just became hot; the VM should collect a
@@ -138,89 +141,147 @@ pub enum InterpEvent {
     },
 }
 
-/// Interprets a single instruction, updating candidate counters for the
-/// *next* PC when the executed instruction makes it a candidate.
+/// What [`interp_block`] needs to know about translated code: where
+/// fragments start (a block ends there so the caller can enter one), and
+/// which stores hit translated source code.
+pub trait CodeIndex {
+    /// Whether a fragment is installed at V-address `vaddr`.
+    fn has_fragment(&self, vaddr: u64) -> bool;
+    /// Whether a store of `len` bytes at `addr` wrote into a guest page
+    /// that translated code was formed from.
+    fn smc_hit(&self, addr: u64, len: u64) -> bool;
+}
+
+impl CodeIndex for TranslationCache {
+    #[inline]
+    fn has_fragment(&self, vaddr: u64) -> bool {
+        self.lookup(vaddr).is_some()
+    }
+
+    #[inline]
+    fn smc_hit(&self, addr: u64, len: u64) -> bool {
+        TranslationCache::smc_hit(self, addr, len)
+    }
+}
+
+/// A plain entry-address map of fragments that are never invalidated by
+/// guest stores (the straightened VM's): no store is an SMC hit.
+impl<V, S: BuildHasher> CodeIndex for HashMap<u64, V, S> {
+    #[inline]
+    fn has_fragment(&self, vaddr: u64) -> bool {
+        self.contains_key(&vaddr)
+    }
+
+    #[inline]
+    fn smc_hit(&self, _addr: u64, _len: u64) -> bool {
+        false
+    }
+}
+
+/// Interprets one block: instructions run in a tight loop until a taken
+/// control transfer, a PC with an installed fragment, a hot candidate, a
+/// halt, a trap, an SMC store, or `*interpreted` reaching `limit`.
+/// Candidate counters are bumped for the *next* PC when the executed
+/// instruction makes it a candidate.
+///
+/// Everything the caller checks between instructions — safe-point
+/// service, the run budget, the fragment lookup — can only change at one
+/// of those exits, so the caller does that work once per block. `limit`
+/// is the retired count at which the caller's next count-anchored event
+/// is due; the block stops exactly there, never past it.
 ///
 /// Fetches through the predecoded [`DecodeCache`] (one decode per static
-/// instruction for the whole run, not one per step).
-///
-/// `stats` counts interpreted instructions (for the translation-overhead
-/// model).
-///
-/// When `smc` is a translation cache, stores into pages holding
+/// instruction for the whole run, not one per step). `interpreted`
+/// counts retired non-NOP instructions (for the translation-overhead
+/// model and the VM's retired count). Stores into pages holding
 /// translated source code are reported as [`InterpEvent::SmcStore`] so
-/// the VM can invalidate before the stale fragments run again; `None`
-/// disables the check (no cache to protect).
+/// the VM can invalidate before the stale fragments run again.
 #[allow(clippy::too_many_arguments)]
-pub fn interp_step(
+pub fn interp_block<C: CodeIndex>(
     cpu: &mut CpuState,
     mem: &mut Memory,
     decoded: &DecodeCache,
     candidates: &mut Candidates,
     config: &ProfileConfig,
     interpreted: &mut u64,
+    limit: u64,
     output: &mut Vec<u8>,
-    smc: Option<&TranslationCache>,
+    code: &C,
 ) -> InterpEvent {
-    let pc = cpu.pc;
-    let inst = match decoded.fetch(pc) {
-        Ok(i) => i,
-        Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
-    };
-    let outcome = match step(cpu, mem, inst, config.align) {
-        Ok(o) => o,
-        Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
-    };
-    if let Some(b) = outcome.output {
-        output.push(b);
-    }
-    // NOPs are excluded from the retire count in *every* mode — superblock
-    // collection drops them and translated code never emits them — so
-    // counting them here would make `Vm::v_instructions` depend on how
-    // much of the run happened to execute translated. Keeping the count
-    // NOP-free in the interpreter too makes it a pure function of the
-    // architected position, which snapshot/replay lockstep relies on.
-    if !inst.is_nop() {
-        *interpreted += 1;
-    }
-    if let (Some(cache), Some(acc)) = (smc, outcome.mem) {
-        // Stores never transfer control on Alpha, so reporting the SMC hit
-        // instead of the (Sequential) control outcome loses nothing.
-        if acc.is_store && cache.smc_hit(acc.addr, acc.bytes as u64) {
-            return InterpEvent::SmcStore {
-                addr: acc.addr,
-                len: acc.bytes as u64,
-            };
+    loop {
+        if *interpreted >= limit {
+            return InterpEvent::BlockEnd;
         }
-    }
-    match outcome.control {
-        Control::Halt => InterpEvent::Halted,
-        Control::Indirect { target, .. } => {
-            if candidates.bump(target, config.threshold) {
-                InterpEvent::Hot { vaddr: target }
-            } else {
-                InterpEvent::Continue
+        let pc = cpu.pc;
+        let inst = match decoded.fetch(pc) {
+            Ok(i) => i,
+            Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
+        };
+        let outcome = match step(cpu, mem, inst, config.align) {
+            Ok(o) => o,
+            Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
+        };
+        if let Some(b) = outcome.output {
+            output.push(b);
+        }
+        // NOPs are excluded from the retire count in *every* mode —
+        // superblock collection drops them and translated code never
+        // emits them — so counting them here would make
+        // `Vm::v_instructions` depend on how much of the run happened to
+        // execute translated. Keeping the count NOP-free in the
+        // interpreter too makes it a pure function of the architected
+        // position, which snapshot/replay lockstep relies on.
+        if !inst.is_nop() {
+            *interpreted += 1;
+        }
+        if let Some(acc) = outcome.mem {
+            // Stores never transfer control on Alpha, so reporting the SMC
+            // hit instead of the (Sequential) control outcome loses
+            // nothing.
+            if acc.is_store && code.smc_hit(acc.addr, acc.bytes as u64) {
+                return InterpEvent::SmcStore {
+                    addr: acc.addr,
+                    len: acc.bytes as u64,
+                };
             }
         }
-        Control::Taken { target } => {
-            // Backward conditional branches make their targets candidates.
-            if matches!(inst, Inst::Branch { op, .. }
-                if !matches!(op, BranchOp::Br | BranchOp::Bsr))
-                && target <= pc
-                && candidates.bump(target, config.threshold)
-            {
-                InterpEvent::Hot { vaddr: target }
-            } else {
-                InterpEvent::Continue
+        match outcome.control {
+            Control::Halt => return InterpEvent::Halted,
+            Control::Indirect { target, .. } => {
+                return if candidates.bump(target, config.threshold) {
+                    InterpEvent::Hot { vaddr: target }
+                } else {
+                    InterpEvent::BlockEnd
+                };
+            }
+            Control::Taken { target } => {
+                // Backward conditional branches make their targets
+                // candidates.
+                return if matches!(inst, Inst::Branch { op, .. }
+                    if !matches!(op, BranchOp::Br | BranchOp::Bsr))
+                    && target <= pc
+                    && candidates.bump(target, config.threshold)
+                {
+                    InterpEvent::Hot { vaddr: target }
+                } else {
+                    InterpEvent::BlockEnd
+                };
+            }
+            Control::NotTaken | Control::Sequential => {
+                if code.has_fragment(cpu.pc) {
+                    return InterpEvent::BlockEnd;
+                }
             }
         }
-        _ => InterpEvent::Continue,
     }
 }
 
 /// Follows the interpreted path from the current PC, executing and
 /// recording instructions until a superblock ending condition (paper
 /// §3.1). NOP instructions are executed but not recorded.
+///
+/// Builds a [`DecodeCache`] for the one collection; a VM collecting
+/// repeatedly keeps its own and calls [`collect_superblock_with_output`].
 ///
 /// # Errors
 ///
@@ -233,21 +294,27 @@ pub fn collect_superblock(
     program: &Program,
     config: &ProfileConfig,
 ) -> Result<Superblock, (u64, Trap)> {
-    collect_superblock_with_output(cpu, mem, program, config, &mut Vec::new())
+    let decoded = DecodeCache::new(program);
+    collect_superblock_with_output(cpu, mem, &decoded, config, &mut Vec::new())
 }
 
-/// [`collect_superblock`], additionally appending console bytes produced
-/// while the collection executes the path.
+/// [`collect_superblock`] fetching through an existing [`DecodeCache`],
+/// additionally appending console bytes produced while the collection
+/// executes the path.
+///
+/// # Errors
+///
+/// As [`collect_superblock`].
 pub fn collect_superblock_with_output(
     cpu: &mut CpuState,
     mem: &mut Memory,
-    program: &Program,
+    decoded: &DecodeCache,
     config: &ProfileConfig,
     output: &mut Vec<u8>,
 ) -> Result<Superblock, (u64, Trap)> {
     let start = cpu.pc;
     let mut insts: Vec<SbInst> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: HashSet<u64, AddrHasher> = HashSet::default();
     loop {
         let pc = cpu.pc;
         if seen.contains(&pc) {
@@ -264,7 +331,7 @@ pub fn collect_superblock_with_output(
                 end: SbEnd::MaxSize { next: pc },
             });
         }
-        let inst = program.fetch(pc).map_err(|t| (pc, t))?;
+        let inst = decoded.fetch(pc).map_err(|t| (pc, t))?;
         let outcome = step(cpu, mem, inst, config.align).map_err(|t| (pc, t))?;
         if let Some(b) = outcome.output {
             output.push(b);
@@ -359,32 +426,96 @@ mod tests {
             threshold: 10,
             ..ProfileConfig::default()
         };
+        let code = TranslationCache::new();
         let mut interp = 0u64;
-        let mut hot = None;
-        for _ in 0..1000 {
-            match interp_step(
+        let mut blocks = 0;
+        let hot = loop {
+            blocks += 1;
+            match interp_block(
                 &mut cpu,
                 &mut mem,
                 &decoded,
                 &mut cands,
                 &config,
                 &mut interp,
+                u64::MAX,
                 &mut Vec::new(),
-                None,
+                &code,
             ) {
-                InterpEvent::Hot { vaddr } => {
-                    hot = Some(vaddr);
-                    break;
-                }
-                InterpEvent::Halted => break,
-                InterpEvent::Continue => {}
+                InterpEvent::Hot { vaddr } => break vaddr,
+                InterpEvent::BlockEnd => {}
                 e => panic!("unexpected {e:?}"),
             }
-        }
-        assert_eq!(hot, Some(0x1004), "loop top becomes hot");
+        };
+        assert_eq!(hot, 0x1004, "loop top becomes hot");
         // PC is at the hot address, ready for collection.
         assert_eq!(cpu.pc, 0x1004);
-        assert!(interp > 10);
+        // One block per taken backward branch: the lda plus ten
+        // three-instruction iterations.
+        assert_eq!(blocks, 10);
+        assert_eq!(interp, 1 + 3 * 10);
+    }
+
+    #[test]
+    fn block_stops_exactly_at_the_limit_and_skips_nops() {
+        let mut asm = Assembler::new(0x1000);
+        asm.addq_imm(Reg::V0, 1, Reg::V0);
+        asm.nop();
+        asm.addq_imm(Reg::V0, 1, Reg::V0);
+        asm.nop();
+        asm.addq_imm(Reg::V0, 1, Reg::V0);
+        asm.halt();
+        let program = asm.finish().unwrap();
+        let decoded = DecodeCache::new(&program);
+        let (mut cpu, mut mem) = program.load();
+        let mut cands = Candidates::new();
+        let config = ProfileConfig::default();
+        let code = TranslationCache::new();
+        let mut interp = 0u64;
+        let mut block = |cpu: &mut CpuState, interp: &mut u64, limit| {
+            interp_block(
+                cpu,
+                &mut mem,
+                &decoded,
+                &mut cands,
+                &config,
+                interp,
+                limit,
+                &mut Vec::new(),
+                &code,
+            )
+        };
+        // The limit counts retired non-NOPs; the block stops as soon as
+        // it is reached, before the following NOP executes.
+        assert_eq!(block(&mut cpu, &mut interp, 2), InterpEvent::BlockEnd);
+        assert_eq!((interp, cpu.pc), (2, 0x100c));
+        // A limit already reached executes nothing.
+        assert_eq!(block(&mut cpu, &mut interp, 2), InterpEvent::BlockEnd);
+        assert_eq!((interp, cpu.pc), (2, 0x100c));
+        assert_eq!(block(&mut cpu, &mut interp, u64::MAX), InterpEvent::Halted);
+        assert_eq!(interp, 4);
+    }
+
+    #[test]
+    fn block_ends_where_a_fragment_starts() {
+        let program = countdown_program();
+        let decoded = DecodeCache::new(&program);
+        let (mut cpu, mut mem) = program.load();
+        let code: HashMap<u64, ()> = [(0x1008, ())].into_iter().collect();
+        let mut interp = 0u64;
+        let event = interp_block(
+            &mut cpu,
+            &mut mem,
+            &decoded,
+            &mut Candidates::new(),
+            &ProfileConfig::default(),
+            &mut interp,
+            u64::MAX,
+            &mut Vec::new(),
+            &code,
+        );
+        assert_eq!(event, InterpEvent::BlockEnd);
+        assert_eq!((interp, cpu.pc), (2, 0x1008));
     }
 
     #[test]
@@ -394,17 +525,17 @@ mod tests {
         let (mut cpu, mut mem) = program.load();
         // Enter the loop first.
         let config = ProfileConfig::default();
-        let mut c = Candidates::new();
         let mut n = 0;
-        interp_step(
+        interp_block(
             &mut cpu,
             &mut mem,
             &decoded,
-            &mut c,
+            &mut Candidates::new(),
             &config,
             &mut n,
+            1,
             &mut Vec::new(),
-            None,
+            &TranslationCache::new(),
         );
         assert_eq!(cpu.pc, 0x1004);
         let sb = collect_superblock(&mut cpu, &mut mem, &program, &config).unwrap();

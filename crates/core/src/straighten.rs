@@ -12,8 +12,10 @@
 //! instruction count) and 6 (straightening/RAS IPC) are measured on this
 //! system.
 
-use crate::fragment::{DISPATCH_COST_INSTS, DISPATCH_IADDR};
-use crate::profile::{interp_step, Candidates, InterpEvent, ProfileConfig};
+use crate::fragment::{AddrHasher, DISPATCH_COST_INSTS, DISPATCH_IADDR};
+use crate::profile::{
+    collect_superblock_with_output, interp_block, Candidates, InterpEvent, ProfileConfig,
+};
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::ChainPolicy;
 use crate::vm::VmExit;
@@ -151,17 +153,16 @@ impl StraightenStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct StraightenedVm<'p> {
+pub struct StraightenedVm {
     chain: ChainPolicy,
     profile: ProfileConfig,
-    program: &'p Program,
-    /// Predecoded code segment driving the interpreter's fetches.
+    /// Predecoded code segment driving interpretation and collection.
     decoded: alpha_isa::DecodeCache,
     cpu: CpuState,
     mem: Memory,
     candidates: Candidates,
     fragments: Vec<SFragment>,
-    by_vstart: HashMap<u64, usize>,
+    by_vstart: HashMap<u64, usize, AddrHasher>,
     by_istart: HashMap<u64, usize>,
     pending: HashMap<u64, Vec<(usize, usize)>>,
     next_iaddr: u64,
@@ -176,24 +177,19 @@ pub struct StraightenedVm<'p> {
     stats: StraightenStats,
 }
 
-impl<'p> StraightenedVm<'p> {
+impl StraightenedVm {
     /// Creates the VM with the program loaded.
-    pub fn new(
-        chain: ChainPolicy,
-        profile: ProfileConfig,
-        program: &'p Program,
-    ) -> StraightenedVm<'p> {
+    pub fn new(chain: ChainPolicy, profile: ProfileConfig, program: &Program) -> StraightenedVm {
         let (cpu, mem) = program.load();
         StraightenedVm {
             chain,
             profile,
             decoded: alpha_isa::DecodeCache::new(program),
-            program,
             cpu,
             mem,
             candidates: Candidates::new(),
             fragments: Vec::new(),
-            by_vstart: HashMap::new(),
+            by_vstart: HashMap::default(),
             by_istart: HashMap::new(),
             pending: HashMap::new(),
             next_iaddr: crate::fragment::CODE_CACHE_BASE,
@@ -827,17 +823,19 @@ impl<'p> StraightenedVm<'p> {
                 }
                 continue;
             }
-            match interp_step(
+            let limit = budget.saturating_sub(self.stats.v_insts);
+            match interp_block(
                 &mut self.cpu,
                 &mut self.mem,
                 &self.decoded,
                 &mut self.candidates,
                 &self.profile,
                 &mut self.stats.interpreted,
+                limit,
                 &mut self.output,
-                None,
+                &self.by_vstart,
             ) {
-                InterpEvent::Continue => {}
+                InterpEvent::BlockEnd => {}
                 InterpEvent::Halted => return VmExit::Halted,
                 InterpEvent::Hot { .. } => {
                     self.translate_here();
@@ -849,8 +847,8 @@ impl<'p> StraightenedVm<'p> {
                         state: Box::new(self.cpu.registers()),
                     }
                 }
-                // The straightened VM keeps no invalidatable cache, so the
-                // SMC check is disabled above; unreachable.
+                // The straightened VM keeps no invalidatable cache: its
+                // fragment map never reports an SMC hit.
                 InterpEvent::SmcStore { .. } => {}
             }
         }
@@ -860,15 +858,13 @@ impl<'p> StraightenedVm<'p> {
         if self.by_vstart.contains_key(&self.cpu.pc) {
             return;
         }
-        let mut collected_output = Vec::new();
-        let result = crate::profile::collect_superblock_with_output(
+        let result = collect_superblock_with_output(
             &mut self.cpu,
             &mut self.mem,
-            self.program,
+            &self.decoded,
             &self.profile,
-            &mut collected_output,
+            &mut self.output,
         );
-        self.output.append(&mut collected_output);
         if let Ok(sb) = result {
             if !sb.is_empty() {
                 // A collection that ran into the guest's halt leaves the

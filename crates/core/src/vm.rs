@@ -18,7 +18,7 @@ use crate::pipeline::{
     translate_job, SubmitOutcome, TranslatePool, TranslateRequest, TranslateResponse,
 };
 use crate::profile::{
-    collect_superblock_with_output, interp_step, Candidates, InterpEvent, ProfileConfig,
+    collect_superblock_with_output, interp_block, Candidates, InterpEvent, ProfileConfig,
 };
 use crate::replay::ReplayEvent;
 use crate::snapshot::{program_digest, Snapshot};
@@ -468,6 +468,9 @@ pub struct Vm<'p> {
     pool: Option<Arc<TranslatePool>>,
     reply_tx: Sender<TranslateResponse>,
     reply_rx: Receiver<TranslateResponse>,
+    /// The retired count at which the reply channel was last drained
+    /// (see [`Vm::service_background`]).
+    drained_at: Option<u64>,
     /// Regions whose translation is in flight on the pool, keyed by entry
     /// V-address — the per-region dedup, plus the liveness facts captured
     /// at submit time that the safe-point install decision re-checks.
@@ -596,6 +599,7 @@ impl<'p> Vm<'p> {
             pool,
             reply_tx,
             reply_rx,
+            drained_at: None,
             in_flight: HashMap::new(),
             next_token: 0,
             staged: Vec::new(),
@@ -861,7 +865,7 @@ impl<'p> Vm<'p> {
         match collect_superblock_with_output(
             &mut self.cpu,
             &mut self.mem,
-            self.program,
+            &self.decoded,
             &profile,
             &mut self.output,
         ) {
@@ -1554,15 +1558,26 @@ impl<'p> Vm<'p> {
         self.resolve_sync_fallback(vaddr, pending, code, verdict, verify_nanos)
     }
 
-    /// The top-of-loop safe point: drains finished background
-    /// translations, and resolves parked translations whose install point
-    /// (recorded schedule, or deterministic delay anchor) has arrived.
+    /// The safe point, serviced at every fragment exit and interpreted
+    /// block end: drains finished background translations, and resolves
+    /// parked translations whose install point (recorded schedule, or
+    /// deterministic delay anchor) has arrived. [`Vm::interp_limit`] ends
+    /// interpreted blocks exactly on those anchors.
     fn service_background(&mut self) {
-        while let Ok(resp) = self.reply_rx.try_recv() {
-            self.handle_response(resp);
+        let now = self.v_instructions();
+        // Replies drain only at the first safe point of each retired
+        // count. A zero-progress exit (region-hot) revisits the safe point
+        // at the same count, and a scheduled replay applies an event at
+        // the *first* safe point reaching its anchor: an install recorded
+        // at the second visit would replay at the first, before the
+        // promotion that saw the cache without it.
+        if self.drained_at != Some(now) {
+            self.drained_at = Some(now);
+            while let Ok(resp) = self.reply_rx.try_recv() {
+                self.handle_response(resp);
+            }
         }
         if self.schedule.is_some() {
-            let now = self.v_instructions();
             // Pop-then-apply, with the pop itself deciding readiness: no
             // unwrap on the queue, which an applied op may have replaced.
             loop {
@@ -1574,7 +1589,6 @@ impl<'p> Vm<'p> {
                 self.apply_scheduled_op(op);
             }
         } else if self.config.install_delay.is_some() {
-            let now = self.v_instructions();
             while let Some(i) = self.staged.iter().position(|s| s.anchor <= now) {
                 let s = self.staged.remove(i);
                 self.resolve_background(
@@ -1750,6 +1764,28 @@ impl<'p> Vm<'p> {
         true
     }
 
+    /// The interpreted count at which the next interpreted block must
+    /// yield: the run budget, or the next count-anchored install (the
+    /// replay schedule's front, or the earliest `install_delay` anchor),
+    /// whichever comes first. Short of that count the safe point's only
+    /// work is draining asynchronous pool replies, whose arrival is
+    /// nondeterministic anyway, so it waits for the block to end.
+    fn interp_limit(&self, budget: u64) -> u64 {
+        let mut next = budget;
+        if let Some(q) = &self.schedule {
+            if let Some(front) = q.front() {
+                next = next.min(front.at_v_insts);
+            }
+        } else if self.config.install_delay.is_some() {
+            for s in &self.staged {
+                next = next.min(s.anchor);
+            }
+        }
+        // Translated code retires nothing while the interpreter runs, so
+        // the V-instruction anchor converts to an interpreted count.
+        next.saturating_sub(self.engine.stats.v_insts)
+    }
+
     /// Runs until halt, trap, or `budget` V-ISA instructions.
     ///
     /// Monomorphized over the sink (see [`TraceSink::TRACING`]): running
@@ -1757,8 +1793,9 @@ impl<'p> Vm<'p> {
     /// engine's hot loop.
     pub fn run<S: TraceSink>(&mut self, budget: u64, sink: &mut S) -> VmExit {
         loop {
-            // Fragment-boundary safe point: architected state is complete
-            // here, so finished background translations install now.
+            // Safe point, reached at every fragment exit and interpreted
+            // block end: architected state is complete here, so finished
+            // background translations install now.
             self.service_background();
             if self.v_instructions() >= budget {
                 self.finish_overheads();
@@ -1842,18 +1879,20 @@ impl<'p> Vm<'p> {
                 }
                 continue;
             }
-            // Otherwise interpret one instruction.
-            match interp_step(
+            // Otherwise interpret up to the next safe point that matters.
+            let limit = self.interp_limit(budget);
+            match interp_block(
                 &mut self.cpu,
                 &mut self.mem,
                 &self.decoded,
                 &mut self.candidates,
                 &self.config.profile,
                 &mut self.stats.interpreted,
+                limit,
                 &mut self.output,
-                Some(&self.cache),
+                &self.cache,
             ) {
-                InterpEvent::Continue => {}
+                InterpEvent::BlockEnd => {}
                 InterpEvent::Halted => {
                     self.finish_overheads();
                     return VmExit::Halted;
@@ -1946,7 +1985,6 @@ pub fn trace_original<S: TraceSink>(program: &Program, budget: u64, sink: &mut S
                 )
             }
         };
-        let before_regs = cpu.clone();
         let outcome = match step(&mut cpu, &mut mem, inst, AlignPolicy::Enforce) {
             Ok(o) => o,
             Err(trap) => {
@@ -1996,7 +2034,6 @@ pub fn trace_original<S: TraceSink>(program: &Program, budget: u64, sink: &mut S
         if let Control::Indirect { target, .. } = outcome.control {
             d.v_target = target;
         }
-        let _ = before_regs;
         sink.retire(&d);
         if outcome.control == Control::Halt {
             return (VmExit::Halted, count);
@@ -2288,5 +2325,209 @@ mod tests {
             s.pool_respawns = 0;
         }
         assert_eq!(a, b, "stats must be bit-identical modulo wall clocks");
+    }
+
+    /// Three loops run one after another, each a straight-line body (one
+    /// NOP included) closed by a backward branch; with `calls`, each body
+    /// also calls a leaf through `bsr`/`ret`.
+    fn phased_program(calls: bool) -> Program {
+        let mut asm = Assembler::new(0x1_0000);
+        let buf = asm.zero_block(512);
+        let leaf = asm.label("leaf");
+        asm.li32(Reg::A1, buf as u32);
+        asm.clr(Reg::V0);
+        for phase in 0..3u8 {
+            asm.lda_imm(Reg::A0, 120);
+            let top = asm.here(format!("loop{phase}"));
+            asm.addq(Reg::V0, Reg::A0, Reg::V0);
+            asm.and_imm(Reg::A0, 0x3f, Reg::new(3));
+            asm.nop();
+            asm.s8addq(Reg::new(3), Reg::A1, Reg::new(3));
+            asm.stq(Reg::V0, 0, Reg::new(3));
+            if calls {
+                asm.bsr(leaf);
+            }
+            asm.ldq(Reg::new(4), 0, Reg::new(3));
+            asm.addq_imm(Reg::V0, phase + 1, Reg::V0);
+            asm.xor(Reg::V0, Reg::new(4), Reg::V0);
+            asm.subq_imm(Reg::A0, 1, Reg::A0);
+            asm.bne(Reg::A0, top);
+        }
+        asm.halt();
+        asm.bind(leaf);
+        asm.addq_imm(Reg::V0, 3, Reg::V0);
+        asm.ret();
+        asm.finish().unwrap()
+    }
+
+    fn interp_only_config() -> VmConfig {
+        VmConfig {
+            max_demotions: 0,
+            ..sync_config()
+        }
+    }
+
+    /// `stats` with every wall-clock field zeroed.
+    fn without_clocks(stats: &VmStats) -> VmStats {
+        VmStats {
+            verify_nanos: 0,
+            translate_stall_nanos: 0,
+            translate_wall_nanos: 0,
+            pool_await_max_nanos: 0,
+            ..stats.clone()
+        }
+    }
+
+    /// Steps `vm` to the halt one retired instruction per `run` call and
+    /// returns the counts `b` whose `b`-th instruction the interpreter
+    /// retired on its own (no engine execution, no collection in that
+    /// call): a budget of `b` lands in interpreted code.
+    fn interpreted_positions(vm: &mut Vm) -> HashSet<u64> {
+        let mut positions = HashSet::new();
+        loop {
+            let (v, engine, fragments) = (
+                vm.v_instructions(),
+                vm.engine.stats.v_insts,
+                vm.stats.fragments,
+            );
+            let exit = vm.run(v + 1, &mut NullSink);
+            if vm.engine.stats.v_insts == engine && vm.stats.fragments == fragments {
+                positions.insert(vm.v_instructions());
+            }
+            if exit != VmExit::Budget {
+                assert_eq!(exit, VmExit::Halted);
+                return positions;
+            }
+        }
+    }
+
+    #[test]
+    fn budgets_landing_in_interpreted_code_stop_exactly() {
+        for (config, calls) in [
+            (interp_only_config(), true),
+            (sync_config(), true),
+            (sync_config(), false),
+        ] {
+            let program = phased_program(calls);
+            let interpreted = interpreted_positions(&mut Vm::new(config, &program));
+            let mut reference = Vm::new(config, &program);
+            assert_eq!(reference.run(u64::MAX, &mut NullSink), VmExit::Halted);
+            let total = reference.v_instructions();
+            if config.max_demotions == 0 {
+                assert_eq!(
+                    interpreted.len() as u64,
+                    total,
+                    "every count is interpreted"
+                );
+            } else {
+                assert!(reference.stats().engine.v_insts > total / 2);
+            }
+            let mut exact = 0;
+            for b in (1..total).step_by(3) {
+                let mut vm = Vm::new(config, &program);
+                assert_eq!(vm.run(b, &mut NullSink), VmExit::Budget, "budget {b}");
+                assert!(vm.v_instructions() >= b);
+                if interpreted.contains(&b) {
+                    assert_eq!(vm.v_instructions(), b, "budget {b} overshot");
+                    exact += 1;
+                }
+            }
+            assert!(
+                exact >= 100,
+                "only {exact} budgets landed in interpreted code"
+            );
+        }
+    }
+
+    #[test]
+    fn chained_budgeted_runs_match_a_single_run() {
+        const STRIDES: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
+        for config in [interp_only_config(), sync_config()] {
+            let program = phased_program(true);
+            let mut single = Vm::new(config, &program);
+            assert_eq!(single.run(u64::MAX, &mut NullSink), VmExit::Halted);
+            let mut chained = Vm::new(config, &program);
+            let mut calls = 0;
+            loop {
+                let budget = chained.v_instructions() + STRIDES[calls % STRIDES.len()];
+                calls += 1;
+                match chained.run(budget, &mut NullSink) {
+                    VmExit::Budget => {}
+                    exit => {
+                        assert_eq!(exit, VmExit::Halted);
+                        break;
+                    }
+                }
+            }
+            assert!(calls > 100);
+            assert_eq!(chained.cpu().registers(), single.cpu().registers());
+            assert_eq!(
+                chained.memory().content_digest(),
+                single.memory().content_digest()
+            );
+            assert_eq!(chained.output(), single.output());
+            assert_eq!(chained.v_instructions(), single.v_instructions());
+            assert_eq!(
+                without_clocks(chained.stats()),
+                without_clocks(single.stats())
+            );
+        }
+    }
+
+    #[test]
+    fn delayed_installs_land_exactly_on_mid_block_anchors() {
+        let program = phased_program(false);
+        for delay in [1, 3, 7] {
+            let config = VmConfig {
+                install_delay: Some(delay),
+                ..sync_config()
+            };
+            // Stepping one instruction per call reveals every staged
+            // translation and its anchor before the anchor arrives.
+            let mut stepped = Vm::new(config, &program);
+            let mut anchors = Vec::new();
+            loop {
+                let exit = stepped.run(stepped.v_instructions() + 1, &mut NullSink);
+                for s in &stepped.staged {
+                    if !anchors.contains(&(s.vstart, s.anchor)) {
+                        anchors.push((s.vstart, s.anchor));
+                    }
+                }
+                if exit != VmExit::Budget {
+                    assert_eq!(exit, VmExit::Halted);
+                    break;
+                }
+            }
+            assert_eq!(anchors.len(), 3, "one install per loop");
+
+            let mut vm = Vm::new(config, &program);
+            assert_eq!(vm.run(u64::MAX, &mut NullSink), VmExit::Halted);
+            let installs: Vec<(u64, u64)> = vm
+                .bg_events()
+                .iter()
+                .map(|e| match *e {
+                    ReplayEvent::BgInstall {
+                        fragment_vstart,
+                        at_v_insts,
+                    } => (fragment_vstart, at_v_insts),
+                    ref other => panic!("unexpected event {other:?}"),
+                })
+                .collect();
+            assert_eq!(installs, anchors, "delay {delay}");
+            assert_eq!(vm.bg_events(), stepped.bg_events());
+
+            let mut replayed = Vm::new(sync_config(), &program);
+            replayed.set_install_schedule(vm.bg_events());
+            assert_eq!(replayed.run(u64::MAX, &mut NullSink), VmExit::Halted);
+            assert_eq!(replayed.cpu().registers(), vm.cpu().registers());
+            assert_eq!(
+                replayed.memory().content_digest(),
+                vm.memory().content_digest()
+            );
+            assert_eq!(replayed.output(), vm.output());
+            assert_eq!(replayed.v_instructions(), vm.v_instructions());
+            assert_eq!(replayed.bg_events(), vm.bg_events());
+            assert_eq!(without_clocks(replayed.stats()), without_clocks(vm.stats()));
+        }
     }
 }
