@@ -40,7 +40,6 @@
 //! `--throughput`; `PERFSTAT_REPS` repetitions per workload, default 3;
 //! `ILDP_VMS` VM instances per throughput cell, default 8.)
 
-use ildp_bench::lint::{ALL_CHAINS, ALL_FORMS};
 use ildp_bench::store::{pretranslate_suite, run_cell_against_store};
 use ildp_bench::throughput::{run_throughput, ThroughputOptions};
 use ildp_core::{ChainPolicy, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit};
@@ -194,22 +193,18 @@ fn warm_child_main(store_path: &Path) -> i32 {
     }
     let store = Arc::new(store);
     let (mut cells, mut hits, mut misses, mut quarantined, mut reverified) = (0u64, 0, 0, 0, 0);
-    for w in &suite(scale) {
-        for form in ALL_FORMS {
-            for chain in ALL_CHAINS {
-                match run_cell_against_store(w, form, chain, &store, false) {
-                    Ok(o) => {
-                        cells += 1;
-                        hits += o.warm_hits;
-                        misses += o.warm_misses;
-                        quarantined += o.store_quarantined;
-                        reverified += o.fragments_verified;
-                    }
-                    Err(e) => {
-                        eprintln!("perfstat --warm-child: {e}");
-                        return 1;
-                    }
-                }
+    for (w, form, chain, _) in ildp_bench::cells(scale) {
+        match run_cell_against_store(&w, form, chain, &store, false) {
+            Ok(o) => {
+                cells += 1;
+                hits += o.warm_hits;
+                misses += o.warm_misses;
+                quarantined += o.store_quarantined;
+                reverified += o.fragments_verified;
+            }
+            Err(e) => {
+                eprintln!("perfstat --warm-child: {e}");
+                return 1;
             }
         }
     }

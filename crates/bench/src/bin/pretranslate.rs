@@ -12,7 +12,7 @@
 //! (`VmConfig::store_validator`).
 //!
 //! The store is keyed by (superblock code digest × translator config
-//! digest), so a stale store is merely cold, never wrong — and `storelint`
+//! digest), so a stale store is merely cold, never wrong — and `lint store`
 //! proves a *corrupted* store degrades to a cache miss too.
 //!
 //! Usage: `cargo run --release -p ildp-bench --bin pretranslate -- \

@@ -17,8 +17,9 @@
 //! `vstart`, `slot`, and `xor` accept decimal or `0x` hex.
 //! (`ILDP_SCALE` scales the workloads, default 10.)
 
-use ildp_bench::chaos::{chaos_cell_recorded, CellSpec};
+use ildp_bench::chaos::chaos_cell_recorded;
 use ildp_bench::harness_scale;
+use ildp_bench::lint::parse_cell_spec;
 use ildp_bench::triage::{paced_run_events, triage_run, ReproBundle, TriageResult};
 use ildp_core::{ReplayLog, Sabotage};
 
@@ -66,10 +67,13 @@ fn deliver(result: TriageResult, out: Option<&str>) -> i32 {
 }
 
 fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
-    let spec = CellSpec::parse(spec).unwrap_or_else(|e| fail(&e));
+    let spec = parse_cell_spec(spec).unwrap_or_else(|e| fail(&e));
+    let Some(seed) = spec.seed else {
+        fail("--chaos wants workload:form:chain:seed[:dDELAY]");
+    };
     let w = spec.workload(harness_scale());
     println!("triage: recording chaos cell {spec}");
-    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, spec.seed, spec.delay);
+    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, seed, spec.delay);
     match res {
         Ok(report) => {
             println!(
@@ -87,7 +91,7 @@ fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
         spec.chain,
         &log,
         interval,
-        &spec.workload,
+        spec.workload,
     ) {
         Ok(Some(result)) => deliver(result, out),
         Ok(None) => {
@@ -110,8 +114,7 @@ fn run_sabotage(spec: &str, out: Option<&str>) -> i32 {
     let [workload, form, chain, vstart, slot, xor] = parts[..] else {
         fail("--sabotage wants workload:form:chain:vstart:slot:xor");
     };
-    let cell =
-        CellSpec::parse(&format!("{workload}:{form}:{chain}:0")).unwrap_or_else(|e| fail(&e));
+    let cell = parse_cell_spec(&format!("{workload}:{form}:{chain}")).unwrap_or_else(|e| fail(&e));
     let rule = Sabotage {
         vstart: parse_u64(vstart).unwrap_or_else(|e| fail(&e)),
         slot: parse_u64(slot).unwrap_or_else(|e| fail(&e)) as u32,
@@ -134,7 +137,7 @@ fn run_sabotage(spec: &str, out: Option<&str>) -> i32 {
         cell.chain,
         &log,
         interval,
-        &cell.workload,
+        cell.workload,
     ) {
         Ok(Some(result)) => deliver(result, out),
         Ok(None) => {

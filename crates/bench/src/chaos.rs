@@ -19,15 +19,16 @@
 use alpha_isa::{step, AlignPolicy, Control, DecodeCache, Program};
 use ildp_core::{
     ChainPolicy, FragmentId, NullSink, OnViolation, ProfileConfig, ReplayEvent, ReplayLog,
-    Translator, Vm, VmConfig, VmExit,
+    Translator, Vm, VmConfig, VmExit, VmStats,
 };
 use ildp_isa::{IInst, ITarget, IsaForm};
 use ildp_verifier::verify_installed;
-use spec_workloads::{by_name, Workload, XorShift, NAMES};
+use spec_workloads::{Workload, XorShift};
 use std::collections::BTreeSet;
-use std::fmt;
 
-/// Architected end state of a pure-interpreter reference run.
+/// Architected end state of a run, usually a pure-interpreter reference
+/// run ([`interp_reference`]): the one definition of "identical" every
+/// differential in the harness checks through [`Reference::check`].
 pub struct Reference {
     /// Final GPR file.
     pub regs: [u64; 32],
@@ -37,6 +38,63 @@ pub struct Reference {
     pub output: Vec<u8>,
     /// Instructions retired to the halt.
     pub insts: u64,
+}
+
+impl Reference {
+    /// The architected state `vm` has reached, as a reference for
+    /// another run (a replay or a resumed snapshot) to match.
+    pub fn of(vm: &Vm<'_>) -> Reference {
+        Reference {
+            regs: vm.cpu().registers(),
+            mem_digest: vm.memory().content_digest(),
+            output: vm.output().to_vec(),
+            insts: vm.v_instructions(),
+        }
+    }
+
+    /// Checks that `vm` ended in exactly this state: registers, memory
+    /// digest, console output and retired count. `Err` names the first
+    /// difference.
+    pub fn check(&self, vm: &Vm<'_>) -> Result<(), String> {
+        let regs = vm.cpu().registers();
+        if let Some(r) = (0..32).find(|&r| regs[r] != self.regs[r]) {
+            return Err(format!(
+                "GPR file diverged (r{r}: {:#x}, reference {:#x})",
+                regs[r], self.regs[r]
+            ));
+        }
+        if vm.memory().content_digest() != self.mem_digest {
+            return Err("memory diverged".to_string());
+        }
+        if vm.output() != self.output.as_slice() {
+            return Err(format!(
+                "console output diverged ({} bytes, reference {})",
+                vm.output().len(),
+                self.output.len()
+            ));
+        }
+        if vm.v_instructions() != self.insts {
+            return Err(format!(
+                "retired {} instructions, reference {}",
+                vm.v_instructions(),
+                self.insts
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// `stats` with the wall-clock-derived fields zeroed: what a scheduled
+/// replay must reproduce bit for bit.
+pub fn untimed(stats: &VmStats) -> VmStats {
+    VmStats {
+        verify_nanos: 0,
+        translate_stall_nanos: 0,
+        translate_wall_nanos: 0,
+        pool_await_max_nanos: 0,
+        pool_respawns: 0,
+        ..stats.clone()
+    }
 }
 
 /// Interprets `program` to a clean halt (within `budget` instructions),
@@ -383,110 +441,9 @@ pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
     }
 }
 
-/// Names one chaos cell — workload × ISA form × chain policy × seed,
-/// optionally with a deterministic install delay — in a form both
-/// printable on failure and parseable back from a `--repro` argument:
-/// `gzip:modified:sw_pred.ras:7001` or `gzip:modified:sw_pred.ras:7001:d64`
-/// for a delayed-install cell.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellSpec {
-    /// Workload name, as in [`spec_workloads::NAMES`].
-    pub workload: String,
-    /// I-ISA form under test.
-    pub form: IsaForm,
-    /// Chain policy under test.
-    pub chain: ChainPolicy,
-    /// Cell seed.
-    pub seed: u64,
-    /// Deterministic install delay in retired V-ISA instructions
-    /// ([`VmConfig::install_delay`]); `Some` marks a delayed-install cell.
-    pub delay: Option<u64>,
-}
-
-impl fmt::Display for CellSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let form = match self.form {
-            IsaForm::Basic => "basic",
-            IsaForm::Modified => "modified",
-        };
-        write!(
-            f,
-            "{}:{}:{}:{}",
-            self.workload,
-            form,
-            self.chain.label(),
-            self.seed
-        )?;
-        if let Some(d) = self.delay {
-            write!(f, ":d{d}")?;
-        }
-        Ok(())
-    }
-}
-
-impl CellSpec {
-    /// Parses the `workload:form:chain:seed[:dDELAY]` shape printed by
-    /// [`Display`](fmt::Display).
-    pub fn parse(s: &str) -> Result<CellSpec, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let (workload, form, chain, seed, delay) = match parts[..] {
-            [w, f, c, s] => (w, f, c, s, None),
-            [w, f, c, s, d] => {
-                let n = d
-                    .strip_prefix('d')
-                    .and_then(|n| n.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad delay {d:?}: want dNNN"))?;
-                (w, f, c, s, Some(n))
-            }
-            _ => {
-                return Err(format!(
-                    "bad cell spec {s:?}: want workload:form:chain:seed[:dDELAY]"
-                ))
-            }
-        };
-        if !NAMES.contains(&workload) {
-            return Err(format!("unknown workload {workload:?}"));
-        }
-        let form = match form {
-            "basic" => IsaForm::Basic,
-            "modified" => IsaForm::Modified,
-            other => return Err(format!("unknown ISA form {other:?}")),
-        };
-        let chain = match chain {
-            "no_pred" => ChainPolicy::NoPred,
-            "sw_pred.no_ras" => ChainPolicy::SwPred,
-            "sw_pred.ras" => ChainPolicy::SwPredDualRas,
-            other => return Err(format!("unknown chain policy {other:?}")),
-        };
-        let seed = seed
-            .parse::<u64>()
-            .map_err(|_| format!("bad seed {seed:?}"))?;
-        Ok(CellSpec {
-            workload: workload.to_string(),
-            form,
-            chain,
-            seed,
-            delay,
-        })
-    }
-
-    /// Builds the workload this cell runs at the given harness scale.
-    pub fn workload(&self, scale: u32) -> Workload {
-        by_name(&self.workload, scale).expect("validated at parse")
-    }
-
-    /// The VM configuration this cell runs under.
-    pub fn config(&self) -> VmConfig {
-        VmConfig {
-            install_delay: self.delay,
-            ..cell_config(self.form, self.chain)
-        }
-    }
-}
-
 /// Checks a finished cell run against the pure-interpreter reference:
-/// clean halt, identical GPR file, output, and memory, and zero
-/// audit-escaped corruptions.
+/// clean halt, identical architected state, and zero audit-escaped
+/// corruptions.
 fn check_outcome(
     vm: &Vm<'_>,
     exit: VmExit,
@@ -498,15 +455,7 @@ fn check_outcome(
         VmExit::Halted => {}
         other => return Err(format!("{cell}: expected clean halt, got {other:?}")),
     }
-    if vm.cpu().registers() != reference.regs {
-        return Err(format!("{cell}: final GPR file diverged"));
-    }
-    if vm.output() != reference.output.as_slice() {
-        return Err(format!("{cell}: console output diverged"));
-    }
-    if vm.memory().content_digest() != reference.mem_digest {
-        return Err(format!("{cell}: final memory diverged"));
-    }
+    reference.check(vm).map_err(|e| format!("{cell}: {e}"))?;
     if report.undetected > 0 {
         return Err(format!(
             "{cell}: {} structural corruption(s) escaped the C01–C07 audit",

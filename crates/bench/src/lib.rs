@@ -19,6 +19,7 @@ pub mod store;
 pub mod throughput;
 pub mod triage;
 
+pub use lint::cells;
 pub use report::*;
 pub use runners::*;
 

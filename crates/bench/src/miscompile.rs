@@ -4,7 +4,7 @@
 //! plus return/call/cmov/two-source blocks covering every exit flavor)
 //! and the per-rule tampering functions that turn a correct translation
 //! into a specific miscompile. The verifier's A/P/C/E detection tests
-//! (`crates/bench/tests/seeded_miscompiles.rs`) and `flowlint`'s F-rule
+//! (`crates/bench/tests/seeded_miscompiles.rs`) and `lint flow`'s F-rule
 //! detection phase both draw from here, so every rule family exercises
 //! the same injection machinery.
 
@@ -550,7 +550,7 @@ pub fn verifier_seeds() -> Vec<SeededMiscompile> {
 /// merged region superblocks ([`fig2_region`], [`chain_region`])
 /// poisoned at the structures region merging creates — interior seam
 /// side exits, the closing backedge, seam copy traffic, and recovery
-/// state inside an unrolled iteration. `regionlint` requires every one
+/// state inside an unrolled iteration. `lint region` requires every one
 /// to be detected by the full install gate (`verify_translation`).
 pub fn region_seeds() -> Vec<SeededMiscompile> {
     vec![

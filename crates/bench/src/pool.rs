@@ -36,7 +36,7 @@
 //! [`ReplayEvent::PoolPanicReply`]: ildp_core::ReplayEvent::PoolPanicReply
 //! [`ReplayEvent::PoolShed`]: ildp_core::ReplayEvent::PoolShed
 
-use crate::chaos::{cell_config, interp_reference};
+use crate::chaos::{cell_config, interp_reference, untimed};
 use crate::lint::cell_spec;
 use ildp_core::{
     silence_injected_panics, ChainPolicy, NullSink, PoolFaultKind, PoolFaults, TranslatePool, Vm,
@@ -47,7 +47,7 @@ use spec_workloads::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The tight translate deadline every poollint cell runs under: long
+/// The tight translate deadline every `lint pool` cell runs under: long
 /// enough that an unfaulted reply usually beats it, short enough that
 /// delay/kill/drop faults actually trip it within a harness run.
 pub const POOL_TIMEOUT: Duration = Duration::from_millis(25);
@@ -128,7 +128,7 @@ pub fn scenario_for(chain: ChainPolicy, fault_seed: u64) -> PoolScenario {
     }
 }
 
-/// Tally of one poollint cell.
+/// Tally of one `lint pool` cell.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct PoolReport {
     /// Total faults injected (all pool-side injection counters).
@@ -235,26 +235,9 @@ pub fn pool_cell(
 
     // Gate 1: architected equality with the pure interpreter — a faulted
     // pipeline may cost time, never correctness.
-    if vm.cpu().registers() != reference.regs {
-        return Err(format!("{cell} [{}]: GPR file diverged", scenario.name));
-    }
-    if vm.memory().content_digest() != reference.mem_digest {
-        return Err(format!("{cell} [{}]: memory diverged", scenario.name));
-    }
-    if vm.output() != reference.output {
-        return Err(format!(
-            "{cell} [{}]: console output diverged",
-            scenario.name
-        ));
-    }
-    if vm.v_instructions() != reference.insts {
-        return Err(format!(
-            "{cell} [{}]: retired {} instructions, reference {}",
-            scenario.name,
-            vm.v_instructions(),
-            reference.insts
-        ));
-    }
+    reference
+        .check(&vm)
+        .map_err(|e| format!("{cell} [{}]: {e}", scenario.name))?;
 
     // Gate 2: liveness — no await blocked past the deadline (+ slack).
     let stats = vm.stats().clone();
@@ -325,32 +308,16 @@ pub fn pool_cell(
             scenario.name
         ));
     }
-    if replayed.cpu().registers() != reference.regs
-        || replayed.memory().content_digest() != reference.mem_digest
-        || replayed.output() != reference.output
-        || replayed.v_instructions() != reference.insts
-    {
-        return Err(format!(
-            "{cell} [{}]: scheduled replay diverged architecturally",
-            scenario.name
-        ));
-    }
+    reference
+        .check(&replayed)
+        .map_err(|e| format!("{cell} [{}]: scheduled replay: {e}", scenario.name))?;
     if replayed.bg_events() != events.as_slice() {
         return Err(format!(
             "{cell} [{}]: replayed event log differs from the recording",
             scenario.name
         ));
     }
-    let mut want = stats.clone();
-    let mut got = replayed.stats().clone();
-    for s in [&mut want, &mut got] {
-        s.verify_nanos = 0;
-        s.translate_stall_nanos = 0;
-        s.translate_wall_nanos = 0;
-        s.pool_await_max_nanos = 0;
-        s.pool_respawns = 0;
-    }
-    if got != want {
+    if untimed(replayed.stats()) != untimed(&stats) {
         return Err(format!(
             "{cell} [{}]: replayed statistics differ from the recording",
             scenario.name

@@ -45,25 +45,6 @@
 //! }
 //! ```
 //!
-//! # Lint failure reports
-//!
-//! All seven lint binaries (`vlint`, `chaoslint`, `replaylint`,
-//! `flowlint`, `storelint`, `poollint`, `regionlint`) emit one shared
-//! single-line JSON schema on failure, built by
-//! [`crate::lint::LintReport`]:
-//!
-//! ```json
-//! { "tool": "vlint", "scale": 10,
-//!   /* tool-specific counters as extra top-level integer keys */
-//!   "failures": [ { "cell": "gzip:basic:sw_pred.ras",
-//!                   "details": ["V01 ..."] } ]
-//! }
-//! ```
-//!
-//! A failing `cell` feeds back into that tool's `--repro` flag; the
-//! `lintall` binary runs the family in sequence and aggregates exit
-//! status.
-//!
 //! # `BENCH_throughput.json` (`perfstat --throughput`)
 //!
 //! Multi-VM scaling sweep (asynchronous translation, shared pool) plus
@@ -121,7 +102,7 @@
 //! it.
 
 /// Escapes a string for embedding in a JSON string literal (the lint
-/// binaries emit structured failure reports without a JSON dependency).
+/// family emits structured failure reports without a JSON dependency).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {

@@ -6,15 +6,16 @@
 //! cold VM heats, and publishes the artifacts into one digest-keyed
 //! [`FragmentStore`] — the static half of the static/dynamic hybrid: a
 //! freshly exec'd VM pointed at the saved store boots with zero JIT
-//! warmup. The `storelint` binary uses the same entry points to build a
+//! warmup. `lint store` uses the same entry points to build a
 //! known-good baseline store, poison it, and prove every corruption is
 //! rejected into a cache miss.
 
 use crate::chaos::interp_reference;
-use ildp_core::{ChainPolicy, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit};
+use crate::lint::{cells, collecting_config};
+use ildp_core::{ChainPolicy, FragmentStore, NullSink, Vm, VmExit};
 use ildp_isa::IsaForm;
 use ildp_verifier::{artifact_validator, collecting_validator, take_report};
-use spec_workloads::{suite, Workload};
+use spec_workloads::Workload;
 use std::sync::Arc;
 
 /// Tally of one [`pretranslate_suite`] sweep.
@@ -31,23 +32,6 @@ pub struct PretranslateReport {
     pub entries: u64,
 }
 
-/// The cold-VM configuration pretranslation and the store harnesses use
-/// for one cell: synchronous translation (every region installs before
-/// the run ends) with the full install-time verifier collecting.
-pub fn store_cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
-    VmConfig {
-        translator: Translator {
-            form,
-            chain,
-            acc_count: 4,
-            fuse_memory: false,
-        },
-        validator: Some(collecting_validator),
-        async_translate: false,
-        ..VmConfig::default()
-    }
-}
-
 /// Runs one cold cell and publishes everything it translates into
 /// `store`. Returns the fragments published, or an error when the run
 /// exits abnormally or the verifier files violations.
@@ -57,7 +41,8 @@ pub fn pretranslate_cell(
     form: IsaForm,
     chain: ChainPolicy,
 ) -> Result<u64, String> {
-    let mut vm = Vm::new(store_cell_config(form, chain), &w.program);
+    let config = collecting_config(form, chain, collecting_validator);
+    let mut vm = Vm::new(config, &w.program);
     vm.attach_store(Arc::clone(store));
     let exit = vm.run(w.budget * 2, &mut NullSink);
     if !matches!(exit, VmExit::Halted | VmExit::Budget) {
@@ -80,17 +65,9 @@ pub fn pretranslate_cell(
 pub fn pretranslate_suite(scale: u32) -> Result<(Arc<FragmentStore>, PretranslateReport), String> {
     let store = Arc::new(FragmentStore::new());
     let mut report = PretranslateReport::default();
-    for w in &suite(scale) {
-        for form in [IsaForm::Basic, IsaForm::Modified] {
-            for chain in [
-                ChainPolicy::NoPred,
-                ChainPolicy::SwPred,
-                ChainPolicy::SwPredDualRas,
-            ] {
-                report.cells += 1;
-                report.fragments += pretranslate_cell(&store, w, form, chain)?;
-            }
-        }
+    for (w, form, chain, _) in cells(scale) {
+        report.cells += 1;
+        report.fragments += pretranslate_cell(&store, &w, form, chain)?;
     }
     report.entries = store.len() as u64;
     Ok((store, report))
@@ -111,9 +88,8 @@ pub struct WarmOutcome {
 
 /// Runs one cell against an attached (possibly poisoned) store and
 /// checks the architected end state against a pure-interpreter
-/// reference: final GPR file, console output, and memory digest must all
-/// match, and any fresh translations the VM fell back to must verify
-/// clean. With `reverify`, disk-loaded artifacts are re-checked by
+/// reference ([`Reference::check`](crate::chaos::Reference::check)), and
+/// any fresh translations the VM fell back to must verify clean. With `reverify`, disk-loaded artifacts are re-checked by
 /// [`artifact_validator`] before install. Returns what the run observed,
 /// or a description of the divergence.
 pub fn run_cell_against_store(
@@ -125,7 +101,7 @@ pub fn run_cell_against_store(
 ) -> Result<WarmOutcome, String> {
     let budget = w.budget * 2;
     let reference = interp_reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
-    let mut config = store_cell_config(form, chain);
+    let mut config = collecting_config(form, chain, collecting_validator);
     if reverify {
         config.store_validator = Some(artifact_validator);
     }
@@ -147,15 +123,7 @@ pub fn run_cell_against_store(
             violations.len()
         ));
     }
-    if vm.cpu().registers() != reference.regs {
-        return Err(format!("{cell}: final GPR file diverged"));
-    }
-    if vm.output() != reference.output.as_slice() {
-        return Err(format!("{cell}: console output diverged"));
-    }
-    if vm.memory().content_digest() != reference.mem_digest {
-        return Err(format!("{cell}: final memory diverged"));
-    }
+    reference.check(&vm).map_err(|e| format!("{cell}: {e}"))?;
     Ok(WarmOutcome {
         warm_hits: st.warm_hits,
         warm_misses: st.warm_misses,
@@ -170,6 +138,7 @@ pub fn run_cell_against_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spec_workloads::suite;
 
     #[test]
     fn pretranslated_store_serves_every_cell_without_retranslation() {

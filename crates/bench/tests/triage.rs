@@ -4,7 +4,7 @@
 //! across repeated runs, and the `.repro` bundle round-trips through its
 //! wire format to the same verdict.
 
-use ildp_bench::chaos::{cell_config, chaos_cell_recorded, chaos_replay, CellSpec};
+use ildp_bench::chaos::{cell_config, chaos_cell_recorded, chaos_replay};
 use ildp_bench::triage::{paced_run_events, triage_run, ReproBundle};
 use ildp_core::{ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Vm};
 use ildp_isa::IsaForm;
@@ -126,26 +126,4 @@ fn seeded_miscompile_triages_deterministically() {
             "bundle replay diverged from verdict"
         );
     }
-}
-
-#[test]
-fn cell_spec_roundtrips() {
-    let spec = CellSpec {
-        workload: "gzip".into(),
-        form: IsaForm::Modified,
-        chain: ChainPolicy::SwPredDualRas,
-        seed: 7001,
-        delay: None,
-    };
-    assert_eq!(spec.to_string(), "gzip:modified:sw_pred.ras:7001");
-    assert_eq!(CellSpec::parse(&spec.to_string()).unwrap(), spec);
-    let delayed = CellSpec {
-        delay: Some(64),
-        ..spec.clone()
-    };
-    assert_eq!(delayed.to_string(), "gzip:modified:sw_pred.ras:7001:d64");
-    assert_eq!(CellSpec::parse(&delayed.to_string()).unwrap(), delayed);
-    assert!(CellSpec::parse("nope:modified:sw_pred.ras:1").is_err());
-    assert!(CellSpec::parse("gzip:modified:sw_pred.ras").is_err());
-    assert!(CellSpec::parse("gzip:modified:sw_pred.ras:1:x64").is_err());
 }

@@ -48,7 +48,7 @@
 //!   `STORE_VERSION` or a missing file opens as a clean empty store;
 //!   a damaged whole-store seal degrades to per-entry salvage.
 //!
-//! The `storelint` harness (crates/bench) drives this envelope with
+//! The `lint store` harness (crates/bench) drives this envelope with
 //! seeded fault injection — bit flips, truncation, version skew,
 //! key↔payload swaps, torn writes, concurrent writers — and gates on
 //! zero undetected corruptions.

@@ -41,7 +41,7 @@
 //!
 //! The VM-side half of the envelope (request deadlines, sync fallback,
 //! shed accounting, replayable `PoolTimeout`/`PoolPanicReply`/`PoolShed`
-//! events) lives in `vm.rs`; the `poollint` harness injects every fault
+//! events) lives in `vm.rs`; the `lint pool` harness injects every fault
 //! class deterministically via [`PoolFaults`] and gates the whole
 //! envelope.
 //!
@@ -360,7 +360,7 @@ impl TranslatePool {
     }
 
     /// Spawns a pool with an explicit queue bound and an optional seeded
-    /// fault-injection plan (`poollint` and the resilience tests; `None`
+    /// fault-injection plan (`lint pool` and the resilience tests; `None`
     /// in production).
     pub fn with_options(
         workers: usize,

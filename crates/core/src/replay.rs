@@ -28,13 +28,8 @@ use crate::wire::{self, Cursor};
 /// Magic number of the replay-log wire format (`"ILPR"`).
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
-/// Current replay-log format version. Version 2 added the background
-/// translation events ([`ReplayEvent::BgInstall`], [`ReplayEvent::BgDrop`],
-/// [`ReplayEvent::StagedDrop`]); version 3 added the pool-fault events
-/// ([`ReplayEvent::PoolTimeout`], [`ReplayEvent::PoolPanicReply`],
-/// [`ReplayEvent::PoolShed`]); version 4 added the region re-formation
-/// events ([`ReplayEvent::RegionPromote`], [`ReplayEvent::RegionDrop`]).
-/// Older logs remain readable.
+/// Current replay-log format version. Logs are produced and consumed by
+/// the same build, so any other version is refused.
 pub const REPLAY_VERSION: u32 = 4;
 
 /// One externally-applied stimulus, in application order.
@@ -212,7 +207,7 @@ impl ReplayLog {
     /// Deserializes an artifact written by [`to_bytes`](ReplayLog::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, SnapshotError> {
         let (version, payload) = wire::open(REPLAY_MAGIC, bytes)?;
-        if !(1..=REPLAY_VERSION).contains(&version) {
+        if version != REPLAY_VERSION {
             return Err(SnapshotError::BadVersion { version });
         }
         let mut c = Cursor::new(payload);
@@ -494,6 +489,26 @@ mod tests {
             ReplayLog::from_bytes(&bytes),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn future_version_is_refused() {
+        let bytes = sample().to_bytes();
+        // Rewrite the version field and re-seal so only the version check
+        // can fail: newer and older versions alike are refused.
+        for version in [0x7f, 3] {
+            let mut bytes = bytes.clone();
+            bytes[4] = version;
+            let body_len = bytes.len() - 8;
+            let checksum = wire::fnv1a(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            assert_eq!(
+                ReplayLog::from_bytes(&bytes),
+                Err(SnapshotError::BadVersion {
+                    version: u32::from(version)
+                })
+            );
+        }
     }
 
     #[test]

@@ -28,11 +28,8 @@ use alpha_isa::{Memory, Program};
 /// Magic number of the snapshot wire format (`"ILPS"`).
 pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 
-/// Current snapshot format version. Version 2 appended the background
-/// translation pipeline and warm-start statistics to the stats block;
-/// version 3 appended the pool-supervision counters; version 4 appended
-/// the region re-formation counters. Older artifacts are still readable
-/// (the new counters restore as zero). Future versions are refused.
+/// Current snapshot format version. Snapshots are produced and consumed
+/// by the same build, so any other version is refused.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Identity digest of a guest program: FNV-1a over the code base, entry
@@ -146,7 +143,7 @@ impl Snapshot {
     /// Deserializes an artifact written by [`to_bytes`](Snapshot::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let (version, payload) = wire::open(SNAPSHOT_MAGIC, bytes)?;
-        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion { version });
         }
         let mut c = Cursor::new(payload);
@@ -191,7 +188,7 @@ impl Snapshot {
             let count = c.take_u32()?;
             smc_counts.push((vstart, count));
         }
-        let stats = take_stats(&mut c, version)?;
+        let stats = take_stats(&mut c)?;
         Ok(Snapshot {
             program_digest,
             v_insts,
@@ -222,8 +219,7 @@ fn take_categories(c: &mut Cursor<'_>) -> Result<CategoryCounts, SnapshotError> 
     Ok(out)
 }
 
-/// Serializes a [`VmStats`] (fixed field order; versioned by the
-/// enclosing envelope).
+/// Serializes a [`VmStats`] (fixed field order).
 pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
     for v in [
         s.interpreted,
@@ -246,7 +242,7 @@ pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
         s.blacklisted,
         s.fuel_preemptions,
         s.unlinked_sites,
-        // Version 2: background pipeline + warm start.
+        // Background pipeline + warm start.
         s.warmup_interpreted,
         s.translate_stall_nanos,
         s.translate_wall_nanos,
@@ -255,16 +251,15 @@ pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
         s.warm_stores,
         s.async_installs,
         s.async_dropped,
-        // Version 3: pool supervision.
+        // Pool supervision.
         s.pool_timeouts,
         s.pool_panics,
         s.pool_respawns,
         s.pool_shed,
         s.sync_fallbacks,
         s.pool_await_max_nanos,
-        // Version 4: region re-formation. The engine's region-entry
-        // counter serializes here rather than widening the fixed engine
-        // block below, which every version reads unconditionally.
+        // Region re-formation. The engine's region-entry counter
+        // serializes here, ahead of the engine block below.
         s.regions_formed,
         s.seam_pairs_eliminated,
         s.engine.region_entries,
@@ -289,11 +284,10 @@ pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
     put_categories(p, &s.oracle_categories);
 }
 
-/// Deserializes a [`VmStats`] written by [`put_stats`]. `version` is the
-/// enclosing envelope's format version: version-1 payloads lack the
-/// background-pipeline counters, which restore as zero.
-pub(crate) fn take_stats(c: &mut Cursor<'_>, version: u32) -> Result<VmStats, SnapshotError> {
+/// Deserializes a [`VmStats`] written by [`put_stats`].
+pub(crate) fn take_stats(c: &mut Cursor<'_>) -> Result<VmStats, SnapshotError> {
     let mut s = VmStats::default();
+    let mut region_entries = 0u64;
     for v in [
         &mut s.interpreted,
         &mut s.fragments,
@@ -315,44 +309,25 @@ pub(crate) fn take_stats(c: &mut Cursor<'_>, version: u32) -> Result<VmStats, Sn
         &mut s.blacklisted,
         &mut s.fuel_preemptions,
         &mut s.unlinked_sites,
+        &mut s.warmup_interpreted,
+        &mut s.translate_stall_nanos,
+        &mut s.translate_wall_nanos,
+        &mut s.warm_hits,
+        &mut s.warm_misses,
+        &mut s.warm_stores,
+        &mut s.async_installs,
+        &mut s.async_dropped,
+        &mut s.pool_timeouts,
+        &mut s.pool_panics,
+        &mut s.pool_respawns,
+        &mut s.pool_shed,
+        &mut s.sync_fallbacks,
+        &mut s.pool_await_max_nanos,
+        &mut s.regions_formed,
+        &mut s.seam_pairs_eliminated,
+        &mut region_entries,
     ] {
         *v = c.take_u64()?;
-    }
-    if version >= 2 {
-        for v in [
-            &mut s.warmup_interpreted,
-            &mut s.translate_stall_nanos,
-            &mut s.translate_wall_nanos,
-            &mut s.warm_hits,
-            &mut s.warm_misses,
-            &mut s.warm_stores,
-            &mut s.async_installs,
-            &mut s.async_dropped,
-        ] {
-            *v = c.take_u64()?;
-        }
-    }
-    if version >= 3 {
-        for v in [
-            &mut s.pool_timeouts,
-            &mut s.pool_panics,
-            &mut s.pool_respawns,
-            &mut s.pool_shed,
-            &mut s.sync_fallbacks,
-            &mut s.pool_await_max_nanos,
-        ] {
-            *v = c.take_u64()?;
-        }
-    }
-    let mut region_entries = 0u64;
-    if version >= 4 {
-        for v in [
-            &mut s.regions_formed,
-            &mut s.seam_pairs_eliminated,
-            &mut region_entries,
-        ] {
-            *v = c.take_u64()?;
-        }
     }
     let mut e = EngineStats::default();
     for v in [
@@ -445,88 +420,22 @@ mod tests {
 
     #[test]
     fn future_version_is_refused() {
-        let snap = sample();
-        let mut bytes = snap.to_bytes();
+        let bytes = sample().to_bytes();
         // Rewrite the version field and re-seal so only the version check
-        // can fail.
-        bytes[4] = 0x7f;
-        let body_len = bytes.len() - 8;
-        let checksum = wire::fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadVersion { version: 0x7f })
-        );
-    }
-
-    /// Zeroes the fields a version-`to` payload cannot carry, then cuts
-    /// their (all-zero) serialized span out of the full-version artifact
-    /// and re-seals it as version `to`. The version-gated counters sit
-    /// between `unlinked_sites` and the engine block — i.e. at a fixed
-    /// offset from the artifact's end: checksum (8) + three category
-    /// blocks (3 × 64) + engine block (64), preceded by the bytes to
-    /// remove (the eight v2 u64s, then the six v3 u64s, then the three
-    /// v4 u64s).
-    fn downgrade(snap: &mut Snapshot, to: u8) -> Vec<u8> {
-        snap.stats.regions_formed = 0;
-        snap.stats.seam_pairs_eliminated = 0;
-        snap.stats.engine.region_entries = 0;
-        let mut cut = 3 * 8;
-        if to < 3 {
-            snap.stats.pool_timeouts = 0;
-            snap.stats.pool_panics = 0;
-            snap.stats.pool_respawns = 0;
-            snap.stats.pool_shed = 0;
-            snap.stats.sync_fallbacks = 0;
-            snap.stats.pool_await_max_nanos = 0;
-            cut += 6 * 8;
+        // can fail: newer and older versions alike are refused.
+        for version in [0x7f, 3] {
+            let mut bytes = bytes.clone();
+            bytes[4] = version;
+            let body_len = bytes.len() - 8;
+            let checksum = wire::fnv1a(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&bytes),
+                Err(SnapshotError::BadVersion {
+                    version: u32::from(version)
+                })
+            );
         }
-        if to < 2 {
-            snap.stats.warmup_interpreted = 0;
-            snap.stats.translate_stall_nanos = 0;
-            snap.stats.translate_wall_nanos = 0;
-            snap.stats.warm_hits = 0;
-            snap.stats.warm_misses = 0;
-            snap.stats.warm_stores = 0;
-            snap.stats.async_installs = 0;
-            snap.stats.async_dropped = 0;
-            cut += 8 * 8;
-        }
-        let full = snap.to_bytes();
-        let cut_end = full.len() - 8 - 3 * 64 - 64;
-        let cut_start = cut_end - cut;
-        assert!(full[cut_start..cut_end].iter().all(|&b| b == 0));
-        let mut old: Vec<u8> = Vec::new();
-        old.extend_from_slice(&full[..cut_start]);
-        old.extend_from_slice(&full[cut_end..full.len() - 8]);
-        old[4] = to; // version field
-        let checksum = wire::fnv1a(&old);
-        wire::put_u64(&mut old, checksum);
-        old
-    }
-
-    #[test]
-    fn version_1_payload_still_restores() {
-        let mut snap = sample();
-        let v1 = downgrade(&mut snap, 1);
-        let back = Snapshot::from_bytes(&v1).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn version_2_payload_still_restores() {
-        let mut snap = sample();
-        let v2 = downgrade(&mut snap, 2);
-        let back = Snapshot::from_bytes(&v2).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn version_3_payload_still_restores() {
-        let mut snap = sample();
-        let v3 = downgrade(&mut snap, 3);
-        let back = Snapshot::from_bytes(&v3).unwrap();
-        assert_eq!(back, snap);
     }
 
     #[test]

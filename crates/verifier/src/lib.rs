@@ -23,7 +23,7 @@
 //!    memory/output effects, exit conditions and precise-trap state.
 //!
 //! The VM invokes these through its install-validator hook
-//! ([`ildp_core::VmConfig::validator`]); the `vlint` binary in
+//! ([`ildp_core::VmConfig::validator`]); `lint verify` in
 //! `ildp-bench` runs them over every fragment of the full workload suite.
 //! With the `verify` feature disabled (it is on by default),
 //! [`install_validator`] accepts everything at zero cost.
@@ -218,7 +218,7 @@ pub fn install_validator(review: &InstallReview<'_>) -> Result<(), String> {
 }
 
 /// Like [`install_validator`] but never rejects: violations are recorded
-/// for [`take_report`] and the installation proceeds. Used by `vlint` to
+/// for [`take_report`] and the installation proceeds. Used by `lint verify` to
 /// audit a whole run without changing its execution.
 pub fn collecting_validator(review: &InstallReview<'_>) -> Result<(), String> {
     let violations = verify_translation(review.sb, review.code, review.translator);
@@ -257,7 +257,7 @@ pub fn flow_install_validator(review: &InstallReview<'_>) -> Result<(), String> 
 
 /// Like [`flow_install_validator`] but never rejects: flow violations are
 /// recorded for [`take_report`] and the installation proceeds. Used by
-/// `flowlint` to audit a whole run without changing its execution.
+/// `lint flow` to audit a whole run without changing its execution.
 pub fn collecting_flow_validator(review: &InstallReview<'_>) -> Result<(), String> {
     let mut violations = Vec::new();
     flow::check_translation(review.sb, review.code, &mut violations);
