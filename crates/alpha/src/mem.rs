@@ -14,9 +14,9 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
 /// Multiplicative hasher for integer keys the program generates itself:
 /// page numbers here, guest instruction addresses in the translator's
-/// per-PC maps. Such keys are small and dense, so a single Fibonacci
-/// multiply spreads them well; the default SipHash costs more than the
-/// lookup it guards.
+/// per-PC maps, the verifier's interned expressions. Such keys are small
+/// and dense, so a single Fibonacci multiply per integer field spreads
+/// them well; the default SipHash costs more than the lookup it guards.
 #[derive(Default)]
 pub struct PageHasher(u64);
 
@@ -26,6 +26,21 @@ impl Hasher for PageHasher {
         for &b in bytes {
             self.write_u64(b as u64);
         }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 
     #[inline]

@@ -7,10 +7,30 @@
 //! copies (`local→global`, `no user→global`) raises the share needing GPR
 //! writes to about 40%.
 
+use std::cell::Cell;
+
 use ildp_bench::{harness_scale, run_dbt_functional, Table};
-use ildp_core::UsageCat;
+use ildp_core::{analyze_oracle, decompose_with, CategoryCounts, InstallReview, UsageCat};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
+
+thread_local! {
+    /// Oracle-boundary category counts of the translations reviewed on
+    /// this thread since they were last taken.
+    static ORACLE: Cell<CategoryCounts> = const { Cell::new(CategoryCounts([0; UsageCat::COUNT])) };
+}
+
+/// Always-accepting install validator: classifies each installed
+/// superblock's values under **oracle boundaries** (no saves at side
+/// exits) and adds them to [`ORACLE`]. The translator itself never runs
+/// this classification; it is a statistic only.
+fn tally_oracle(review: &InstallReview<'_>) -> Result<(), String> {
+    let nodes = decompose_with(review.sb, review.translator.fuse_memory);
+    let mut counts = ORACLE.take();
+    counts.merge(&analyze_oracle(&nodes).category_counts());
+    ORACLE.set(counts);
+    Ok(())
+}
 
 fn pct(stats: &ildp_core::VmStats, cats: &[UsageCat]) -> f64 {
     let total = stats.engine.categories_total();
@@ -23,18 +43,13 @@ fn pct(stats: &ildp_core::VmStats, cats: &[UsageCat]) -> f64 {
 
 /// Static global share under oracle boundaries (no saves at side exits),
 /// the paper's [28] comparison point.
-fn oracle_global_pct(stats: &ildp_core::VmStats) -> f64 {
-    let total = stats.oracle_categories.total();
-    if total == 0 {
-        return 0.0;
-    }
-    let global: u64 = stats
-        .oracle_categories
+fn oracle_global_pct(counts: &CategoryCounts) -> f64 {
+    let global: u64 = counts
         .iter()
         .filter(|(c, _)| c.is_global())
         .map(|(_, n)| n)
         .sum();
-    global as f64 * 100.0 / total as f64
+    global as f64 * 100.0 / counts.total().max(1) as f64
 }
 
 fn main() {
@@ -51,8 +66,8 @@ fn main() {
         let mut global_with_copies = Vec::new();
         let mut oracle = Vec::new();
         for w in suite(scale) {
-            let s = run_dbt_functional(&w, form);
-            oracle.push(oracle_global_pct(&s));
+            let s = run_dbt_functional(&w, form, Some(tally_oracle));
+            oracle.push(oracle_global_pct(&ORACLE.take()));
             let row = [
                 pct(&s, &[UsageCat::NoUser]),
                 pct(&s, &[UsageCat::Local]),

@@ -20,17 +20,8 @@ fn main() {
         ],
     );
     for w in suite(scale) {
-        let basic = run_dbt_functional(&w, IsaForm::Basic);
-        let modified = run_dbt_functional(&w, IsaForm::Modified);
-        // Static byte expansion: translated bytes over 4 bytes per source
-        // instruction.
-        let static_ratio =
-            |s: &ildp_core::VmStats, bytes: f64| bytes / (4.0 * s.translated_src_insts as f64);
-        // Total code bytes come from the emitted sizes; recompute from the
-        // per-form size model via emitted counts is not enough, so the VM
-        // exposes translated code bytes through its cache. Here we use
-        // the emitted static instruction bytes already accumulated.
-        let _ = static_ratio;
+        let basic = run_dbt_functional(&w, IsaForm::Basic, None);
+        let modified = run_dbt_functional(&w, IsaForm::Modified, None);
         table.row(
             w.name,
             &[

@@ -293,6 +293,26 @@ pub fn two_gpr_superblock() -> Superblock {
     }
 }
 
+/// A block that prints one console character (`call_pal putchar`
+/// outputs `a0`).
+pub fn putchar_superblock() -> Superblock {
+    let base = 0x8_0000u64;
+    let inc = Inst::Operate {
+        op: OperateOp::Addq,
+        ra: r(16),
+        rb: Operand::Lit(1),
+        rc: r(16),
+    };
+    let put = Inst::CallPal {
+        func: alpha_isa::PalFunc::PutChar,
+    };
+    Superblock {
+        start: base,
+        insts: vec![seq(base, inc), seq(base + 4, put)],
+        end: SbEnd::Cycle { next: base + 8 },
+    }
+}
+
 /// Every corpus superblock, for clean-matrix sweeps.
 pub fn corpus() -> Vec<Superblock> {
     vec![
@@ -301,6 +321,7 @@ pub fn corpus() -> Vec<Superblock> {
         jsr_superblock(),
         cmov_store_superblock(),
         two_gpr_superblock(),
+        putchar_superblock(),
     ]
 }
 
@@ -352,6 +373,49 @@ fn find<F: Fn(&IInst) -> bool>(code: &TranslatedCode, pred: F, what: &str) -> us
         .iter()
         .position(pred)
         .unwrap_or_else(|| panic!("corpus translation lacks {what}"))
+}
+
+/// Drops one entry from the first trap point that has recovery state.
+fn drop_recovery_entry(code: &mut TranslatedCode) {
+    let k = code
+        .recovery
+        .iter()
+        .filter(|(_, es)| !es.is_empty())
+        .map(|(&k, _)| k)
+        .min()
+        .expect("basic-form translation has recovery state at a load");
+    code.recovery.get_mut(&k).unwrap().pop();
+}
+
+/// Rebinds the first conditional side exit to the fragment's own head.
+fn rebind_side_exit_to_head(code: &mut TranslatedCode) {
+    let head = code.vstart;
+    let k = find(
+        code,
+        |i| matches!(i, IInst::CallTranslatorIfCond { .. }),
+        "an interior seam side exit",
+    );
+    if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
+        *vtarget = head;
+    }
+}
+
+/// Moves the last conditional exit (a loop's backedge) 40 bytes on.
+fn rebind_backedge(code: &mut TranslatedCode) {
+    let k = code
+        .insts
+        .iter()
+        .rposition(|i| matches!(i, IInst::CallTranslatorIfCond { .. }))
+        .expect("translation lacks a closing backedge");
+    if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
+        *vtarget += 40;
+    }
+}
+
+/// Drops the last emitted instruction.
+fn truncate_tail(code: &mut TranslatedCode) {
+    code.insts.pop();
+    code.meta.pop();
 }
 
 /// Seeded miscompiles for the single-fragment verifier families
@@ -411,14 +475,7 @@ pub fn verifier_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_superblock,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let (&k, _) = code
-                    .recovery
-                    .iter()
-                    .find(|(_, es)| !es.is_empty())
-                    .expect("basic-form fig2 has recovery state at the ldq");
-                code.recovery.get_mut(&k).unwrap().pop();
-            },
+            tamper: drop_recovery_entry,
         },
         SeededMiscompile {
             rule: "P05",
@@ -543,6 +600,44 @@ pub fn verifier_seeds() -> Vec<SeededMiscompile> {
                 }
             },
         },
+        SeededMiscompile {
+            rule: "E02",
+            name: "wrong branch-condition source",
+            superblock: fig2_superblock,
+            form: IsaForm::Modified,
+            chain: ChainPolicy::SwPredDualRas,
+            tamper: |code| {
+                let k = find(
+                    code,
+                    |i| matches!(i, IInst::CallTranslatorIfCond { .. }),
+                    "a conditional exit",
+                );
+                if let IInst::CallTranslatorIfCond { src, .. } = &mut code.insts[k] {
+                    *src = ASrc::Gpr(Reg::new(16));
+                }
+            },
+        },
+        SeededMiscompile {
+            rule: "E05",
+            name: "wrong putchar operand",
+            superblock: putchar_superblock,
+            form: IsaForm::Modified,
+            chain: ChainPolicy::SwPredDualRas,
+            tamper: |code| {
+                let k = find(code, |i| matches!(i, IInst::PutChar { .. }), "a putchar");
+                if let IInst::PutChar { src, .. } = &mut code.insts[k] {
+                    *src = ASrc::Gpr(Reg::new(9));
+                }
+            },
+        },
+        SeededMiscompile {
+            rule: "E06",
+            name: "recovery entry dropped",
+            superblock: fig2_superblock,
+            form: IsaForm::Basic,
+            chain: ChainPolicy::SwPredDualRas,
+            tamper: drop_recovery_entry,
+        },
     ]
 }
 
@@ -560,17 +655,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let head = code.vstart;
-                let k = find(
-                    code,
-                    |i| matches!(i, IInst::CallTranslatorIfCond { .. }),
-                    "an interior seam side exit",
-                );
-                if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
-                    *vtarget = head;
-                }
-            },
+            tamper: rebind_side_exit_to_head,
         },
         SeededMiscompile {
             rule: "E03",
@@ -578,17 +663,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_region,
             form: IsaForm::Modified,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let head = code.vstart;
-                let k = find(
-                    code,
-                    |i| matches!(i, IInst::CallTranslatorIfCond { .. }),
-                    "an interior seam side exit",
-                );
-                if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
-                    *vtarget = head;
-                }
-            },
+            tamper: rebind_side_exit_to_head,
         },
         SeededMiscompile {
             rule: "E03",
@@ -596,16 +671,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let k = code
-                    .insts
-                    .iter()
-                    .rposition(|i| matches!(i, IInst::CallTranslatorIfCond { .. }))
-                    .expect("region translation lacks a closing backedge");
-                if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
-                    *vtarget += 40;
-                }
-            },
+            tamper: rebind_backedge,
         },
         SeededMiscompile {
             rule: "A05",
@@ -647,14 +713,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let (&k, _) = code
-                    .recovery
-                    .iter()
-                    .find(|(_, es)| !es.is_empty())
-                    .expect("basic-form region has recovery state at its loads");
-                code.recovery.get_mut(&k).unwrap().pop();
-            },
+            tamper: drop_recovery_entry,
         },
         SeededMiscompile {
             rule: "A00",
@@ -662,10 +721,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: fig2_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                code.insts.pop();
-                code.meta.pop();
-            },
+            tamper: truncate_tail,
         },
         SeededMiscompile {
             rule: "E03",
@@ -673,16 +729,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: chain_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                let k = code
-                    .insts
-                    .iter()
-                    .rposition(|i| matches!(i, IInst::CallTranslatorIfCond { .. }))
-                    .expect("chain region lacks a closing backedge");
-                if let IInst::CallTranslatorIfCond { vtarget, .. } = &mut code.insts[k] {
-                    *vtarget += 40;
-                }
-            },
+            tamper: rebind_backedge,
         },
         SeededMiscompile {
             rule: "A00",
@@ -690,10 +737,7 @@ pub fn region_seeds() -> Vec<SeededMiscompile> {
             superblock: chain_region,
             form: IsaForm::Basic,
             chain: ChainPolicy::SwPredDualRas,
-            tamper: |code| {
-                code.insts.pop();
-                code.meta.pop();
-            },
+            tamper: truncate_tail,
         },
     ]
 }

@@ -1,8 +1,8 @@
 //! Experiment runners: one function per simulated configuration.
 
 use ildp_core::{
-    trace_original, ChainPolicy, ProfileConfig, StraightenStats, StraightenedVm, Translator, Vm,
-    VmConfig, VmExit, VmStats,
+    trace_original, ChainPolicy, InstallValidator, ProfileConfig, StraightenStats, StraightenedVm,
+    Translator, Vm, VmConfig, VmExit, VmStats,
 };
 use ildp_isa::IsaForm;
 use ildp_uarch::{
@@ -143,8 +143,13 @@ pub fn run_ildp(w: &Workload, form: IsaForm, params: IldpParams) -> CellResult {
 }
 
 /// Runs the DBT functionally only (no timing model), for Table 2 and
-/// Figure 7 statistics.
-pub fn run_dbt_functional(w: &Workload, form: IsaForm) -> VmStats {
+/// Figure 7 statistics. `validator` reviews every installed translation;
+/// Figure 7 passes an always-accepting one that tallies statistics.
+pub fn run_dbt_functional(
+    w: &Workload,
+    form: IsaForm,
+    validator: Option<InstallValidator>,
+) -> VmStats {
     let vm_config = VmConfig {
         translator: Translator {
             form,
@@ -154,6 +159,7 @@ pub fn run_dbt_functional(w: &Workload, form: IsaForm) -> VmStats {
         },
         // Table 2 / Figure 7 statistics must be bit-reproducible.
         async_translate: false,
+        validator,
         ..VmConfig::default()
     };
     let mut vm = Vm::new(vm_config, &w.program);
@@ -199,8 +205,8 @@ mod tests {
     #[test]
     fn functional_dbt_stats_have_expansion() {
         let w = by_name("crafty", 1).unwrap();
-        let basic = run_dbt_functional(&w, IsaForm::Basic);
-        let modified = run_dbt_functional(&w, IsaForm::Modified);
+        let basic = run_dbt_functional(&w, IsaForm::Basic, None);
+        let modified = run_dbt_functional(&w, IsaForm::Modified, None);
         assert!(basic.dynamic_expansion() > modified.dynamic_expansion());
     }
 }

@@ -74,8 +74,9 @@ pub const ARTIFACT_MAGIC: u32 = 0x4650_4C49;
 
 /// Current fragment-artifact format version. Version 2 embeds the
 /// [`ArtifactKey`] in the sealed payload, binding each entry to its
-/// index slot (a version-1 artifact is rejected as version skew).
-pub const ARTIFACT_VERSION: u32 = 2;
+/// index slot; version 3 drops the oracle-boundary category counts.
+/// Any other version is rejected as version skew.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Magic number of a serialized fragment store (`"ILPW"`).
 pub const STORE_MAGIC: u32 = 0x5750_4C49;
@@ -227,8 +228,6 @@ pub struct FragmentArtifact {
     pub terminations: u32,
     /// Static category counts of produced values.
     pub categories: CategoryCounts,
-    /// Static category counts under oracle boundaries.
-    pub oracle_categories: CategoryCounts,
 }
 
 impl FragmentArtifact {
@@ -245,7 +244,6 @@ impl FragmentArtifact {
             strands: code.stats.strands,
             terminations: code.stats.terminations,
             categories: code.stats.categories,
-            oracle_categories: code.stats.oracle_categories,
         }
     }
 
@@ -291,9 +289,6 @@ impl FragmentArtifact {
         wire::put_u32(&mut p, self.strands);
         wire::put_u32(&mut p, self.terminations);
         for v in self.categories.0 {
-            wire::put_u64(&mut p, v);
-        }
-        for v in self.oracle_categories.0 {
             wire::put_u64(&mut p, v);
         }
         wire::seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, &p)
@@ -363,10 +358,6 @@ impl FragmentArtifact {
         for v in categories.0.iter_mut() {
             *v = c.take_u64()?;
         }
-        let mut oracle_categories = CategoryCounts::default();
-        for v in oracle_categories.0.iter_mut() {
-            *v = c.take_u64()?;
-        }
         Ok((
             embedded,
             FragmentArtifact {
@@ -380,7 +371,6 @@ impl FragmentArtifact {
                 strands,
                 terminations,
                 categories,
-                oracle_categories,
             },
         ))
     }
@@ -404,7 +394,6 @@ impl FragmentArtifact {
                 strands: self.strands,
                 terminations: self.terminations,
                 categories: self.categories,
-                oracle_categories: self.oracle_categories,
             },
             trace: Default::default(),
         }
@@ -1433,7 +1422,6 @@ mod tests {
             strands: 4,
             terminations: 1,
             categories,
-            oracle_categories: CategoryCounts::default(),
         }
     }
 

@@ -20,7 +20,6 @@
 
 use crate::superblock::{Node, NodeInput};
 use alpha_isa::Reg;
-use std::collections::HashMap;
 
 /// Identifier of a produced value within one superblock's dataflow.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -184,16 +183,6 @@ impl Dataflow {
         &self.values[id.0 as usize]
     }
 
-    /// Mutable value record for `id`.
-    pub fn value_mut(&mut self, id: ValueId) -> &mut ValueInfo {
-        &mut self.values[id.0 as usize]
-    }
-
-    /// Whether `id` is carried to its consumers through an accumulator.
-    pub fn is_local_value(&self, id: ValueId) -> bool {
-        self.value(id).category.is_acc_carried() && !self.value(id).uses.is_empty()
-    }
-
     /// Counts values per category (the Fig. 7 statistic, static form;
     /// the VM weights these by execution counts for the dynamic figure).
     pub fn category_counts(&self) -> CategoryCounts {
@@ -228,9 +217,10 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
     let mut reaching: Vec<[Option<Reaching>; 3]> = vec![[None; 3]; n];
     let mut produced: Vec<Option<ValueId>> = vec![None; n];
     let mut live_ins: Vec<Reg> = Vec::new();
-    let mut last_def: HashMap<Reg, ValueId> = HashMap::new();
-    let mut temp_def: HashMap<u32, ValueId> = HashMap::new();
-    let mut next_temp = 0u32;
+    // Current definition per architected register, and per temp: temps
+    // are numbered in production order, so temp `t` is `temp_def[t]`.
+    let mut last_def: [Option<ValueId>; 32] = [None; 32];
+    let mut temp_def: Vec<ValueId> = Vec::new();
 
     for (i, node) in nodes.iter().enumerate() {
         // Resolve inputs against reaching definitions.
@@ -239,12 +229,12 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
             let r = match *input {
                 NodeInput::Imm(v) => Reaching::Imm(v),
                 NodeInput::Temp(t) => {
-                    let id = temp_def[&t];
+                    let id = temp_def[t as usize];
                     values[id.0 as usize].uses.push(i as u32);
                     Reaching::Value(id)
                 }
-                NodeInput::Reg(reg) => match last_def.get(&reg) {
-                    Some(&id) => {
+                NodeInput::Reg(reg) => match last_def[reg.number() as usize] {
+                    Some(id) => {
                         values[id.0 as usize].uses.push(i as u32);
                         Reaching::Value(id)
                     }
@@ -268,13 +258,12 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
                 redef: None,
                 category: UsageCat::Temp,
             });
-            temp_def.insert(next_temp, id);
-            next_temp += 1;
+            temp_def.push(id);
             produced[i] = Some(id);
         } else if let Some(reg) = node.out {
             if !reg.is_zero() {
                 let id = ValueId(values.len() as u32);
-                if let Some(&prev) = last_def.get(&reg) {
+                if let Some(prev) = last_def[reg.number() as usize] {
                     values[prev.0 as usize].redef = Some(i as u32);
                 }
                 values.push(ValueInfo {
@@ -284,7 +273,7 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
                     redef: None,
                     category: UsageCat::NoUser, // classified below
                 });
-                last_def.insert(reg, id);
+                last_def[reg.number() as usize] = Some(id);
                 produced[i] = Some(id);
             }
         }

@@ -30,7 +30,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 
 /// Current snapshot format version. Snapshots are produced and consumed
 /// by the same build, so any other version is refused.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Identity digest of a guest program: FNV-1a over the code base, entry
 /// PC, initial SP and every code word. Data segments are excluded on
@@ -281,7 +281,6 @@ pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
     }
     put_categories(p, &e.categories);
     put_categories(p, &s.static_categories);
-    put_categories(p, &s.oracle_categories);
 }
 
 /// Deserializes a [`VmStats`] written by [`put_stats`].
@@ -346,7 +345,6 @@ pub(crate) fn take_stats(c: &mut Cursor<'_>) -> Result<VmStats, SnapshotError> {
     e.categories = take_categories(c)?;
     s.engine = e;
     s.static_categories = take_categories(c)?;
-    s.oracle_categories = take_categories(c)?;
     Ok(s)
 }
 
@@ -423,7 +421,7 @@ mod tests {
         let bytes = sample().to_bytes();
         // Rewrite the version field and re-seal so only the version check
         // can fail: newer and older versions alike are refused.
-        for version in [0x7f, 3] {
+        for version in [0x7f, 4] {
             let mut bytes = bytes.clone();
             bytes[4] = version;
             let body_len = bytes.len() - 8;

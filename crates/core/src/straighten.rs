@@ -1013,7 +1013,7 @@ mod tests {
         let program = asm.finish().unwrap();
 
         let (mut rcpu, mut rmem) = program.load();
-        let rstats = run_to_halt(
+        run_to_halt(
             &mut rcpu,
             &mut rmem,
             &program,
@@ -1039,6 +1039,5 @@ mod tests {
             vm.stats().executed,
             vm.stats().v_insts
         );
-        let _ = rstats;
     }
 }

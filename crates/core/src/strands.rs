@@ -25,7 +25,6 @@ use crate::classify::{Dataflow, Reaching, UsageCat, ValueId};
 use crate::superblock::{Node, NodeOp};
 use alpha_isa::Reg;
 use ildp_isa::Acc;
-use std::collections::HashSet;
 
 /// How a node's input slot is delivered in the translated code.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,13 +60,6 @@ pub struct TranslationPlan {
     pub terminations: u32,
 }
 
-impl TranslationPlan {
-    /// Number of values whose final category requires GPR availability.
-    pub fn global_value_count(&self) -> usize {
-        self.final_category.iter().filter(|c| c.is_global()).count()
-    }
-}
-
 /// Computes the strand/accumulator plan for a node list.
 ///
 /// `acc_count` is the number of logical accumulators (the paper evaluates
@@ -81,27 +73,26 @@ pub fn plan(nodes: &[Node], df: &Dataflow, acc_count: usize, pei_copies: bool) -
         acc_count > 0 && acc_count <= Acc::MAX_ACCUMULATORS,
         "accumulator count out of range"
     );
-    let mut upgraded: HashSet<ValueId> = HashSet::new();
+    let mut upgraded = ValueSet::new(df.values.len());
     let mut total_terminations = 0u32;
     // Fixpoint: spill upgrades (two-local conflicts, store/select operand
     // constraints, accumulator terminations) change localness, which
     // changes strand structure. Converges because `upgraded` only grows.
     loop {
         let mut formation = form_strands(nodes, df, &upgraded);
-        let before = upgraded.len();
-        upgraded.extend(formation.local_upgrades.iter().copied());
+        let before = upgraded.len;
+        upgraded.union_with(&formation.local_upgrades);
         if pei_copies {
             pei_window_upgrades(nodes, df, &formation, &mut upgraded);
         }
-        total_terminations +=
-            assign_accumulators(nodes, df, &mut formation, &mut upgraded, acc_count);
-        if upgraded.len() == before {
+        total_terminations += assign_accumulators(df, &mut formation, &mut upgraded, acc_count);
+        if upgraded.len == before {
             let final_category = df
                 .values
                 .iter()
                 .enumerate()
                 .map(|(i, v)| {
-                    if upgraded.contains(&ValueId(i as u32)) {
+                    if upgraded.contains(ValueId(i as u32)) {
                         UsageCat::Spill
                     } else {
                         v.category
@@ -121,6 +112,55 @@ pub fn plan(nodes: &[Node], df: &Dataflow, acc_count: usize, pei_copies: bool) -
     }
 }
 
+/// A set of one dataflow's values, one bit per [`ValueId`].
+#[derive(Default)]
+struct ValueSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl ValueSet {
+    fn new(values: usize) -> ValueSet {
+        ValueSet {
+            words: vec![0; values.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, id: ValueId) -> bool {
+        self.words[id.0 as usize / 64] & (1 << (id.0 % 64)) != 0
+    }
+
+    fn insert(&mut self, id: ValueId) {
+        let word = &mut self.words[id.0 as usize / 64];
+        let bit = 1 << (id.0 % 64);
+        self.len += (*word & bit == 0) as usize;
+        *word |= bit;
+    }
+
+    fn union_with(&mut self, other: &ValueSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            self.len += (o & !*w).count_ones() as usize;
+            *w |= o;
+        }
+    }
+}
+
+/// Forces the candidate-local input in `slot` global: its value is upgraded
+/// and the node reads it from its architected register.
+fn spill(
+    slot: usize,
+    locals: &mut [Option<ValueId>; 3],
+    global_regs: &mut [Option<Reg>; 3],
+    upgrades: &mut ValueSet,
+    df: &Dataflow,
+) {
+    if let Some(id) = locals[slot].take() {
+        upgrades.insert(id);
+        global_regs[slot] = Some(df.value(id).reg.expect("spilled local has a register"));
+    }
+}
+
 struct Formation {
     node_strand: Vec<Option<u32>>,
     node_acc: Vec<Option<Acc>>,
@@ -135,14 +175,10 @@ struct Formation {
     /// Per value: the strand carrying it (if acc-carried).
     value_strand: Vec<Option<u32>>,
     /// Values upgraded to spill globals during this formation pass.
-    local_upgrades: HashSet<ValueId>,
+    local_upgrades: ValueSet,
 }
 
-fn is_local(df: &Dataflow, upgraded: &HashSet<ValueId>, id: ValueId) -> bool {
-    df.value(id).category.is_acc_carried() && !upgraded.contains(&id)
-}
-
-fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> Formation {
+fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) -> Formation {
     let n = nodes.len();
     let mut f = Formation {
         node_strand: vec![None; n],
@@ -153,129 +189,112 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> F
         strand_touches: Vec::new(),
         strand_len: Vec::new(),
         value_strand: vec![None; df.values.len()],
-        local_upgrades: HashSet::new(),
+        local_upgrades: ValueSet::default(),
     };
     // Local upgrades discovered during this pass (conflicts) are applied
     // immediately — safe because an acc-carried value has exactly one
     // consumer, the node at which the conflict is discovered.
-    let mut local_upgrades: HashSet<ValueId> = HashSet::new();
-    let locality =
-        |lu: &HashSet<ValueId>, id: ValueId| is_local(df, upgraded, id) && !lu.contains(&id);
+    let mut local_upgrades = ValueSet::new(df.values.len());
+    let locality = |lu: &ValueSet, id: ValueId| {
+        df.value(id).category.is_acc_carried() && !upgraded.contains(id) && !lu.contains(id)
+    };
 
     for (i, node) in nodes.iter().enumerate() {
-        // Gather the candidate-local and global inputs.
-        let mut locals: Vec<(usize, ValueId)> = Vec::new(); // (slot, value)
-        let mut global_regs: Vec<(usize, Reg)> = Vec::new();
+        // Gather the candidate-local and global inputs, by input slot.
+        let mut locals: [Option<ValueId>; 3] = [None; 3];
+        let mut global_regs: [Option<Reg>; 3] = [None; 3];
         for (slot, r) in df.reaching[i].iter().enumerate() {
             match r {
                 Some(Reaching::Value(id)) => {
                     if locality(&local_upgrades, *id) {
-                        locals.push((slot, *id));
+                        locals[slot] = Some(*id);
                     } else {
                         let reg = df
                             .value(*id)
                             .reg
                             .expect("global value must have an architected register");
-                        global_regs.push((slot, reg));
+                        global_regs[slot] = Some(reg);
                     }
                 }
-                Some(Reaching::LiveIn(reg)) => global_regs.push((slot, *reg)),
+                Some(Reaching::LiveIn(reg)) => global_regs[slot] = Some(*reg),
                 Some(Reaching::Imm(v)) => f.input_role[i][slot] = Some(Role::Imm(*v)),
                 None => {}
             }
         }
+        let mut to_gpr = |slot, locals: &mut _, global_regs: &mut _| {
+            spill(slot, locals, global_regs, &mut local_upgrades, df)
+        };
 
         // Node-specific constraints that force values global.
         match node.op {
             NodeOp::Store(_) => {
                 // At most the address operand (slot 0) stays local; a local
                 // value operand is spilled unless it is the same value.
-                if locals.len() == 2 && locals[0].1 != locals[1].1 {
-                    let (slot, id) = locals.pop().unwrap();
-                    local_upgrades.insert(id);
-                    let reg = df.value(id).reg.expect("store value has a register");
-                    global_regs.push((slot, reg));
+                if let [Some(addr), Some(value), _] = locals {
+                    if addr != value {
+                        to_gpr(1, &mut locals, &mut global_regs);
+                    }
                 }
             }
             NodeOp::IndirectJump(_) => {
                 // Chaining code (software jump prediction, dual-RAS return
                 // checks, dispatch) reads the target from a GPR; force it
                 // global.
-                locals.retain(|(slot, id)| {
-                    local_upgrades.insert(*id);
-                    let reg = df.value(*id).reg.expect("jump target has a register");
-                    global_regs.push((*slot, reg));
-                    false
-                });
+                for slot in 0..3 {
+                    to_gpr(slot, &mut locals, &mut global_regs);
+                }
             }
             NodeOp::CmovSelect(_) => {
                 // The test temp (slot 0) is the accumulator input; the move
                 // value and old destination are read as GPRs.
-                locals.retain(|(slot, id)| {
-                    if *slot == 0 {
-                        true
-                    } else {
-                        local_upgrades.insert(*id);
-                        let reg = df.value(*id).reg.expect("select operand has a register");
-                        global_regs.push((*slot, reg));
-                        false
-                    }
-                });
+                to_gpr(1, &mut locals, &mut global_regs);
+                to_gpr(2, &mut locals, &mut global_regs);
                 // The old-destination's *reaching architected value* must be
                 // current in the GPR file (implicit destination read).
             }
             _ => {
                 // Generic two-local conflict: temp wins, else longer strand.
-                if locals.len() == 2 {
-                    let keep = {
-                        let (s0, v0) = locals[0];
-                        let (s1, v1) = locals[1];
-                        let t0 = df.value(v0).reg.is_none();
-                        let t1 = df.value(v1).reg.is_none();
-                        if t0 == t1 {
-                            let l0 = f.value_strand[v0.0 as usize]
-                                .map(|s| f.strand_len[s as usize])
-                                .unwrap_or(0);
-                            let l1 = f.value_strand[v1.0 as usize]
-                                .map(|s| f.strand_len[s as usize])
-                                .unwrap_or(0);
-                            if l1 > l0 {
-                                (s1, v1)
-                            } else {
-                                (s0, v0)
-                            }
-                        } else if t0 {
-                            (s0, v0)
-                        } else {
-                            (s1, v1)
-                        }
+                let mut held = (0..3).filter_map(|s| locals[s].map(|v| (s, v)));
+                if let (Some((s0, v0)), Some((s1, v1)), None) =
+                    (held.next(), held.next(), held.next())
+                {
+                    let t0 = df.value(v0).reg.is_none();
+                    let t1 = df.value(v1).reg.is_none();
+                    let keep_first = if t0 == t1 {
+                        let l0 = f.value_strand[v0.0 as usize]
+                            .map(|s| f.strand_len[s as usize])
+                            .unwrap_or(0);
+                        let l1 = f.value_strand[v1.0 as usize]
+                            .map(|s| f.strand_len[s as usize])
+                            .unwrap_or(0);
+                        l1 <= l0
+                    } else {
+                        t0
                     };
-                    locals.retain(|&(slot, id)| {
-                        if (slot, id) == keep {
-                            true
-                        } else {
-                            local_upgrades.insert(id);
-                            let reg = df.value(id).reg.expect("conflicting local has a register");
-                            global_regs.push((slot, reg));
-                            false
-                        }
-                    });
+                    to_gpr(
+                        if keep_first { s1 } else { s0 },
+                        &mut locals,
+                        &mut global_regs,
+                    );
                 }
             }
         }
 
         // Resolve the strand.
         let produces = df.produced[i].is_some();
-        let strand: Option<u32> = if let Some(&(slot, id)) = locals.first() {
+        let first_local = (0..3).find_map(|s| locals[s].map(|id| (s, id)));
+        let strand: Option<u32> = if let Some((slot, id)) = first_local {
             // Joins the local input's strand.
             f.input_role[i][slot] = Some(Role::Acc);
             f.value_strand[id.0 as usize]
-        } else if produces || needs_acc(node) {
-            // New strand. Two GPR sources → plan a copy-from-GPR for the
-            // first; the node then consumes it through the accumulator.
-            if global_regs.len() >= 2 {
-                let (slot, reg) = global_regs.remove(0);
-                f.pre_copy[i] = Some(reg);
+        } else if produces || global_regs.iter().flatten().count() >= 2 {
+            // New strand: a producer, or a branch/store on global values
+            // only that must still satisfy the one-GPR rule. Two GPR
+            // sources → plan a copy-from-GPR for the first; the node then
+            // consumes it through the accumulator.
+            if global_regs.iter().flatten().count() >= 2 {
+                let slot = (0..3).find(|&s| global_regs[s].is_some()).unwrap();
+                f.pre_copy[i] = global_regs[slot].take();
                 f.input_role[i][slot] = Some(Role::Acc);
             }
             let s = f.strand_count;
@@ -284,24 +303,14 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> F
             f.strand_len.push(0);
             Some(s)
         } else {
-            // Strand-less: a branch/store on global values only. Still must
-            // satisfy the one-GPR rule.
-            if global_regs.len() >= 2 {
-                let (slot, reg) = global_regs.remove(0);
-                f.pre_copy[i] = Some(reg);
-                f.input_role[i][slot] = Some(Role::Acc);
-                let s = f.strand_count;
-                f.strand_count += 1;
-                f.strand_touches.push(Vec::new());
-                f.strand_len.push(0);
-                Some(s)
-            } else {
-                None
-            }
+            // Strand-less: a branch/store on one global value.
+            None
         };
 
-        for (slot, reg) in global_regs {
-            f.input_role[i][slot] = Some(Role::Gpr(reg));
+        for (slot, reg) in global_regs.into_iter().enumerate() {
+            if let Some(reg) = reg {
+                f.input_role[i][slot] = Some(Role::Gpr(reg));
+            }
         }
 
         if let Some(s) = strand {
@@ -317,26 +326,12 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> F
     f
 }
 
-/// Whether a non-producing node still needs an accumulator context
-/// (special instructions that write the accumulator).
-fn needs_acc(node: &Node) -> bool {
-    // CallSave writes a GPR directly (special instruction); branches and
-    // stores on globals run without an accumulator.
-    let _ = node;
-    false
-}
-
 /// Basic-form precise-trap rule (paper §2.2): a value whose accumulator is
 /// overwritten (by the strand's next production, or potentially reused
 /// after the strand's last touch) while its architected register is still
 /// live at a later PEI must be copied to a GPR. Modified-form fragments
 /// never need this — every producer names its destination GPR.
-fn pei_window_upgrades(
-    nodes: &[Node],
-    df: &Dataflow,
-    f: &Formation,
-    upgraded: &mut HashSet<ValueId>,
-) {
+fn pei_window_upgrades(nodes: &[Node], df: &Dataflow, f: &Formation, upgraded: &mut ValueSet) {
     let pei_positions: Vec<u32> = nodes
         .iter()
         .enumerate()
@@ -348,7 +343,7 @@ fn pei_window_upgrades(
     }
     for (vi, v) in df.values.iter().enumerate() {
         let id = ValueId(vi as u32);
-        if v.reg.is_none() || !v.category.is_acc_carried() || upgraded.contains(&id) {
+        if v.reg.is_none() || !v.category.is_acc_carried() || upgraded.contains(id) {
             continue;
         }
         let Some(strand) = f.value_strand[vi] else {
@@ -385,13 +380,11 @@ fn pei_window_upgrades(
 /// number of premature terminations; newly-spilled values are added to
 /// `upgraded` (forcing a re-plan).
 fn assign_accumulators(
-    nodes: &[Node],
     df: &Dataflow,
     f: &mut Formation,
-    upgraded: &mut HashSet<ValueId>,
+    upgraded: &mut ValueSet,
     acc_count: usize,
 ) -> u32 {
-    let _ = nodes;
     let mut terminations = 0u32;
     // Active strands: (strand, acc, touches, cursor).
     let mut active: Vec<(u32, u8, usize)> = Vec::new(); // (strand, acc, next touch cursor)
@@ -470,6 +463,7 @@ mod tests {
     use crate::classify::analyze;
     use crate::superblock::{decompose, CollectedFlow, SbEnd, SbInst, Superblock};
     use alpha_isa::{Inst, MemOp, Operand, OperateOp};
+    use std::collections::HashSet;
 
     fn r(n: u8) -> Reg {
         Reg::new(n)
@@ -484,7 +478,7 @@ mod tests {
         }
     }
 
-    fn plan_of(insts: Vec<Inst>, accs: usize) -> (TranslationPlan, Dataflow, Vec<Node>) {
+    fn plan_of(insts: Vec<Inst>, accs: usize) -> (TranslationPlan, Vec<Node>) {
         let sb = Superblock {
             start: 0x1000,
             insts: insts
@@ -499,9 +493,7 @@ mod tests {
             end: SbEnd::Halt,
         };
         let nodes = decompose(&sb);
-        let df = analyze(&nodes);
-        let p = plan(&nodes, &df, accs, false);
-        (p, df, nodes)
+        (plan(&nodes, &analyze(&nodes), accs, false), nodes)
     }
 
     #[test]
@@ -548,7 +540,7 @@ mod tests {
             },
             op(OperateOp::Xor, 3, 1, 1),
         ];
-        let (p, df, nodes) = plan_of(insts, 4);
+        let (p, nodes) = plan_of(insts, 4);
         assert_eq!(nodes.len(), 9);
         // Paper Fig. 2(c) shows four distinct strands; the linear-scan
         // allocator fits them in fewer physical accumulators by reusing
@@ -567,13 +559,12 @@ mod tests {
         assert_ne!(p.node_strand[1], s_ldbu);
         assert_ne!(p.node_strand[2], s_ldbu);
         assert_ne!(p.node_strand[1], p.node_strand[2]);
-        let _ = df;
     }
 
     #[test]
     fn two_global_inputs_get_a_pre_copy() {
         // Both inputs live-in: r3 = r1 + r2 needs a copy-from-GPR.
-        let (p, _, _) = plan_of(vec![op(OperateOp::Addq, 1, 2, 3)], 4);
+        let (p, _) = plan_of(vec![op(OperateOp::Addq, 1, 2, 3)], 4);
         assert_eq!(p.pre_copy[0], Some(r(1)));
         assert_eq!(p.input_role[0][0], Some(Role::Acc));
         assert_eq!(p.input_role[0][1], Some(Role::Gpr(r(2))));
@@ -583,7 +574,7 @@ mod tests {
     fn one_local_input_joins_strand_without_copy() {
         // r3 is overwritten at the end so its first value is Local, not
         // live-out.
-        let (p, _, _) = plan_of(
+        let (p, _) = plan_of(
             vec![
                 op(OperateOp::Addq, 1, 2, 3),
                 op(OperateOp::Addq, 3, 4, 5),
@@ -599,7 +590,7 @@ mod tests {
     #[test]
     fn two_local_conflict_spills_one() {
         // v1 = r1+r2 (local), v2 = r3+r4 (local), v3 = v1+v2.
-        let (p, df, _) = plan_of(
+        let (p, _) = plan_of(
             vec![
                 op(OperateOp::Addq, 1, 2, 5),
                 op(OperateOp::Addq, 3, 4, 6),
@@ -621,7 +612,6 @@ mod tests {
         assert_eq!(p.node_strand[2], p.node_strand[0]);
         assert_eq!(p.input_role[2][0], Some(Role::Acc));
         assert!(matches!(p.input_role[2][1], Some(Role::Gpr(_))));
-        let _ = df;
     }
 
     #[test]
@@ -642,12 +632,12 @@ mod tests {
         for k in 0..5u8 {
             insts.push(op(OperateOp::Addq, 1, 1, 20 + k));
         }
-        let (p4, _, _) = plan_of(insts.clone(), 4);
+        let (p4, _) = plan_of(insts.clone(), 4);
         assert!(
             p4.terminations > 0,
             "five live strands must not fit in four accumulators"
         );
-        let (p8, _, _) = plan_of(insts, 8);
+        let (p8, _) = plan_of(insts, 8);
         assert_eq!(p8.terminations, 0, "eight accumulators suffice");
     }
 
@@ -657,7 +647,7 @@ mod tests {
             let insts: Vec<Inst> = (0..20u8)
                 .map(|k| op(OperateOp::Addq, 1, 2, (k % 20) + 5))
                 .collect();
-            let (p, _, _) = plan_of(insts, accs);
+            let (p, _) = plan_of(insts, accs);
             let max = p
                 .node_acc
                 .iter()
@@ -671,7 +661,7 @@ mod tests {
 
     #[test]
     fn store_value_spilled_when_both_local() {
-        let (p, df, nodes) = plan_of(
+        let (p, _) = plan_of(
             vec![
                 op(OperateOp::Addq, 1, 2, 5), // address value (local)
                 op(OperateOp::Addq, 3, 4, 6), // store value (local)
@@ -690,6 +680,5 @@ mod tests {
         assert_eq!(p.input_role[2][0], Some(Role::Acc));
         assert_eq!(p.input_role[2][1], Some(Role::Gpr(r(6))));
         assert_eq!(p.node_strand[2], p.node_strand[0]);
-        let _ = (df, nodes);
     }
 }

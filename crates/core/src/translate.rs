@@ -100,9 +100,6 @@ pub struct TranslateStats {
     pub terminations: u32,
     /// Static category counts of produced values.
     pub categories: CategoryCounts,
-    /// Static category counts under **oracle boundaries** (no saves at
-    /// side exits — the paper's [28] comparison point; statistics only).
-    pub oracle_categories: CategoryCounts,
 }
 
 /// The output of translating one superblock, ready for
@@ -212,9 +209,6 @@ impl Translator {
         };
         for v in &plan.final_category {
             em.stats.categories.bump(*v);
-        }
-        for v in &crate::classify::analyze_oracle(&nodes).values {
-            em.stats.oracle_categories.bump(v.category);
         }
         em.run();
         let Emitter {
@@ -333,16 +327,13 @@ impl Emitter<'_> {
     }
 
     /// The modified-form destination specifier for a producing node.
-    fn dst_for(&self, node: &Node, value: Option<ValueId>) -> Option<Reg> {
+    /// `None` for a producing node whose register write was discarded
+    /// (R31): it has no architected effect.
+    fn dst_for(&self, value: Option<ValueId>) -> Option<Reg> {
         if self.tr.form != IsaForm::Modified {
             return None;
         }
-        value.and_then(|v| self.df.value(v).reg).or({
-            // Producing node whose register write was discarded (R31):
-            // no architected effect.
-            let _ = node;
-            None
-        })
+        value.and_then(|v| self.df.value(v).reg)
     }
 
     fn emit_pre_copy(&mut self, i: usize) {
@@ -366,7 +357,7 @@ impl Emitter<'_> {
         let Some(v) = value else { return };
         let info = self.df.value(v);
         let Some(reg) = info.reg else {
-            self.track_def(v, None);
+            self.track_def(v);
             return;
         };
         let cat = self.plan.final_category[v.0 as usize];
@@ -395,11 +386,8 @@ impl Emitter<'_> {
         }
     }
 
-    fn track_def(&mut self, v: ValueId, _reg: Option<Reg>) {
-        // Temps: keep the accumulator association for completeness.
-        if let Some(strand) = self.df.value(v).reg {
-            let _ = strand;
-        }
+    /// Temps: keep the accumulator association for completeness.
+    fn track_def(&mut self, v: ValueId) {
         let producer = self.df.value(v).producer as usize;
         if let Some(acc) = self.plan.node_acc[producer] {
             self.acc_holds[acc.index()] = Some(v);
@@ -465,7 +453,7 @@ impl Emitter<'_> {
                     acc,
                     lhs: self.role_src(i, 0),
                     rhs: self.role_src(i, 1),
-                    dst: self.dst_for(node, value),
+                    dst: self.dst_for(value),
                 };
                 self.push(inst, meta);
                 self.emit_post_copy(i, value);
@@ -476,7 +464,7 @@ impl Emitter<'_> {
                     acc,
                     lhs: self.role_src(i, 0),
                     rhs: ASrc::Imm(node.imm),
-                    dst: self.dst_for(node, value),
+                    dst: self.dst_for(value),
                 };
                 self.push(inst, meta);
                 self.emit_post_copy(i, value);
@@ -486,7 +474,7 @@ impl Emitter<'_> {
                     acc,
                     src: self.role_src(i, 0),
                     imm: node.imm,
-                    dst: self.dst_for(node, value),
+                    dst: self.dst_for(value),
                 };
                 self.push(inst, meta);
                 self.emit_post_copy(i, value);
@@ -497,7 +485,7 @@ impl Emitter<'_> {
                     acc,
                     addr: self.role_src(i, 0),
                     disp: node.imm,
-                    dst: self.dst_for(node, value),
+                    dst: self.dst_for(value),
                 };
                 let idx = self.insts.len() as u32;
                 self.record_recovery(idx);
@@ -527,7 +515,7 @@ impl Emitter<'_> {
                     acc,
                     value: self.role_src(i, 1),
                     old,
-                    dst: self.dst_for(node, value),
+                    dst: self.dst_for(value),
                 };
                 self.push(inst, meta);
                 self.emit_post_copy(i, value);
@@ -548,13 +536,7 @@ impl Emitter<'_> {
                             meta,
                         );
                     }
-                    (
-                        CollectedFlow::CondTaken {
-                            taken_target,
-                            fallthrough,
-                        },
-                        false,
-                    ) => {
+                    (CollectedFlow::CondTaken { fallthrough, .. }, false) => {
                         // Reversed so the followed path falls through.
                         self.push(
                             IInst::CallTranslatorIfCond {
@@ -565,7 +547,6 @@ impl Emitter<'_> {
                             },
                             meta,
                         );
-                        let _ = taken_target;
                     }
                     (
                         CollectedFlow::CondTaken {

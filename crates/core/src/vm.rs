@@ -332,8 +332,6 @@ pub struct VmStats {
     pub engine: crate::engine::EngineStats,
     /// Static usage-category counts across all translations.
     pub static_categories: CategoryCounts,
-    /// Static oracle-boundary category counts (paper's [28] comparison).
-    pub oracle_categories: CategoryCounts,
 }
 
 impl VmStats {
@@ -1062,9 +1060,6 @@ impl<'p> Vm<'p> {
         self.stats.strands += code.stats.strands as u64;
         self.stats.terminations += code.stats.terminations as u64;
         self.stats.static_categories.merge(&code.stats.categories);
-        self.stats
-            .oracle_categories
-            .merge(&code.stats.oracle_categories);
         self.stats.translation_overhead += self
             .config
             .cost
@@ -1126,9 +1121,6 @@ impl<'p> Vm<'p> {
         self.stats.strands += artifact.strands as u64;
         self.stats.terminations += artifact.terminations as u64;
         self.stats.static_categories.merge(&artifact.categories);
-        self.stats
-            .oracle_categories
-            .merge(&artifact.oracle_categories);
         self.store_keys.insert(artifact.vstart, key);
         if self.stats.warmup_interpreted == 0 {
             self.stats.warmup_interpreted = self.stats.interpreted;

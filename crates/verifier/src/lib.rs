@@ -145,25 +145,7 @@ pub fn verify_artifact(sb: &Superblock, code: &TranslatedCode, tr: &Translator) 
 /// [`take_report`]. A no-op accept when the `verify` feature is
 /// disabled.
 pub fn artifact_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    #[cfg(feature = "verify")]
-    {
-        let violations = verify_artifact(review.sb, review.code, review.translator);
-        if violations.is_empty() {
-            return Ok(());
-        }
-        record(&violations);
-        let msg = violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        Err(msg)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        let _ = review;
-        Ok(())
-    }
+    gate(|| verify_artifact(review.sb, review.code, review.translator))
 }
 
 /// Checks an installed fragment's chaining integrity against the cache:
@@ -191,30 +173,28 @@ fn record(violations: &[Violation]) {
     REPORT.with(|r| r.borrow_mut().extend_from_slice(violations));
 }
 
+/// The rejecting validators' shared verdict: runs `check`, records any
+/// violations for [`take_report`] and rejects with all of them joined.
+/// Accepts without running `check` when the `verify` feature is disabled.
+fn gate(check: impl FnOnce() -> Vec<Violation>) -> Result<(), String> {
+    if !cfg!(feature = "verify") {
+        return Ok(());
+    }
+    let violations = check();
+    if violations.is_empty() {
+        return Ok(());
+    }
+    record(&violations);
+    let msg: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    Err(msg.join("; "))
+}
+
 /// The install-time validator for [`ildp_core::VmConfig::validator`]:
 /// runs every pass and rejects the translation when any rule fires. The
 /// diagnostic string joins all violations; they are also recorded for
 /// [`take_report`]. A no-op accept when the `verify` feature is disabled.
 pub fn install_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    #[cfg(feature = "verify")]
-    {
-        let violations = verify_translation(review.sb, review.code, review.translator);
-        if violations.is_empty() {
-            return Ok(());
-        }
-        record(&violations);
-        let msg = violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        Err(msg)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        let _ = review;
-        Ok(())
-    }
+    gate(|| verify_translation(review.sb, review.code, review.translator))
 }
 
 /// Like [`install_validator`] but never rejects: violations are recorded
@@ -233,26 +213,11 @@ pub fn collecting_validator(review: &InstallReview<'_>) -> Result<(), String> {
 /// cache or a trace and live in [`flow::check_cache`] /
 /// [`flow::check_dynamic`].
 pub fn flow_install_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    #[cfg(feature = "verify")]
-    {
+    gate(|| {
         let mut violations = Vec::new();
         flow::check_translation(review.sb, review.code, &mut violations);
-        if violations.is_empty() {
-            return Ok(());
-        }
-        record(&violations);
-        let msg = violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        Err(msg)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        let _ = review;
-        Ok(())
-    }
+        violations
+    })
 }
 
 /// Like [`flow_install_validator`] but never rejects: flow violations are

@@ -19,20 +19,27 @@
 //!   branch (nothing to prove against; install-time patching is pass 3's
 //!   domain).
 //!
-//! Both walks share normalizing smart constructors (constant folding,
-//! `x + 0` / `x | 0` identities), so a correct translation yields
-//! structurally identical trees even where the emitter simplified.
+//! Both walks intern every expression into one hash-consing [`Arena`]
+//! per check, through normalizing smart constructors (constant folding,
+//! `x + 0` / `x | 0` identities). A correct translation therefore yields
+//! structurally identical expressions even where the emitter simplified,
+//! and structurally identical expressions are the same [`Id`]: every
+//! comparison below is an integer compare.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::hash::BuildHasherDefault;
 
 use crate::Violation;
-use alpha_isa::{Inst, MemOp, Operand, OperateOp, PalFunc, Reg};
+use alpha_isa::{Inst, MemOp, Operand, OperateOp, PageHasher, PalFunc, Reg};
 use ildp_core::{CollectedFlow, SbEnd, Superblock, TranslatedCode, Translator};
 use ildp_isa::{ASrc, CondKind, IInst, MemWidth};
 
-/// A symbolic 64-bit value.
+/// Index of an interned expression in its [`Arena`].
+type Id = u32;
+
+/// A symbolic 64-bit value; children are [`Id`]s in the same arena.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Expr {
     /// Initial (live-in) value of an architected register.
     Init(u8),
@@ -42,67 +49,141 @@ enum Expr {
     /// A known constant.
     Const(u64),
     /// An ALU operation.
-    Op(OperateOp, Rc<Expr>, Rc<Expr>),
+    Op(OperateOp, Id, Id),
     /// A raw (undecomposed) conditional move, as the engine's defensive
     /// `Op` path computes it.
-    CmovRaw(OperateOp, Rc<Expr>, Rc<Expr>, Rc<Expr>),
+    CmovRaw(OperateOp, Id, Id, Id),
     /// The decomposed conditional-move select.
     Select {
         lbs: bool,
-        test: Rc<Expr>,
-        value: Rc<Expr>,
-        old: Rc<Expr>,
+        test: Id,
+        value: Id,
+        old: Id,
     },
     /// The `serial`-th memory load of the block.
     Load {
         serial: u32,
         width: MemWidth,
-        addr: Rc<Expr>,
+        addr: Id,
     },
     /// Jump-target alignment mask (`x & !3`).
-    AndNot3(Rc<Expr>),
+    AndNot3(Id),
 }
 
-/// Expression values form a DAG: register-file snapshots and loop-carried
-/// values share subtrees through their `Rc`s, and on a merged (unrolled)
-/// region block the *tree* unfolding of that DAG is exponentially larger
-/// than the DAG itself. Anything that recurses structurally — equality,
-/// printing — must therefore either memoize on node identity or bound its
-/// depth; a derived `PartialEq`/`Debug` would not terminate in practice.
-impl fmt::Debug for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_depth(f, 0)
+/// A register file: one expression per architected register. Snapshots
+/// (exits, trap points) are plain copies.
+type Regs = [Id; 32];
+
+/// The initial register file: [`Arena::new`] interns `Init(r)` at id `r`
+/// and the zero register's `Const(0)` at id 31.
+fn init_regs() -> Regs {
+    std::array::from_fn(|r| r as Id)
+}
+
+/// [`Expr::Const`]`(0)`'s id.
+const ZERO: Id = 31;
+
+/// [`Expr::Undef`]`(0)`'s id; accumulator `a` starts at `UNDEF + a`.
+const UNDEF: Id = 32;
+
+/// The hash-consing store of one [`check`]: every expression either walk
+/// builds is interned exactly once, so structural equality is id
+/// equality and common subterms are shared. Expressions form a DAG whose
+/// *tree* unfolding can be exponentially larger (a merged, unrolled
+/// region block doubles a value per step), so nothing here recurses
+/// structurally except the depth-bounded [`Show`].
+struct Arena {
+    nodes: Vec<Expr>,
+    index: HashMap<Expr, Id, BuildHasherDefault<PageHasher>>,
+}
+
+impl Arena {
+    /// An arena sized for a block of `insts` source instructions (a walk
+    /// interns about one expression per instruction), seeded with the
+    /// initial register and accumulator values. The seeds bypass the
+    /// index: no constructor builds `Init` or `Undef`, and [`Arena::cnst`]
+    /// maps 0 to [`ZERO`].
+    fn new(insts: usize) -> Arena {
+        let mut nodes = Vec::with_capacity(64 + 2 * insts);
+        nodes.extend((0..31).map(Expr::Init));
+        nodes.push(Expr::Const(0));
+        nodes.extend((0..16).map(Expr::Undef));
+        let index = HashMap::with_capacity_and_hasher(2 * insts, Default::default());
+        Arena { nodes, index }
+    }
+
+    fn intern(&mut self, e: Expr) -> Id {
+        let nodes = &mut self.nodes;
+        *self.index.entry(e).or_insert_with(|| {
+            nodes.push(e);
+            (nodes.len() - 1) as Id
+        })
+    }
+
+    fn cnst(&mut self, v: u64) -> Id {
+        match v {
+            0 => ZERO,
+            _ => self.intern(Expr::Const(v)),
+        }
+    }
+
+    /// Normalizing ALU constructor shared by both walks.
+    fn op(&mut self, op: OperateOp, a: Id, b: Id) -> Id {
+        if !op.is_cmov() {
+            let (ea, eb) = (self.nodes[a as usize], self.nodes[b as usize]);
+            if let (Expr::Const(x), Expr::Const(y)) = (ea, eb) {
+                return self.cnst(op.eval(x, y));
+            }
+            match op {
+                OperateOp::Addq | OperateOp::Bis if b == ZERO => return a,
+                OperateOp::Bis if a == ZERO => return b,
+                _ => {}
+            }
+        }
+        self.intern(Expr::Op(op, a, b))
+    }
+
+    /// `base + imm` with the immediate already widened to 64 bits.
+    fn add_imm(&mut self, base: Id, imm: u64) -> Id {
+        let imm = self.cnst(imm);
+        self.op(OperateOp::Addq, base, imm)
+    }
+
+    fn and_not3(&mut self, e: Id) -> Id {
+        match self.nodes[e as usize] {
+            Expr::Const(v) => self.cnst(v & !3),
+            _ => self.intern(Expr::AndNot3(e)),
+        }
+    }
+
+    /// `id` rendered for a diagnostic.
+    fn show(&self, id: Id) -> Show<'_> {
+        Show(self, id, 0)
     }
 }
 
-/// Print depth past which [`Expr`]'s `Debug` elides subtrees with `…`.
+/// Print depth past which [`Show`] elides subtrees with `…`.
 const DEBUG_DEPTH: usize = 8;
 
-impl Expr {
-    fn fmt_depth(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+/// Depth-bounded `Debug` rendering of an arena expression: the
+/// expression and its depth below the rendered root.
+struct Show<'a>(&'a Arena, Id, usize);
+
+impl fmt::Debug for Show<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Show(arena, id, depth) = *self;
         if depth > DEBUG_DEPTH {
             return write!(f, "…");
         }
-        let sub = |f: &mut fmt::Formatter<'_>, e: &Expr| e.fmt_depth(f, depth + 1);
-        match self {
+        let sub = |id| Show(arena, id, depth + 1);
+        match arena.nodes[id as usize] {
             Expr::Init(r) => write!(f, "Init({r})"),
             Expr::Undef(a) => write!(f, "Undef({a})"),
             Expr::Const(v) => write!(f, "Const({v:#x})"),
-            Expr::Op(op, a, b) => {
-                write!(f, "Op({op:?}, ")?;
-                sub(f, a)?;
-                write!(f, ", ")?;
-                sub(f, b)?;
-                write!(f, ")")
-            }
+            Expr::Op(op, a, b) => write!(f, "Op({op:?}, {:?}, {:?})", sub(a), sub(b)),
             Expr::CmovRaw(op, a, b, old) => {
-                write!(f, "CmovRaw({op:?}, ")?;
-                sub(f, a)?;
-                write!(f, ", ")?;
-                sub(f, b)?;
-                write!(f, ", ")?;
-                sub(f, old)?;
-                write!(f, ")")
+                let (a, b, old) = (sub(a), sub(b), sub(old));
+                write!(f, "CmovRaw({op:?}, {a:?}, {b:?}, {old:?})")
             }
             Expr::Select {
                 lbs,
@@ -110,117 +191,26 @@ impl Expr {
                 value,
                 old,
             } => {
-                write!(f, "Select {{ lbs: {lbs}, test: ")?;
-                sub(f, test)?;
-                write!(f, ", value: ")?;
-                sub(f, value)?;
-                write!(f, ", old: ")?;
-                sub(f, old)?;
-                write!(f, " }}")
+                let (t, v, o) = (sub(test), sub(value), sub(old));
+                write!(
+                    f,
+                    "Select {{ lbs: {lbs}, test: {t:?}, value: {v:?}, old: {o:?} }}"
+                )
             }
             Expr::Load {
                 serial,
                 width,
                 addr,
             } => {
-                write!(f, "Load {{ serial: {serial}, width: {width:?}, addr: ")?;
-                sub(f, addr)?;
-                write!(f, " }}")
+                let a = sub(addr);
+                write!(
+                    f,
+                    "Load {{ serial: {serial}, width: {width:?}, addr: {a:?} }}"
+                )
             }
-            Expr::AndNot3(e) => {
-                write!(f, "AndNot3(")?;
-                sub(f, e)?;
-                write!(f, ")")
-            }
+            Expr::AndNot3(e) => write!(f, "AndNot3({:?})", sub(e)),
         }
     }
-}
-
-/// Structural equality over the expression DAG, memoized on the `Rc`
-/// address pair so every pair of DAG nodes is compared at most once. The
-/// memo must not outlive the expressions it keys (addresses would go
-/// stale); [`check`] scopes one to a single fragment comparison.
-fn expr_eq(a: &Rc<Expr>, b: &Rc<Expr>, memo: &mut HashMap<(usize, usize), bool>) -> bool {
-    if Rc::ptr_eq(a, b) {
-        return true;
-    }
-    let key = (Rc::as_ptr(a) as usize, Rc::as_ptr(b) as usize);
-    if let Some(&hit) = memo.get(&key) {
-        return hit;
-    }
-    let eq = match (&**a, &**b) {
-        (Expr::Init(x), Expr::Init(y)) => x == y,
-        (Expr::Undef(x), Expr::Undef(y)) => x == y,
-        (Expr::Const(x), Expr::Const(y)) => x == y,
-        (Expr::Op(xo, xa, xb), Expr::Op(yo, ya, yb)) => {
-            xo == yo && expr_eq(xa, ya, memo) && expr_eq(xb, yb, memo)
-        }
-        (Expr::CmovRaw(xo, x1, x2, x3), Expr::CmovRaw(yo, y1, y2, y3)) => {
-            xo == yo && expr_eq(x1, y1, memo) && expr_eq(x2, y2, memo) && expr_eq(x3, y3, memo)
-        }
-        (
-            Expr::Select {
-                lbs: xl,
-                test: xt,
-                value: xv,
-                old: xo,
-            },
-            Expr::Select {
-                lbs: yl,
-                test: yt,
-                value: yv,
-                old: yo,
-            },
-        ) => xl == yl && expr_eq(xt, yt, memo) && expr_eq(xv, yv, memo) && expr_eq(xo, yo, memo),
-        (
-            Expr::Load {
-                serial: xs,
-                width: xw,
-                addr: xa,
-            },
-            Expr::Load {
-                serial: ys,
-                width: yw,
-                addr: ya,
-            },
-        ) => xs == ys && xw == yw && expr_eq(xa, ya, memo),
-        (Expr::AndNot3(x), Expr::AndNot3(y)) => expr_eq(x, y, memo),
-        _ => false,
-    };
-    memo.insert(key, eq);
-    eq
-}
-
-fn cnst(v: u64) -> Rc<Expr> {
-    Rc::new(Expr::Const(v))
-}
-
-/// Normalizing ALU constructor shared by both walks.
-fn op_expr(op: OperateOp, a: Rc<Expr>, b: Rc<Expr>) -> Rc<Expr> {
-    if !op.is_cmov() {
-        if let (Expr::Const(x), Expr::Const(y)) = (&*a, &*b) {
-            return cnst(op.eval(*x, *y));
-        }
-        match op {
-            OperateOp::Addq if matches!(*b, Expr::Const(0)) => return a,
-            OperateOp::Bis if matches!(*b, Expr::Const(0)) => return a,
-            OperateOp::Bis if matches!(*a, Expr::Const(0)) => return b,
-            _ => {}
-        }
-    }
-    Rc::new(Expr::Op(op, a, b))
-}
-
-/// `base + imm` with the immediate already widened to 64 bits.
-fn add_imm(base: Rc<Expr>, imm: u64) -> Rc<Expr> {
-    op_expr(OperateOp::Addq, base, cnst(imm))
-}
-
-fn and_not3(e: Rc<Expr>) -> Rc<Expr> {
-    if let Expr::Const(v) = &*e {
-        return cnst(v & !3);
-    }
-    Rc::new(Expr::AndNot3(e))
 }
 
 fn width_of(op: MemOp) -> MemWidth {
@@ -250,29 +240,27 @@ fn cmov_split(op: OperateOp) -> (OperateOp, i16, bool) {
     }
 }
 
-/// How a walk left the block at one exit point.
-#[derive(Debug)]
+/// How a walk left the block at one exit point: its static skeleton.
+#[derive(PartialEq)]
 enum ExitKind {
     /// Conditional side exit to a static target.
-    Cond {
-        cond: CondKind,
-        src: Rc<Expr>,
-        target: u64,
-    },
+    Cond { cond: CondKind, target: u64 },
     /// Unconditional exit to a static target.
     Always { target: u64 },
     /// Register-indirect exit.
-    Indirect { target: Rc<Expr> },
+    Indirect,
     /// Architected halt.
     Halt,
 }
 
-#[derive(Debug)]
 struct Exit {
     /// Emitted-instruction index on the I side (0 for the Alpha side).
     at: usize,
     kind: ExitKind,
-    regs: Vec<Rc<Expr>>,
+    /// The condition source of a `Cond` exit, the target of an
+    /// `Indirect` one.
+    operand: Option<Id>,
+    regs: Regs,
     stores_before: usize,
     loads_before: usize,
     outs_before: usize,
@@ -281,20 +269,20 @@ struct Exit {
 struct StoreRec {
     at: usize,
     width: MemWidth,
-    addr: Rc<Expr>,
-    value: Rc<Expr>,
+    addr: Id,
+    value: Id,
 }
 
 struct LoadRec {
     at: usize,
     width: MemWidth,
-    addr: Rc<Expr>,
+    addr: Id,
     stores_before: usize,
 }
 
 struct PeiRec {
     at: usize,
-    regs: Vec<Rc<Expr>>,
+    regs: Regs,
 }
 
 /// Everything observable a walk produced.
@@ -303,16 +291,17 @@ struct Effects {
     exits: Vec<Exit>,
     stores: Vec<StoreRec>,
     loads: Vec<LoadRec>,
-    outs: Vec<(usize, Rc<Expr>)>,
+    outs: Vec<(usize, Id)>,
     peis: Vec<PeiRec>,
 }
 
 impl Effects {
-    fn exit(&mut self, at: usize, kind: ExitKind, regs: &[Rc<Expr>]) {
+    fn exit(&mut self, at: usize, kind: ExitKind, operand: Option<Id>, regs: &Regs) {
         self.exits.push(Exit {
             at,
             kind,
-            regs: regs.to_vec(),
+            operand,
+            regs: *regs,
             stores_before: self.stores.len(),
             loads_before: self.loads.len(),
             outs_before: self.outs.len(),
@@ -320,30 +309,18 @@ impl Effects {
     }
 }
 
-fn init_regs() -> Vec<Rc<Expr>> {
-    (0..32u8)
-        .map(|r| {
-            if r == 31 {
-                cnst(0)
-            } else {
-                Rc::new(Expr::Init(r))
-            }
-        })
-        .collect()
+fn read(regs: &Regs, r: Reg) -> Id {
+    regs[r.number() as usize]
 }
 
-fn read(regs: &[Rc<Expr>], r: Reg) -> Rc<Expr> {
-    regs[r.number() as usize].clone()
-}
-
-fn write(regs: &mut [Rc<Expr>], r: Reg, e: Rc<Expr>) {
+fn write(regs: &mut Regs, r: Reg, e: Id) {
     if r.number() != 31 {
         regs[r.number() as usize] = e;
     }
 }
 
 /// Symbolically executes the source superblock along its collected path.
-fn walk_alpha(sb: &Superblock) -> Effects {
+fn walk_alpha(sb: &Superblock, ar: &mut Arena) -> Effects {
     let mut fx = Effects::default();
     let mut regs = init_regs();
 
@@ -353,37 +330,31 @@ fn walk_alpha(sb: &Superblock) -> Effects {
         match si.inst {
             Inst::Mem { op, ra, rb, disp } => match op {
                 MemOp::Lda => {
-                    let e = add_imm(read(&regs, rb), disp as i64 as u64);
+                    let e = ar.add_imm(read(&regs, rb), disp as i64 as u64);
                     write(&mut regs, ra, e);
                 }
                 MemOp::Ldah => {
-                    let e = add_imm(read(&regs, rb), ((disp as i64) << 16) as u64);
+                    let e = ar.add_imm(read(&regs, rb), ((disp as i64) << 16) as u64);
                     write(&mut regs, ra, e);
                 }
                 _ => {
-                    fx.peis.push(PeiRec {
-                        at: 0,
-                        regs: regs.clone(),
-                    });
-                    let addr = add_imm(read(&regs, rb), disp as i64 as u64);
+                    fx.peis.push(PeiRec { at: 0, regs });
+                    let addr = ar.add_imm(read(&regs, rb), disp as i64 as u64);
                     let width = width_of(op);
                     if op.is_load() {
                         let serial = fx.loads.len() as u32;
                         fx.loads.push(LoadRec {
                             at: 0,
                             width,
-                            addr: addr.clone(),
+                            addr,
                             stores_before: fx.stores.len(),
                         });
-                        write(
-                            &mut regs,
-                            ra,
-                            Rc::new(Expr::Load {
-                                serial,
-                                width,
-                                addr,
-                            }),
-                        );
+                        let e = ar.intern(Expr::Load {
+                            serial,
+                            width,
+                            addr,
+                        });
+                        write(&mut regs, ra, e);
                     } else {
                         fx.stores.push(StoreRec {
                             at: 0,
@@ -397,14 +368,15 @@ fn walk_alpha(sb: &Superblock) -> Effects {
             Inst::Operate { op, ra, rb, rc } => {
                 let b = match rb {
                     Operand::Reg(r) => read(&regs, r),
-                    Operand::Lit(v) => cnst(v as u64),
+                    Operand::Lit(v) => ar.cnst(v as u64),
                 };
                 if op.is_cmov() {
                     // Mirror the front end's test/select decomposition so
                     // expressions match the fragment structurally.
                     let (test_op, test_imm, lbs) = cmov_split(op);
-                    let test = op_expr(test_op, read(&regs, ra), cnst(test_imm as i64 as u64));
-                    let sel = Rc::new(Expr::Select {
+                    let imm = ar.cnst(test_imm as i64 as u64);
+                    let test = ar.op(test_op, read(&regs, ra), imm);
+                    let sel = ar.intern(Expr::Select {
                         lbs,
                         test,
                         value: b,
@@ -412,79 +384,52 @@ fn walk_alpha(sb: &Superblock) -> Effects {
                     });
                     write(&mut regs, rc, sel);
                 } else {
-                    let e = op_expr(op, read(&regs, ra), b);
+                    let e = ar.op(op, read(&regs, ra), b);
                     write(&mut regs, rc, e);
                 }
             }
-            Inst::Branch { op, ra, .. } => match si.flow {
-                CollectedFlow::Direct { links, .. } => {
-                    if links {
-                        write(&mut regs, ra, cnst(va + 4));
+            Inst::Branch { op, ra, .. } => {
+                let src = Some(read(&regs, ra));
+                let cond = |op, target| ExitKind::Cond {
+                    cond: CondKind::from_branch_op(op),
+                    target,
+                };
+                match si.flow {
+                    CollectedFlow::Direct { links: true, .. } => {
+                        let e = ar.cnst(va + 4);
+                        write(&mut regs, ra, e);
                     }
-                }
-                CollectedFlow::CondNotTaken { taken_target } => {
-                    fx.exit(
-                        0,
-                        ExitKind::Cond {
-                            cond: CondKind::from_branch_op(op),
-                            src: read(&regs, ra),
-                            target: taken_target,
-                        },
-                        &regs,
-                    );
-                }
-                CollectedFlow::CondTaken {
-                    taken_target,
-                    fallthrough,
-                } => {
-                    let ending = last && matches!(sb.end, SbEnd::BackwardTakenBranch { .. });
-                    if ending {
-                        fx.exit(
-                            0,
-                            ExitKind::Cond {
-                                cond: CondKind::from_branch_op(op),
-                                src: read(&regs, ra),
-                                target: taken_target,
-                            },
-                            &regs,
-                        );
-                        fx.exit(
-                            0,
-                            ExitKind::Always {
-                                target: fallthrough,
-                            },
-                            &regs,
-                        );
-                    } else {
-                        fx.exit(
-                            0,
-                            ExitKind::Cond {
-                                cond: CondKind::from_branch_op(op.inverse()),
-                                src: read(&regs, ra),
-                                target: fallthrough,
-                            },
-                            &regs,
-                        );
+                    CollectedFlow::CondNotTaken { taken_target } => {
+                        fx.exit(0, cond(op, taken_target), src, &regs);
                     }
+                    CollectedFlow::CondTaken {
+                        taken_target,
+                        fallthrough,
+                    } => {
+                        if last && matches!(sb.end, SbEnd::BackwardTakenBranch { .. }) {
+                            fx.exit(0, cond(op, taken_target), src, &regs);
+                            let always = ExitKind::Always {
+                                target: fallthrough,
+                            };
+                            fx.exit(0, always, None, &regs);
+                        } else {
+                            fx.exit(0, cond(op.inverse(), fallthrough), src, &regs);
+                        }
+                    }
+                    _ => {}
                 }
-                CollectedFlow::Sequential | CollectedFlow::Indirect { .. } => {}
-            },
+            }
             Inst::Jump { ra, rb, .. } => {
                 // Target is read before the link write (`jsr ra,(ra)`).
-                let target = and_not3(read(&regs, rb));
-                write(&mut regs, ra, cnst(va + 4));
-                fx.exit(0, ExitKind::Indirect { target }, &regs);
+                let target = ar.and_not3(read(&regs, rb));
+                let link = ar.cnst(va + 4);
+                write(&mut regs, ra, link);
+                fx.exit(0, ExitKind::Indirect, Some(target), &regs);
             }
             Inst::CallPal { func } => match func {
-                PalFunc::Halt => fx.exit(0, ExitKind::Halt, &regs),
-                PalFunc::GenTrap => fx.peis.push(PeiRec {
-                    at: 0,
-                    regs: regs.clone(),
-                }),
-                PalFunc::PutChar => {
-                    let e = read(&regs, Reg::A0);
-                    fx.outs.push((0, e));
-                }
+                PalFunc::Halt => fx.exit(0, ExitKind::Halt, None, &regs),
+                PalFunc::GenTrap => fx.peis.push(PeiRec { at: 0, regs }),
+                PalFunc::PutChar => fx.outs.push((0, read(&regs, Reg::A0))),
                 PalFunc::Other(_) => {}
             },
             // Traps before retiring; never collected into a superblock.
@@ -493,7 +438,7 @@ fn walk_alpha(sb: &Superblock) -> Effects {
     }
     match sb.end {
         SbEnd::Cycle { next } | SbEnd::MaxSize { next } => {
-            fx.exit(0, ExitKind::Always { target: next }, &regs);
+            fx.exit(0, ExitKind::Always { target: next }, None, &regs);
         }
         _ => {}
     }
@@ -503,10 +448,14 @@ fn walk_alpha(sb: &Superblock) -> Effects {
 /// Symbolically executes the emitted fragment, mirroring the engine's
 /// concrete semantics expression-for-expression. Returns `None` when the
 /// code is not a pre-install fragment (`E07`).
-fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effects> {
+fn walk_fragment(
+    code: &TranslatedCode,
+    ar: &mut Arena,
+    out: &mut Vec<Violation>,
+) -> Option<Effects> {
     let mut fx = Effects::default();
     let mut regs = init_regs();
-    let mut accs: Vec<Rc<Expr>> = (0..16u8).map(|a| Rc::new(Expr::Undef(a))).collect();
+    let mut accs: [Id; 16] = std::array::from_fn(|a| UNDEF + a as Id);
 
     let insts = &code.insts;
     let mut k = 0usize;
@@ -515,17 +464,17 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
         macro_rules! v {
             ($src:expr, $acc:expr) => {
                 match $src {
-                    ASrc::Acc => accs[$acc.index()].clone(),
+                    ASrc::Acc => accs[$acc.index()],
                     ASrc::Gpr(r) => read(&regs, r),
-                    ASrc::Imm(v) => cnst(v as i64 as u64),
+                    ASrc::Imm(v) => ar.cnst(v as i64 as u64),
                 }
             };
         }
-        let mut pei_check = |k: usize, regs: &[Rc<Expr>], accs: &[Rc<Expr>]| {
-            let mut recovered = regs.to_vec();
+        let mut pei_check = |k: usize, regs: &Regs, accs: &[Id; 16]| {
+            let mut recovered = *regs;
             if let Some(entries) = code.recovery.get(&(k as u32)) {
                 for e in entries {
-                    recovered[e.reg.number() as usize] = accs[e.acc.index()].clone();
+                    recovered[e.reg.number() as usize] = accs[e.acc.index()];
                 }
             }
             fx.peis.push(PeiRec {
@@ -566,12 +515,13 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                     _ => None,
                 };
                 if let Some(rhs) = group_rhs {
-                    let target = and_not3(v!(rhs, acc));
-                    fx.exit(k, ExitKind::Indirect { target }, &regs);
+                    let target = v!(rhs, acc);
+                    let target = ar.and_not3(target);
+                    fx.exit(k, ExitKind::Indirect, Some(target), &regs);
                     k += 4;
                     continue;
                 }
-                accs[acc.index()] = cnst(vaddr);
+                accs[acc.index()] = ar.cnst(vaddr);
             }
             IInst::Op {
                 op,
@@ -583,18 +533,19 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 let a = v!(lhs, acc);
                 let b = v!(rhs, acc);
                 let result = if op.is_cmov() {
-                    Rc::new(Expr::CmovRaw(op, a, b, accs[acc.index()].clone()))
+                    ar.intern(Expr::CmovRaw(op, a, b, accs[acc.index()]))
                 } else {
-                    op_expr(op, a, b)
+                    ar.op(op, a, b)
                 };
-                accs[acc.index()] = result.clone();
+                accs[acc.index()] = result;
                 if let Some(d) = dst {
                     write(&mut regs, d, result);
                 }
             }
             IInst::AddHigh { acc, src, imm, dst } => {
-                let result = add_imm(v!(src, acc), ((imm as i64) << 16) as u64);
-                accs[acc.index()] = result.clone();
+                let src = v!(src, acc);
+                let result = ar.add_imm(src, ((imm as i64) << 16) as u64);
+                accs[acc.index()] = result;
                 if let Some(d) = dst {
                     write(&mut regs, d, result);
                 }
@@ -607,20 +558,21 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 dst,
             } => {
                 pei_check(k, &regs, &accs);
-                let a = add_imm(v!(addr, acc), disp as i64 as u64);
+                let base = v!(addr, acc);
+                let addr = ar.add_imm(base, disp as i64 as u64);
                 let serial = fx.loads.len() as u32;
                 fx.loads.push(LoadRec {
                     at: k,
                     width,
-                    addr: a.clone(),
+                    addr,
                     stores_before: fx.stores.len(),
                 });
-                let result = Rc::new(Expr::Load {
+                let result = ar.intern(Expr::Load {
                     serial,
                     width,
-                    addr: a,
+                    addr,
                 });
-                accs[acc.index()] = result.clone();
+                accs[acc.index()] = result;
                 if let Some(d) = dst {
                     write(&mut regs, d, result);
                 }
@@ -633,12 +585,13 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 value,
             } => {
                 pei_check(k, &regs, &accs);
-                let a = add_imm(v!(addr, acc), disp as i64 as u64);
+                let base = v!(addr, acc);
+                let addr = ar.add_imm(base, disp as i64 as u64);
                 let value = v!(value, acc);
                 fx.stores.push(StoreRec {
                     at: k,
                     width,
-                    addr: a,
+                    addr,
                     value,
                 });
             }
@@ -649,26 +602,28 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 old,
                 dst,
             } => {
-                let sel = Rc::new(Expr::Select {
+                let value = v!(value, acc);
+                let sel = ar.intern(Expr::Select {
                     lbs,
-                    test: accs[acc.index()].clone(),
-                    value: v!(value, acc),
+                    test: accs[acc.index()],
+                    value,
                     old: read(&regs, old),
                 });
-                accs[acc.index()] = sel.clone();
+                accs[acc.index()] = sel;
                 if let Some(d) = dst {
                     write(&mut regs, d, sel);
                 }
             }
-            IInst::CopyToGpr { acc, dst } => {
-                let e = accs[acc.index()].clone();
+            IInst::CopyToGpr { acc, dst } => write(&mut regs, dst, accs[acc.index()]),
+            IInst::CopyFromGpr { acc, src } => accs[acc.index()] = read(&regs, src),
+            IInst::SaveVReturn { dst, vaddr } => {
+                let e = ar.cnst(vaddr);
                 write(&mut regs, dst, e);
             }
-            IInst::CopyFromGpr { acc, src } => accs[acc.index()] = read(&regs, src),
-            IInst::SaveVReturn { dst, vaddr } => write(&mut regs, dst, cnst(vaddr)),
             IInst::IndirectJump { acc, addr, .. } => {
-                let target = and_not3(v!(addr, acc));
-                fx.exit(k, ExitKind::Indirect { target }, &regs);
+                let target = v!(addr, acc);
+                let target = ar.and_not3(target);
+                fx.exit(k, ExitKind::Indirect, Some(target), &regs);
                 // The dispatch fallback re-states the same exit.
                 if matches!(insts.get(k + 1), Some(&IInst::Dispatch { src, .. }) if src == addr) {
                     k += 2;
@@ -676,8 +631,9 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 }
             }
             IInst::Dispatch { acc, src } => {
-                let target = and_not3(v!(src, acc));
-                fx.exit(k, ExitKind::Indirect { target }, &regs);
+                let target = v!(src, acc);
+                let target = ar.and_not3(target);
+                fx.exit(k, ExitKind::Indirect, Some(target), &regs);
             }
             IInst::CallTranslatorIfCond {
                 cond,
@@ -686,18 +642,14 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 vtarget,
             } => {
                 let src = v!(src, acc);
-                fx.exit(
-                    k,
-                    ExitKind::Cond {
-                        cond,
-                        src,
-                        target: vtarget,
-                    },
-                    &regs,
-                );
+                let kind = ExitKind::Cond {
+                    cond,
+                    target: vtarget,
+                };
+                fx.exit(k, kind, Some(src), &regs);
             }
             IInst::CallTranslator { vtarget } => {
-                fx.exit(k, ExitKind::Always { target: vtarget }, &regs);
+                fx.exit(k, ExitKind::Always { target: vtarget }, None, &regs);
             }
             IInst::CondBranch { .. } | IInst::Branch { .. } => {
                 out.push(Violation::new(
@@ -714,19 +666,21 @@ fn walk_fragment(code: &TranslatedCode, out: &mut Vec<Violation>) -> Option<Effe
                 let e = v!(src, acc);
                 fx.outs.push((k, e));
             }
-            IInst::Halt => fx.exit(k, ExitKind::Halt, &regs),
+            IInst::Halt => fx.exit(k, ExitKind::Halt, None, &regs),
         }
         k += 1;
     }
     Some(fx)
 }
 
-fn describe(kind: &ExitKind) -> String {
-    match kind {
-        ExitKind::Cond { cond, target, .. } => format!("cond {cond:?} -> {target:#x}"),
-        ExitKind::Always { target } => format!("always -> {target:#x}"),
-        ExitKind::Indirect { .. } => "indirect".to_string(),
-        ExitKind::Halt => "halt".to_string(),
+impl fmt::Display for ExitKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExitKind::Cond { cond, target } => write!(f, "cond {cond:?} -> {target:#x}"),
+            ExitKind::Always { target } => write!(f, "always -> {target:#x}"),
+            ExitKind::Indirect => write!(f, "indirect"),
+            ExitKind::Halt => write!(f, "halt"),
+        }
     }
 }
 
@@ -736,220 +690,207 @@ pub(crate) fn check(
     _tr: &Translator,
     out: &mut Vec<Violation>,
 ) {
+    check_in(&mut Arena::new(sb.len()), sb, code, out);
+}
+
+/// [`check`] with a caller-supplied arena, which both walks intern into.
+fn check_in(ar: &mut Arena, sb: &Superblock, code: &TranslatedCode, out: &mut Vec<Violation>) {
     let vstart = code.vstart;
-    let alpha = walk_alpha(sb);
-    let Some(frag) = walk_fragment(code, out) else {
+    let alpha = walk_alpha(sb, ar);
+    let Some(frag) = walk_fragment(code, ar, out) else {
         return;
     };
-    // One equality memo spans every comparison below: `alpha` and `frag`
-    // keep all compared expressions alive, so the node addresses it keys
-    // stay valid for the whole pass.
-    let memo = &mut HashMap::new();
-
-    // E03 — exit skeleton.
-    if alpha.exits.len() != frag.exits.len() {
-        out.push(Violation::new(
+    let ar = &*ar;
+    let mut flag = |rule, at, expected: String, actual: String| {
+        out.push(Violation::new(rule, vstart, at, expected, actual));
+    };
+    // Every log first compares lengths, then entries pairwise.
+    let (a, f) = (alpha.exits.len(), frag.exits.len());
+    if a != f {
+        flag(
             "E03",
-            vstart,
             None,
-            format!("{} exits (source block)", alpha.exits.len()),
-            format!("{} exits", frag.exits.len()),
-        ));
+            format!("{a} exits (source block)"),
+            format!("{f} exits"),
+        );
     }
     for (a, f) in alpha.exits.iter().zip(&frag.exits) {
-        let kinds_match = match (&a.kind, &f.kind) {
-            (
-                ExitKind::Cond {
-                    cond: ca,
-                    target: ta,
-                    ..
-                },
-                ExitKind::Cond {
-                    cond: cf,
-                    target: tf,
-                    ..
-                },
-            ) => ca == cf && ta == tf,
-            (ExitKind::Always { target: ta }, ExitKind::Always { target: tf }) => ta == tf,
-            (ExitKind::Indirect { .. }, ExitKind::Indirect { .. }) => true,
-            (ExitKind::Halt, ExitKind::Halt) => true,
-            _ => false,
-        };
-        if !kinds_match {
-            out.push(Violation::new(
-                "E03",
-                vstart,
-                Some(f.at),
-                describe(&a.kind),
-                describe(&f.kind),
-            ));
+        let at = Some(f.at);
+        // E03 — exit skeleton.
+        if a.kind != f.kind {
+            flag("E03", at, a.kind.to_string(), f.kind.to_string());
             continue;
         }
         // E02 — exit-condition expressions.
-        match (&a.kind, &f.kind) {
-            (ExitKind::Cond { src: sa, .. }, ExitKind::Cond { src: sf, .. })
-                if !expr_eq(sa, sf, memo) =>
-            {
-                out.push(Violation::new(
-                    "E02",
-                    vstart,
-                    Some(f.at),
-                    format!("condition source {sa:?}"),
-                    format!("{sf:?}"),
-                ));
+        if let (Some(x), Some(y)) = (a.operand, f.operand) {
+            if x != y {
+                let what = match a.kind {
+                    ExitKind::Indirect => "indirect target",
+                    _ => "condition source",
+                };
+                let (x, y) = (ar.show(x), ar.show(y));
+                flag("E02", at, format!("{what} {x:?}"), format!("{y:?}"));
             }
-            (ExitKind::Indirect { target: ta }, ExitKind::Indirect { target: tf })
-                if !expr_eq(ta, tf, memo) =>
-            {
-                out.push(Violation::new(
-                    "E02",
-                    vstart,
-                    Some(f.at),
-                    format!("indirect target {ta:?}"),
-                    format!("{tf:?}"),
-                ));
-            }
-            _ => {}
         }
         // E01 — architected registers at the exit.
         for r in 0..32 {
-            if !expr_eq(&a.regs[r], &f.regs[r], memo) {
-                out.push(Violation::new(
+            if a.regs[r] != f.regs[r] {
+                let (x, y, exit) = (ar.show(a.regs[r]), ar.show(f.regs[r]), &a.kind);
+                flag(
                     "E01",
-                    vstart,
-                    Some(f.at),
-                    format!("r{r} = {:?} at exit {}", a.regs[r], describe(&a.kind)),
-                    format!("{:?}", f.regs[r]),
-                ));
+                    at,
+                    format!("r{r} = {x:?} at exit {exit}"),
+                    format!("{y:?}"),
+                );
             }
         }
         // E04/E05 — effect interleaving at the exit.
         if (a.stores_before, a.loads_before) != (f.stores_before, f.loads_before) {
-            out.push(Violation::new(
+            let effects =
+                |e: &Exit| format!("{} stores / {} loads", e.stores_before, e.loads_before);
+            flag(
                 "E04",
-                vstart,
-                Some(f.at),
-                format!(
-                    "{} stores / {} loads before exit {}",
-                    a.stores_before,
-                    a.loads_before,
-                    describe(&a.kind)
-                ),
-                format!("{} stores / {} loads", f.stores_before, f.loads_before),
-            ));
+                at,
+                format!("{} before exit {}", effects(a), a.kind),
+                effects(f),
+            );
         }
         if a.outs_before != f.outs_before {
-            out.push(Violation::new(
+            let (x, y, exit) = (a.outs_before, f.outs_before, &a.kind);
+            flag(
                 "E05",
-                vstart,
-                Some(f.at),
-                format!(
-                    "{} outputs before exit {}",
-                    a.outs_before,
-                    describe(&a.kind)
-                ),
-                format!("{} outputs", f.outs_before),
-            ));
+                at,
+                format!("{x} outputs before exit {exit}"),
+                format!("{y} outputs"),
+            );
         }
     }
 
     // E04 — memory effect logs.
-    if alpha.stores.len() != frag.stores.len() {
-        out.push(Violation::new(
-            "E04",
-            vstart,
-            None,
-            format!("{} stores", alpha.stores.len()),
-            format!("{} stores", frag.stores.len()),
-        ));
+    let (a, f) = (alpha.stores.len(), frag.stores.len());
+    if a != f {
+        flag("E04", None, format!("{a} stores"), format!("{f} stores"));
     }
     for (a, f) in alpha.stores.iter().zip(&frag.stores) {
-        if a.width != f.width
-            || !expr_eq(&a.addr, &f.addr, memo)
-            || !expr_eq(&a.value, &f.value, memo)
-        {
-            out.push(Violation::new(
-                "E04",
-                vstart,
-                Some(f.at),
-                format!("store {:?} {:?} <- {:?}", a.width, a.addr, a.value),
-                format!("store {:?} {:?} <- {:?}", f.width, f.addr, f.value),
-            ));
+        if (a.width, a.addr, a.value) != (f.width, f.addr, f.value) {
+            let show = |s: &StoreRec| {
+                let (addr, value) = (ar.show(s.addr), ar.show(s.value));
+                format!("store {:?} {addr:?} <- {value:?}", s.width)
+            };
+            flag("E04", Some(f.at), show(a), show(f));
         }
     }
-    if alpha.loads.len() != frag.loads.len() {
-        out.push(Violation::new(
-            "E04",
-            vstart,
-            None,
-            format!("{} loads", alpha.loads.len()),
-            format!("{} loads", frag.loads.len()),
-        ));
+    let (a, f) = (alpha.loads.len(), frag.loads.len());
+    if a != f {
+        flag("E04", None, format!("{a} loads"), format!("{f} loads"));
     }
     for (a, f) in alpha.loads.iter().zip(&frag.loads) {
-        if a.width != f.width
-            || !expr_eq(&a.addr, &f.addr, memo)
-            || a.stores_before != f.stores_before
-        {
-            out.push(Violation::new(
-                "E04",
-                vstart,
-                Some(f.at),
-                format!(
-                    "load {:?} {:?} after {} stores",
-                    a.width, a.addr, a.stores_before
-                ),
-                format!(
-                    "load {:?} {:?} after {} stores",
-                    f.width, f.addr, f.stores_before
-                ),
-            ));
+        if (a.width, a.addr, a.stores_before) != (f.width, f.addr, f.stores_before) {
+            let show = |l: &LoadRec| {
+                let (width, addr) = (l.width, ar.show(l.addr));
+                format!("load {width:?} {addr:?} after {} stores", l.stores_before)
+            };
+            flag("E04", Some(f.at), show(a), show(f));
         }
     }
 
     // E05 — output log.
-    if alpha.outs.len() != frag.outs.len() {
-        out.push(Violation::new(
-            "E05",
-            vstart,
-            None,
-            format!("{} outputs", alpha.outs.len()),
-            format!("{} outputs", frag.outs.len()),
-        ));
+    let (a, f) = (alpha.outs.len(), frag.outs.len());
+    if a != f {
+        flag("E05", None, format!("{a} outputs"), format!("{f} outputs"));
     }
-    for ((_, a), (at, f)) in alpha.outs.iter().zip(&frag.outs) {
-        if !expr_eq(a, f, memo) {
-            out.push(Violation::new(
-                "E05",
-                vstart,
-                Some(*at),
-                format!("output {a:?}"),
-                format!("{f:?}"),
-            ));
+    for (&(_, a), &(at, f)) in alpha.outs.iter().zip(&frag.outs) {
+        if a != f {
+            let (x, y) = (ar.show(a), ar.show(f));
+            flag("E05", Some(at), format!("output {x:?}"), format!("{y:?}"));
         }
     }
 
     // E06 — precise state at every potentially-trapping instruction.
-    if alpha.peis.len() != frag.peis.len() {
-        out.push(Violation::new(
+    let (a, f) = (alpha.peis.len(), frag.peis.len());
+    if a != f {
+        flag(
             "E06",
-            vstart,
             None,
-            format!("{} trap points", alpha.peis.len()),
-            format!("{} trap points", frag.peis.len()),
-        ));
+            format!("{a} trap points"),
+            format!("{f} trap points"),
+        );
     }
     for (a, f) in alpha.peis.iter().zip(&frag.peis) {
         for r in 0..32 {
-            if !expr_eq(&a.regs[r], &f.regs[r], memo) {
-                out.push(Violation::new(
-                    "E06",
-                    vstart,
-                    Some(f.at),
-                    format!("recoverable r{r} = {:?} at trap point", a.regs[r]),
-                    format!("{:?}", f.regs[r]),
-                ));
+            if a.regs[r] != f.regs[r] {
+                let (x, y) = (ar.show(a.regs[r]), ar.show(f.regs[r]));
+                let expected = format!("recoverable r{r} = {x:?} at trap point");
+                flag("E06", Some(f.at), expected, format!("{y:?}"));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ildp_core::SbInst;
+
+    /// `steps` rounds of `addq r1,r1,r1; stq r1,0(r2)`. Every step doubles
+    /// the tree unfolding of `r1`; only a shared DAG stays small.
+    fn doubling_chain(steps: u64) -> Superblock {
+        let add = Inst::Operate {
+            op: OperateOp::Addq,
+            ra: Reg::new(1),
+            rb: Operand::Reg(Reg::new(1)),
+            rc: Reg::new(1),
+        };
+        let store = Inst::Mem {
+            op: MemOp::Stq,
+            ra: Reg::new(1),
+            rb: Reg::new(2),
+            disp: 0,
+        };
+        let insts = (0..2 * steps)
+            .map(|k| SbInst {
+                vaddr: 0x1000 + 4 * k,
+                inst: if k % 2 == 0 { add } else { store },
+                flow: CollectedFlow::Sequential,
+            })
+            .collect();
+        let next = 0x1000 + 8 * steps;
+        Superblock {
+            start: 0x1000,
+            insts,
+            end: SbEnd::Cycle { next },
+        }
+    }
+
+    #[test]
+    fn arena_stays_linear_and_diagnostics_bounded_on_a_doubling_chain() {
+        let sb = doubling_chain(256);
+        let tr = Translator::default();
+        let mut code = tr.translate(&sb);
+        assert!(crate::verify_translation(&sb, &code, &tr).is_empty());
+        let mut ar = Arena::new(sb.len());
+        check_in(&mut ar, &sb, &code, &mut Vec::new());
+        assert!(
+            ar.nodes.len() <= 64 + 2 * sb.len(),
+            "{} nodes",
+            ar.nodes.len()
+        );
+
+        // Seeded E01: the last add writes r9 instead of r1.
+        let k = code
+            .insts
+            .iter()
+            .rposition(|i| matches!(i, IInst::Op { .. }));
+        if let IInst::Op { dst, .. } = &mut code.insts[k.unwrap()] {
+            *dst = Some(Reg::new(9));
+        }
+        let mut out = Vec::new();
+        check(&sb, &code, &tr, &mut out);
+        let e01: Vec<_> = out.iter().filter(|v| v.rule == "E01").collect();
+        assert!(e01.iter().any(|v| v.expected.contains('…')));
+        // Rendering stops DEBUG_DEPTH levels down a binary tree.
+        for s in e01.iter().flat_map(|v| [&v.expected, &v.actual]) {
+            assert!(s.matches("Op(").count() < 1 << (DEBUG_DEPTH + 1), "{s}");
         }
     }
 }

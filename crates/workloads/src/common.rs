@@ -88,12 +88,6 @@ pub mod regs {
     pub const A0: Reg = Reg::A0;
     /// Argument 1.
     pub const A1: Reg = Reg::A1;
-    /// Argument 2.
-    #[allow(dead_code)]
-    pub const A2: Reg = Reg::A2;
-    /// Argument 3.
-    #[allow(dead_code)]
-    pub const A3: Reg = Reg::new(19);
     /// Procedure value (indirect-call target).
     pub const PV: Reg = Reg::PV;
     /// Return address.
