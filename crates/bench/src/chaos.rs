@@ -243,9 +243,9 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
         } => {
             // Sever a direct link out from under its patched branch.
             let id = vm.cache().lookup(fragment_vstart)?;
-            let f = vm.cache_mut().fragment_mut(id);
-            let link = f.links.get_mut(slot as usize)?;
-            *link = None;
+            vm.cache_mut().edit_fragment(id, |f| {
+                f.links.get_mut(slot as usize).map(|link| *link = None)
+            })??;
             report.link_clears += 1;
             report.injections += 1;
             Some(id)
@@ -256,9 +256,11 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
         } => {
             // Misdirect a link to a fragment id that never existed.
             let id = vm.cache().lookup(fragment_vstart)?;
-            let f = vm.cache_mut().fragment_mut(id);
-            let link = f.links.get_mut(slot as usize)?;
-            *link = Some(FragmentId(u32::MAX - 1));
+            vm.cache_mut().edit_fragment(id, |f| {
+                let link = f.links.get_mut(slot as usize)?;
+                *link = Some(FragmentId(u32::MAX - 1));
+                Some(())
+            })??;
             report.link_poisons += 1;
             report.injections += 1;
             Some(id)
@@ -270,24 +272,26 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
             // Retarget a resolved transfer off any fragment entry.
             // Entries are 8-aligned, so entry+2 can never be one.
             let id = vm.cache().lookup(fragment_vstart)?;
-            let f = vm.cache_mut().fragment_mut(id);
-            match f.insts.get_mut(slot as usize)? {
-                IInst::Branch { target } | IInst::CondBranch { target, .. } => {
-                    if let ITarget::Addr(a) = target {
-                        *target = ITarget::Addr(*a + 2);
-                    } else {
-                        return None;
+            vm.cache_mut().edit_fragment(id, |f| {
+                match f.insts.get_mut(slot as usize)? {
+                    IInst::Branch { target } | IInst::CondBranch { target, .. } => {
+                        if let ITarget::Addr(a) = target {
+                            *target = ITarget::Addr(*a + 2);
+                        } else {
+                            return None;
+                        }
                     }
-                }
-                IInst::PushDualRas { iret, .. } => {
-                    if let ITarget::Addr(a) = iret {
-                        *iret = ITarget::Addr(*a + 2);
-                    } else {
-                        return None;
+                    IInst::PushDualRas { iret, .. } => {
+                        if let ITarget::Addr(a) = iret {
+                            *iret = ITarget::Addr(*a + 2);
+                        } else {
+                            return None;
+                        }
                     }
+                    _ => return None,
                 }
-                _ => return None,
-            }
+                Some(())
+            })??;
             report.target_poisons += 1;
             report.injections += 1;
             Some(id)
@@ -296,16 +300,19 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
             // Corrupt the entry shape: SetVpcBase names the wrong
             // V-address.
             let id = vm.cache().lookup(fragment_vstart)?;
-            let f = vm.cache_mut().fragment_mut(id);
-            let vstart = f.vstart;
-            if let Some(IInst::SetVpcBase { vaddr }) = f.insts.first_mut() {
-                *vaddr = vstart ^ 0x40;
-                report.vpc_corruptions += 1;
-                report.injections += 1;
-                Some(id)
-            } else {
-                None
-            }
+            vm.cache_mut().edit_fragment(id, |f| {
+                let vstart = f.vstart;
+                match f.insts.first_mut() {
+                    Some(IInst::SetVpcBase { vaddr }) => {
+                        *vaddr = vstart ^ 0x40;
+                        Some(())
+                    }
+                    _ => None,
+                }
+            })??;
+            report.vpc_corruptions += 1;
+            report.injections += 1;
+            Some(id)
         }
         ReplayEvent::EpochFlip => {
             // Flip the cache epoch: every engine dual-RAS direct link

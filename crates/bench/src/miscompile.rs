@@ -884,11 +884,12 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                 let (c, _) = leaf(0x3000);
                 let cid = install(&mut cache, 0x3000, c);
                 let c_start = cache.fragment(cid).istart;
-                let fa = cache.fragment_mut(aid);
-                fa.insts[1] = IInst::Branch {
-                    target: ITarget::Addr(c_start),
-                };
-                fa.links[1] = Some(cid);
+                cache.edit_fragment(aid, |fa| {
+                    fa.insts[1] = IInst::Branch {
+                        target: ITarget::Addr(c_start),
+                    };
+                    fa.links[1] = Some(cid);
+                });
                 flow::check_cache(&cache, None).0
             },
         },
@@ -913,9 +914,11 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                 let (c, _) = leaf(0x3000);
                 let cid = install(&mut cache, 0x3000, c);
                 let c_start = cache.fragment(cid).istart;
-                if let IInst::PushDualRas { iret, .. } = &mut cache.fragment_mut(aid).insts[0] {
-                    *iret = ITarget::Addr(c_start);
-                }
+                cache.edit_fragment(aid, |fa| {
+                    if let IInst::PushDualRas { iret, .. } = &mut fa.insts[0] {
+                        *iret = ITarget::Addr(c_start);
+                    }
+                });
                 flow::check_cache(&cache, Some(ChainPolicy::SwPredDualRas)).0
             },
         },
@@ -959,10 +962,12 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                         IInst::Halt,
                     ],
                 );
-                let trace = cache.fragment(fid).templates.clone();
-                if let IInst::CopyFromGpr { src, .. } = &mut cache.fragment_mut(fid).insts[1] {
-                    *src = Reg::new(7);
-                }
+                let trace = cache.fragment(fid).trace_templates();
+                cache.edit_fragment(fid, |f| {
+                    if let IInst::CopyFromGpr { src, .. } = &mut f.insts[1] {
+                        *src = Reg::new(7);
+                    }
+                });
                 flow::check_dynamic(&cache, &trace)
             },
         },
@@ -987,7 +992,7 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                         IInst::Halt,
                     ],
                 );
-                let templates = cache.fragment(fid).templates.clone();
+                let templates = cache.fragment(fid).trace_templates();
                 // Entry, then the copy-out retires without the
                 // accumulator having been written since fragment entry.
                 let trace = vec![templates[0], templates[2]];

@@ -249,8 +249,11 @@ impl<'a, 'p> LogDriver<'a, 'p> {
             if self.corrupted.contains(&id.0) {
                 continue;
             }
-            let f = self.vm.cache_mut().fragment_mut(id);
-            if sabotage_insts(&mut f.insts, rule) {
+            let edited = self
+                .vm
+                .cache_mut()
+                .edit_fragment(id, |f| sabotage_insts(&mut f.insts, rule));
+            if edited == Some(true) {
                 self.corrupted.insert(id.0);
             }
         }

@@ -9,12 +9,23 @@
 //! `call-translator` exits back to the VM — and delivers **precise traps**
 //! by merging accumulator-resident architected values from the fragment's
 //! recovery tables (paper §2.2).
+//!
+//! The engine never decodes [`IInst`]s while running. The translation
+//! cache lowers each installed instruction once ([`lower`]) into an
+//! [`Op`] whose operands are slots of one unified register file
+//! ([`RegFile`]: the GPRs, a read-zero slot for `r31`, the accumulators
+//! and a write sink), and re-lowers it whenever the instruction is
+//! patched. Retirement statistics come from a per-fragment prefix table
+//! ([`Retired`]), settled at fragment exits and self-loops rather than
+//! counted per instruction.
 
 use crate::classify::{CategoryCounts, UsageCat};
 use crate::error::VmError;
-use crate::fragment::{FragmentId, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR};
-use alpha_isa::{AlignPolicy, CpuState, JumpKind, Memory, Reg, Trap};
-use ildp_isa::{ASrc, Acc, IInst, ITarget, MemWidth};
+use crate::fragment::{
+    FragmentId, IMeta, RecoveryEntry, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
+};
+use alpha_isa::{AlignPolicy, CpuState, JumpKind, Memory, OperateOp, Reg, Trap};
+use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, MemWidth};
 use ildp_uarch::{DynInst, InstClass};
 
 /// Consumes the retired-instruction stream.
@@ -207,11 +218,484 @@ struct RasEntry {
     epoch: u64,
 }
 
+/// A slot in the engine's unified register file ([`RegFile`]).
+type Slot = u8;
+
+/// Slot every `r31` read resolves to; nothing ever writes it, so it
+/// reads zero. (GPRs r0–r30 occupy the slots of their own numbers.)
+const ZERO: Slot = 31;
+/// Slot of accumulator 0; accumulator `n` lives at `ACC0 + n`.
+const ACC0: Slot = 32;
+/// Write-only slot taking every write to `r31` and every absent `dst`.
+const SINK: Slot = ACC0 + Acc::MAX_ACCUMULATORS as Slot;
+
+/// The slot a read of GPR `r` resolves to.
+fn read_slot(r: Reg) -> Slot {
+    r.number()
+}
+
+/// The slot a write of GPR `r` resolves to.
+fn write_slot(r: Reg) -> Slot {
+    if r.is_zero() {
+        SINK
+    } else {
+        r.number()
+    }
+}
+
+/// The slot an optional modified-form destination resolves to.
+fn dst_slot(dst: Option<Reg>) -> Slot {
+    dst.map_or(SINK, write_slot)
+}
+
+fn acc_slot(acc: Acc) -> Slot {
+    ACC0 + acc.index() as Slot
+}
+
+/// An operand that is a register in the common case and an immediate
+/// only rarely: `file[slot] + k`. A register or accumulator operand has
+/// `k == 0`; an immediate reads the zero slot with `k` its value.
+fn operand(src: ASrc, acc: Acc) -> (Slot, i16) {
+    match src {
+        ASrc::Acc => (acc_slot(acc), 0),
+        ASrc::Gpr(r) => (read_slot(r), 0),
+        ASrc::Imm(v) => (ZERO, v),
+    }
+}
+
+/// The engine's unified register file: GPRs r0–r30, the read-zero slot
+/// for r31, the accumulators and the write sink, addressed by [`Slot`].
+/// It holds 256 entries so that every `u8` slot is in bounds without a
+/// check; only the first `SINK + 1` are used.
+#[derive(Clone, Debug)]
+struct RegFile([u64; 256]);
+
+impl std::ops::Index<Slot> for RegFile {
+    type Output = u64;
+
+    #[inline(always)]
+    fn index(&self, s: Slot) -> &u64 {
+        &self.0[s as usize]
+    }
+}
+
+impl std::ops::IndexMut<Slot> for RegFile {
+    #[inline(always)]
+    fn index_mut(&mut self, s: Slot) -> &mut u64 {
+        &mut self.0[s as usize]
+    }
+}
+
+impl RegFile {
+    /// Reads `file[slot] + k` (see [`operand`]).
+    #[inline(always)]
+    fn val(&self, s: Slot, k: i16) -> u64 {
+        self[s].wrapping_add(k as i64 as u64)
+    }
+
+    /// Loads the architected GPRs at engine entry.
+    fn load(&mut self, cpu: &CpuState) {
+        self.0[..32].copy_from_slice(&cpu.registers());
+    }
+
+    /// Writes the GPRs back to the architected state at engine exit.
+    fn store(&self, cpu: &mut CpuState) {
+        let mut regs = [0; 32];
+        regs.copy_from_slice(&self.0[..32]);
+        cpu.set_registers(&regs);
+    }
+
+    /// The precise architected register state at a PEI (paper §2.2): the
+    /// GPRs merged with the accumulator-resident values named by the
+    /// instruction's recovery entries.
+    fn precise(&self, recovery: Option<&Vec<RecoveryEntry>>) -> Box<[u64; 32]> {
+        let mut state = Box::new([0; 32]);
+        state.copy_from_slice(&self.0[..32]);
+        for e in recovery.into_iter().flatten() {
+            state[e.reg.number() as usize] = self[acc_slot(e.acc)];
+        }
+        state
+    }
+}
+
+/// One installed I-ISA instruction lowered for execution: operands
+/// resolved to [`RegFile`] slots, immediates and the ALU operation split
+/// out, direct links folded in. The translation cache lowers every
+/// instruction at install and re-lowers it at every patch, un-patch and
+/// edit ([`lower`]), so [`Engine::run`] dispatches on this type alone.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Op {
+    /// `set-vpc-base`: nothing to execute.
+    Nop,
+    /// `acc, dst <- op(a + ka, b + kb)`: an ALU operation, each operand
+    /// read as in [`operand`].
+    Alu {
+        op: OperateOp,
+        acc: Slot,
+        dst: Slot,
+        a: Slot,
+        ka: i16,
+        b: Slot,
+        kb: i16,
+    },
+    /// `acc, dst <- a + imm`: `addq`/`subq` with a literal and add-high.
+    /// One executed I-ISA instruction in five on `loops` (one in seven on
+    /// `calls`), so it skips [`OperateOp::eval`]'s dispatch.
+    AddImm {
+        acc: Slot,
+        dst: Slot,
+        a: Slot,
+        imm: i32,
+    },
+    /// `acc, dst <- value`: an operation on immediates alone, folded
+    /// (and `load-embedded-target-address` / `save-V-ISA-return-address`,
+    /// which write one of the two).
+    Const { acc: Slot, dst: Slot, value: u64 },
+    /// An Alpha conditional move in operate form:
+    /// `acc, dst <- cmov_taken(a) ? b : acc`.
+    Cmov {
+        op: OperateOp,
+        acc: Slot,
+        dst: Slot,
+        a: Slot,
+        ka: i16,
+        b: Slot,
+        kb: i16,
+    },
+    /// `acc, dst <- (low bit of acc == lbs) ? value : old`.
+    CmovSelect {
+        lbs: bool,
+        acc: Slot,
+        dst: Slot,
+        value: Slot,
+        kv: i16,
+        old: Slot,
+    },
+    /// `acc, dst <- mem[addr + disp]`.
+    Load {
+        width: MemWidth,
+        acc: Slot,
+        dst: Slot,
+        addr: Slot,
+        disp: i32,
+    },
+    /// `mem[addr + disp] <- value`.
+    Store {
+        width: MemWidth,
+        addr: Slot,
+        disp: i32,
+        value: Slot,
+        kv: i16,
+    },
+    /// `copy-to-GPR` / `copy-from-GPR`: `dst <- src`.
+    Mov { dst: Slot, src: Slot },
+    /// A resolved conditional branch; `taken_pc` is the traced target.
+    CondBr {
+        cond: CondKind,
+        src: Slot,
+        k: i16,
+        link: Option<FragmentId>,
+        taken_pc: u64,
+    },
+    /// A resolved unconditional branch.
+    Br { link: Option<FragmentId> },
+    /// A return through the dual-address RAS.
+    Ret { addr: Slot, k: i16 },
+    /// `push-dual-address-RAS` with a resolved I-side address; `link` is
+    /// the raw id of the fragment `iret` enters, [`NO_LINK`] if none.
+    PushRas { vret: u64, iret: u64, link: u32 },
+    /// A dual-RAS push whose I-side address was never resolved.
+    PushRasUnresolved,
+    /// `call-translator-if-condition-is-met`.
+    ExitIf {
+        cond: CondKind,
+        src: Slot,
+        k: i16,
+        vtarget: u64,
+    },
+    /// `call-translator`.
+    Exit { vtarget: u64 },
+    /// Transfer to the shared dispatch code.
+    Dispatch { src: Slot, k: i16 },
+    /// Raise `gentrap`.
+    GenTrap,
+    /// Console byte output.
+    PutChar { src: Slot, k: i16 },
+    /// Halt the machine.
+    Halt,
+}
+
+/// [`Op::PushRas`]'s `link` for a push with no direct link.
+const NO_LINK: u32 = u32::MAX;
+
+// Every op fits three words, so the lowered stream stays compact.
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
+
+/// Lowers one installed instruction. `link` is its direct link and
+/// `fallthrough` the I-address after it (the traced target of a branch
+/// whose target is not an address).
+pub(crate) fn lower(inst: &IInst, link: Option<FragmentId>, fallthrough: u64) -> Op {
+    let taken_pc = |target: ITarget| match target {
+        ITarget::Addr(a) => a,
+        ITarget::Local(_) => fallthrough,
+    };
+    let imm = |v: i16| v as i64 as u64;
+    match *inst {
+        IInst::Op {
+            op,
+            acc,
+            lhs,
+            rhs,
+            dst,
+        } => {
+            let (a, ka) = operand(lhs, acc);
+            let (b, kb) = operand(rhs, acc);
+            let (acc, dst) = (acc_slot(acc), dst_slot(dst));
+            if op.is_cmov() {
+                return Op::Cmov {
+                    op,
+                    acc,
+                    dst,
+                    a,
+                    ka,
+                    b,
+                    kb,
+                };
+            }
+            match (lhs, rhs) {
+                (ASrc::Imm(x), ASrc::Imm(y)) => Op::Const {
+                    acc,
+                    dst,
+                    value: op.eval(imm(x), imm(y)),
+                },
+                (_, ASrc::Imm(y)) if op == OperateOp::Addq => Op::AddImm {
+                    acc,
+                    dst,
+                    a,
+                    imm: y.into(),
+                },
+                (_, ASrc::Imm(y)) if op == OperateOp::Subq => Op::AddImm {
+                    acc,
+                    dst,
+                    a,
+                    imm: -i32::from(y),
+                },
+                _ => Op::Alu {
+                    op,
+                    acc,
+                    dst,
+                    a,
+                    ka,
+                    b,
+                    kb,
+                },
+            }
+        }
+        IInst::AddHigh {
+            acc,
+            src,
+            imm: hi,
+            dst,
+        } => {
+            let high = i32::from(hi) << 16;
+            let (acc_s, dst) = (acc_slot(acc), dst_slot(dst));
+            match src {
+                ASrc::Imm(v) => Op::Const {
+                    acc: acc_s,
+                    dst,
+                    value: imm(v).wrapping_add(high as i64 as u64),
+                },
+                _ => Op::AddImm {
+                    acc: acc_s,
+                    dst,
+                    a: operand(src, acc).0,
+                    imm: high,
+                },
+            }
+        }
+        IInst::CmovSelect {
+            lbs,
+            acc,
+            value,
+            old,
+            dst,
+        } => {
+            let (value, kv) = operand(value, acc);
+            Op::CmovSelect {
+                lbs,
+                acc: acc_slot(acc),
+                dst: dst_slot(dst),
+                value,
+                kv,
+                old: read_slot(old),
+            }
+        }
+        IInst::Load {
+            acc,
+            width,
+            addr,
+            disp,
+            dst,
+        } => {
+            let (addr, k) = operand(addr, acc);
+            Op::Load {
+                width,
+                acc: acc_slot(acc),
+                dst: dst_slot(dst),
+                addr,
+                disp: i32::from(k) + i32::from(disp),
+            }
+        }
+        IInst::Store {
+            acc,
+            width,
+            addr,
+            disp,
+            value,
+        } => {
+            let (addr, k) = operand(addr, acc);
+            let (value, kv) = operand(value, acc);
+            Op::Store {
+                width,
+                addr,
+                disp: i32::from(k) + i32::from(disp),
+                value,
+                kv,
+            }
+        }
+        IInst::CopyToGpr { acc, dst } => Op::Mov {
+            dst: write_slot(dst),
+            src: acc_slot(acc),
+        },
+        IInst::CopyFromGpr { acc, src } => Op::Mov {
+            dst: acc_slot(acc),
+            src: read_slot(src),
+        },
+        IInst::CondBranch {
+            cond,
+            acc,
+            src,
+            target,
+        } => {
+            let (src, k) = operand(src, acc);
+            Op::CondBr {
+                cond,
+                src,
+                k,
+                link,
+                taken_pc: taken_pc(target),
+            }
+        }
+        IInst::Branch { .. } => Op::Br { link },
+        IInst::IndirectJump { acc, kind, addr } => {
+            debug_assert_eq!(kind, JumpKind::Ret, "only returns reach the engine");
+            let (addr, k) = operand(addr, acc);
+            Op::Ret { addr, k }
+        }
+        IInst::SetVpcBase { .. } => Op::Nop,
+        IInst::LoadEmbeddedTarget { acc, vaddr } => Op::Const {
+            acc: acc_slot(acc),
+            dst: SINK,
+            value: vaddr,
+        },
+        IInst::SaveVReturn { dst, vaddr } => Op::Const {
+            acc: SINK,
+            dst: write_slot(dst),
+            value: vaddr,
+        },
+        IInst::PushDualRas { vret, iret } => match iret {
+            ITarget::Addr(iret) => Op::PushRas {
+                vret,
+                iret,
+                link: link.map_or(NO_LINK, |f| f.0),
+            },
+            ITarget::Local(_) => Op::PushRasUnresolved,
+        },
+        IInst::CallTranslatorIfCond {
+            cond,
+            acc,
+            src,
+            vtarget,
+        } => {
+            let (src, k) = operand(src, acc);
+            Op::ExitIf {
+                cond,
+                src,
+                k,
+                vtarget,
+            }
+        }
+        IInst::CallTranslator { vtarget } => Op::Exit { vtarget },
+        IInst::Dispatch { acc, src } => {
+            let (src, k) = operand(src, acc);
+            Op::Dispatch { src, k }
+        }
+        IInst::GenTrap => Op::GenTrap,
+        IInst::PutChar { acc, src } => {
+            let (src, k) = operand(src, acc);
+            Op::PutChar { src, k }
+        }
+        IInst::Halt => Op::Halt,
+    }
+}
+
+/// One row of a fragment's retirement prefix table: what instructions
+/// `[0, k)` retire. The engine settles a stretch `[from, to)` of
+/// executed instructions as the difference of two rows, at fragment
+/// exits and self-loops, instead of counting per instruction.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub(crate) struct Retired {
+    pub(crate) v_insts: u32,
+    pub(crate) chain: u32,
+    pub(crate) copies: u32,
+    pub(crate) categories: [u32; UsageCat::COUNT],
+}
+
+impl Retired {
+    /// The prefix table of a fragment: `insts.len() + 1` rows.
+    pub(crate) fn table(insts: &[IInst], meta: &[IMeta]) -> Vec<Retired> {
+        let mut row = Retired::default();
+        let mut table = Vec::with_capacity(insts.len() + 1);
+        table.push(row);
+        for (inst, m) in insts.iter().zip(meta) {
+            row.v_insts += u32::from(m.vcount);
+            row.chain += u32::from(m.is_chain);
+            row.copies += u32::from(inst.is_copy());
+            if let Some(cat) = m.category {
+                row.categories[cat.index()] += 1;
+            }
+            table.push(row);
+        }
+        table
+    }
+}
+
+impl EngineStats {
+    /// Books the retirement of instructions `[from, to)` of a fragment
+    /// whose prefix table is `table`.
+    #[inline]
+    fn settle(&mut self, table: &[Retired], from: usize, to: usize) {
+        let (a, b) = (&table[from], &table[to]);
+        self.executed += (to - from) as u64;
+        self.v_insts += u64::from(b.v_insts - a.v_insts);
+        self.chain_executed += u64::from(b.chain - a.chain);
+        self.copies_executed += u64::from(b.copies - a.copies);
+        for (n, (x, y)) in self
+            .categories
+            .0
+            .iter_mut()
+            .zip(a.categories.iter().zip(&b.categories))
+        {
+            *n += u64::from(y - x);
+        }
+    }
+}
+
 /// The fragment execution engine. See the module documentation.
 #[derive(Clone, Debug)]
 pub struct Engine {
     config: EngineConfig,
-    accs: [u64; Acc::MAX_ACCUMULATORS],
+    file: RegFile,
     ras: Vec<RasEntry>,
     ras_top: usize,
     ras_live: usize,
@@ -226,7 +710,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Engine {
         Engine {
             config,
-            accs: [0; Acc::MAX_ACCUMULATORS],
+            file: RegFile([0; 256]),
             ras: vec![RasEntry::default(); config.ras_depth],
             ras_top: 0,
             ras_live: 0,
@@ -251,53 +735,28 @@ impl Engine {
         Some(entry)
     }
 
-    #[inline]
-    fn val(&self, src: ASrc, acc: Acc, cpu: &CpuState) -> u64 {
-        match src {
-            ASrc::Acc => self.accs[acc.index()],
-            ASrc::Gpr(r) => cpu.read(r),
-            ASrc::Imm(v) => v as i64 as u64,
-        }
-    }
-
-    /// Recovers the full architected register state at a PEI (paper §2.2):
-    /// the GPR file merged with accumulator-resident values.
-    fn recover_state(
-        &self,
-        cache: &TranslationCache,
-        fid: FragmentId,
-        idx: u32,
-        cpu: &CpuState,
-    ) -> Box<[u64; 32]> {
-        let mut state = Box::new(cpu.registers());
-        if let Some(entries) = cache.fragment(fid).recovery.get(&idx) {
-            for e in entries {
-                state[e.reg.number() as usize] = self.accs[e.acc.index()];
-            }
-        }
-        state
-    }
-
     /// Models one pass through the shared dispatch code (paper: 20
     /// instructions, ending in the indirect jump that `no_pred` chaining
-    /// stresses): charges its instruction cost to the statistics and, for
-    /// tracing sinks, streams the dispatch sequence's retire records —
-    /// `target_iaddr` is the I-address the final indirect jump lands on
-    /// (`None` models a miss, which re-enters the dispatch address). The
-    /// caller decides where control actually continues.
+    /// stresses) to V-address `vtarget`: charges its instruction cost to
+    /// the statistics and, for tracing sinks, streams the dispatch
+    /// sequence's retire records. Returns the fragment translated from
+    /// `vtarget`, where control continues (`None`: a miss, which the
+    /// final indirect jump models as re-entering the dispatch address).
     fn run_dispatch<S: TraceSink>(
         &mut self,
+        cache: &TranslationCache,
         vtarget: u64,
-        target_iaddr: Option<u64>,
         sink: &mut S,
-    ) {
+    ) -> Option<FragmentId> {
+        let target = cache.lookup(vtarget);
         self.stats.dispatches += 1;
         let n = self.config.dispatch_cost.max(2);
         self.stats.executed += n as u64;
         self.stats.chain_executed += n as u64;
         if !S::TRACING {
-            return;
+            return target;
         }
+        let target_iaddr = target.map(|t| cache.fragment(t).istart);
         // A short dependence chain: hash the V-PC, probe the translation
         // table (two loads), compare, then jump indirect.
         let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
@@ -325,6 +784,7 @@ impl Engine {
             }
             sink.retire(&d);
         }
+        target
     }
 
     /// Executes translated code starting at `entry` until the program
@@ -332,7 +792,8 @@ impl Engine {
     ///
     /// `cpu` is the architected GPR file (`cpu.pc` is not used while in
     /// translated code — the implementation PC sequences fragments, as in
-    /// the paper's §2.2).
+    /// the paper's §2.2). The engine executes against its own unified
+    /// register file, loaded from `cpu` here and written back on return.
     ///
     /// Monomorphized over the sink: with a non-tracing sink
     /// ([`NullSink`]), record construction compiles out entirely.
@@ -345,29 +806,41 @@ impl Engine {
         budget_v: u64,
         sink: &mut S,
     ) -> FragExit {
+        self.file.load(cpu);
+        let exit = self.execute(cache, entry, &mut cpu.pc, mem, budget_v, sink);
+        self.file.store(cpu);
+        exit
+    }
+
+    fn execute<S: TraceSink>(
+        &mut self,
+        cache: &mut TranslationCache,
+        entry: FragmentId,
+        pc: &mut u64,
+        mem: &mut Memory,
+        budget_v: u64,
+        sink: &mut S,
+    ) -> FragExit {
         let mut fid = entry;
         // Watchdog: preempt at the next fragment boundary once this many
         // V-instructions have retired in this dispatch.
         let fuel_limit = self.config.fuel.map(|f| self.stats.v_insts + f.max(1));
         // Every transfer of control *between* fragments converges on the
         // top of this loop: it books fragment entries and re-borrows the
-        // new fragment's instruction / metadata / link / template slices
-        // once, so the per-instruction loop below indexes flat slices
-        // instead of re-resolving the fragment through the cache on every
-        // iteration. Self-transfers (the hot shape after region
-        // re-formation) take a fast path at the bottom of the inner loop
-        // that restarts at index 0 with the slices already in hand.
+        // new fragment's op / retirement / template slices once, so the
+        // per-instruction loop below indexes flat slices instead of
+        // re-resolving the fragment through the cache on every iteration.
+        // Self-transfers (the hot shape after region re-formation) take a
+        // fast path at the bottom of the inner loop that restarts at the
+        // loop entry with the slices already in hand.
         'fragment: loop {
             // A stale direct path into an invalidated slot is a contained
             // fault, not a panic: the unlink paths should make this
             // unreachable, but a resilient engine verifies.
-            let vstart = match cache.try_fragment_mut(fid) {
-                None => {
-                    return FragExit::Fault {
-                        error: VmError::DeadFragment { fragment: fid.0 },
-                    }
-                }
-                Some(f) => f.vstart,
+            let Some(vstart) = cache.try_fragment(fid).map(|f| f.vstart) else {
+                return FragExit::Fault {
+                    error: VmError::DeadFragment { fragment: fid.0 },
+                };
             };
             // Budget and fuel are checked only at fragment boundaries,
             // where the GPR file is architecturally complete and the
@@ -376,7 +849,7 @@ impl Engine {
             // loop top and `idx` below only moves forward, so the
             // overshoot is bounded by one fragment.
             if self.stats.v_insts >= budget_v {
-                cpu.pc = vstart;
+                *pc = vstart;
                 return FragExit::Budget;
             }
             if let Some(limit) = fuel_limit {
@@ -400,13 +873,12 @@ impl Engine {
                 return FragExit::RegionHot { vtarget: vstart };
             }
             self.stats.fragment_entries += 1;
+            if S::TRACING {
+                cache.build_templates(fid);
+            }
             let frag = cache.fragment(fid);
-            let insts = frag.insts.as_slice();
-            // Reslicing the parallel arrays to the instruction count lets
-            // the loop below index them without further bounds checks once
-            // `insts.get(idx)` has succeeded.
-            let metas = &frag.meta.as_slice()[..insts.len()];
-            let links = &frag.links.as_slice()[..insts.len()];
+            let ops = frag.ops.as_slice();
+            let retired = frag.retired.as_slice();
             let templates = frag.templates.as_slice();
             // Self-transfers (a fragment branching back to its own head,
             // the shape every re-formed loop region resolves to) restart
@@ -417,257 +889,236 @@ impl Engine {
             // Resume index for self-transfers: past the leading
             // `set-vpc-base` (always emitted first), which only re-asserts
             // the base address a self-loop already has.
-            let loop_entry = usize::from(matches!(insts.first(), Some(IInst::SetVpcBase { .. })));
-            // Retirement counters accumulate in locals — per-instruction
-            // read-modify-writes through `self.stats` cannot stay in
-            // registers across the `&self` helper calls below — and are
-            // flushed into the statistics at every exit from this loop,
-            // alongside `pending_entries`.
-            let mut executed_l: u64 = 0;
-            let mut v_insts_l: u64 = 0;
-            let mut chain_l: u64 = 0;
-            let mut cats_l = CategoryCounts::default();
+            let loop_entry = usize::from(matches!(ops.first(), Some(Op::Nop)));
+            // Instructions `[start, idx)` have executed on this pass but
+            // their retirement is not yet booked: it is settled from the
+            // prefix table at every self-loop and every exit.
+            let mut start: usize = 0;
             let mut idx: usize = 0;
             loop {
-                let Some(&inst) = insts.get(idx) else {
+                // Leaves the fragment: settles retirement through
+                // instruction `$end` (exclusive) and the batched
+                // self-loop entries.
+                macro_rules! settle {
+                    ($end:expr) => {{
+                        self.stats.settle(retired, start, $end);
+                        if pending_entries != 0 {
+                            cache.fragment_mut(fid).entries += pending_entries;
+                        }
+                    }};
+                }
+                let Some(&op) = ops.get(idx) else {
                     // Ran off the fragment's end without a block terminal —
                     // only reachable through corruption.
-                    if pending_entries != 0 {
-                        cache.fragment_mut(fid).entries += pending_entries;
-                    }
-                    self.stats.executed += executed_l;
-                    self.stats.v_insts += v_insts_l;
-                    self.stats.chain_executed += chain_l;
-                    self.stats.categories.merge(&cats_l);
+                    settle!(ops.len());
                     return FragExit::Fault {
                         error: VmError::FragmentOverrun { fragment: fid.0 },
                     };
                 };
-                let meta = metas[idx];
-                let link = links[idx];
 
-                // The install-time template carries every static record field;
-                // only dynamic outcomes (taken, mem_addr, v_target, the taken
+                // The template carries every static record field; only
+                // dynamic outcomes (taken, mem_addr, v_target, the taken
                 // next_pc) are patched below.
                 let mut d = if S::TRACING {
                     templates[idx]
                 } else {
                     DynInst::alu(0, 0)
                 };
-
-                executed_l += 1;
-                v_insts_l += meta.vcount as u64;
-                if meta.is_chain {
-                    chain_l += 1;
+                // Retires this instruction's record, settles through it and
+                // returns `$exit` (evaluated first: trap state reads the
+                // register file as it is before the exit).
+                macro_rules! leave {
+                    ($exit:expr) => {{
+                        let exit = $exit;
+                        if S::TRACING {
+                            sink.retire(&d);
+                        }
+                        settle!(idx + 1);
+                        return exit;
+                    }};
                 }
-                if let Some(cat) = meta.category {
-                    cats_l.bump(cat);
-                }
+                let precise = move |file: &RegFile| file.precise(frag.recovery.get(&(idx as u32)));
+                let unlinked = move || FragExit::Fault {
+                    error: VmError::UnlinkedTransfer {
+                        fragment: fid.0,
+                        index: idx as u32,
+                    },
+                };
+                let f = &mut self.file;
 
-                // Control decision made while executing; `None` means fall
+                // The fragment control transfers to, if any; `None` falls
                 // through to idx + 1.
-                let mut goto: Option<FragmentId> = None;
-                let mut exit: Option<FragExit> = None;
-
-                match inst {
-                    IInst::Op {
+                let goto = match op {
+                    Op::Nop => None,
+                    Op::Alu {
                         op,
                         acc,
-                        lhs,
-                        rhs,
                         dst,
+                        a,
+                        ka,
+                        b,
+                        kb,
                     } => {
-                        let a = self.val(lhs, acc, cpu);
-                        let b = self.val(rhs, acc, cpu);
-                        let result = if op.is_cmov() {
-                            // Defensive: cmov ops in Op form select against the
-                            // current accumulator value.
-                            if op.cmov_taken(a) {
-                                b
-                            } else {
-                                self.accs[acc.index()]
-                            }
-                        } else {
-                            op.eval(a, b)
-                        };
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
+                        let r = op.eval(f.val(a, ka), f.val(b, kb));
+                        f[acc] = r;
+                        f[dst] = r;
+                        None
                     }
-                    IInst::AddHigh { acc, src, imm, dst } => {
-                        let base = self.val(src, acc, cpu);
-                        let result = base.wrapping_add(((imm as i64) << 16) as u64);
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
+                    Op::AddImm { acc, dst, a, imm } => {
+                        let r = f[a].wrapping_add(imm as i64 as u64);
+                        f[acc] = r;
+                        f[dst] = r;
+                        None
                     }
-                    IInst::CmovSelect {
+                    Op::Const { acc, dst, value } => {
+                        f[acc] = value;
+                        f[dst] = value;
+                        None
+                    }
+                    Op::Cmov {
+                        op,
                         acc,
+                        dst,
+                        a,
+                        ka,
+                        b,
+                        kb,
+                    } => {
+                        let r = if op.cmov_taken(f.val(a, ka)) {
+                            f.val(b, kb)
+                        } else {
+                            f[acc]
+                        };
+                        f[acc] = r;
+                        f[dst] = r;
+                        None
+                    }
+                    Op::CmovSelect {
                         lbs,
+                        acc,
+                        dst,
                         value,
+                        kv,
                         old,
-                        dst,
                     } => {
-                        let test = self.accs[acc.index()];
-                        let taken = (test & 1 == 1) == lbs;
-                        let result = if taken {
-                            self.val(value, acc, cpu)
+                        let r = if (f[acc] & 1 == 1) == lbs {
+                            f.val(value, kv)
                         } else {
-                            cpu.read(old)
+                            f[old]
                         };
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
+                        f[acc] = r;
+                        f[dst] = r;
+                        None
                     }
-                    IInst::Load {
-                        acc,
+                    Op::Load {
                         width,
+                        acc,
+                        dst,
                         addr,
                         disp,
-                        dst,
                     } => {
-                        let a = self.val(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        match check_align(a, width, self.config.align) {
-                            Err(trap) => {
-                                exit = Some(FragExit::Trap {
-                                    vaddr: meta.vaddr,
-                                    trap,
-                                    state: self.recover_state(cache, fid, idx as u32, cpu),
-                                });
-                            }
-                            Ok(()) => {
-                                if S::TRACING {
-                                    d.mem_addr = Some(a);
-                                }
-                                let v = match width {
-                                    MemWidth::U8 => mem.read_u8(a) as u64,
-                                    MemWidth::U16 => mem.read_u16(a) as u64,
-                                    MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
-                                    MemWidth::U64 => mem.read_u64(a),
-                                };
-                                self.accs[acc.index()] = v;
-                                if let Some(r) = dst {
-                                    cpu.write(r, v);
-                                }
-                            }
+                        let a = f[addr].wrapping_add(disp as i64 as u64);
+                        if let Err(trap) = check_align(a, width, self.config.align) {
+                            leave!(FragExit::Trap {
+                                vaddr: frag.meta[idx].vaddr,
+                                trap,
+                                state: precise(f),
+                            });
                         }
+                        if S::TRACING {
+                            d.mem_addr = Some(a);
+                        }
+                        let v = match width {
+                            MemWidth::U8 => mem.read_u8(a) as u64,
+                            MemWidth::U16 => mem.read_u16(a) as u64,
+                            MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
+                            MemWidth::U64 => mem.read_u64(a),
+                        };
+                        f[acc] = v;
+                        f[dst] = v;
+                        None
                     }
-                    IInst::Store {
-                        acc,
+                    Op::Store {
                         width,
                         addr,
                         disp,
                         value,
+                        kv,
                     } => {
-                        let a = self.val(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        match check_align(a, width, self.config.align) {
-                            Err(trap) => {
-                                exit = Some(FragExit::Trap {
-                                    vaddr: meta.vaddr,
-                                    trap,
-                                    state: self.recover_state(cache, fid, idx as u32, cpu),
-                                });
-                            }
-                            Ok(()) => {
-                                let len = width.bytes() as u64;
-                                if cache.smc_hit(a, len) {
-                                    // Self-modifying code: surface the store
-                                    // *before* it executes, with precise state
-                                    // (the store's recovery table), and roll
-                                    // back its retirement accounting — the VM
-                                    // re-runs it interpretively after
-                                    // invalidating the affected fragments.
-                                    executed_l -= 1;
-                                    v_insts_l -= meta.vcount as u64;
-                                    if pending_entries != 0 {
-                                        cache.fragment_mut(fid).entries += pending_entries;
-                                    }
-                                    self.stats.executed += executed_l;
-                                    self.stats.v_insts += v_insts_l;
-                                    self.stats.chain_executed += chain_l;
-                                    self.stats.categories.merge(&cats_l);
-                                    return FragExit::SmcStore {
-                                        addr: a,
-                                        len,
-                                        vaddr: meta.vaddr,
-                                        state: self.recover_state(cache, fid, idx as u32, cpu),
-                                    };
-                                }
-                                if S::TRACING {
-                                    d.mem_addr = Some(a);
-                                }
-                                let v = self.val(value, acc, cpu);
-                                match width {
-                                    MemWidth::U8 => mem.write_u8(a, v as u8),
-                                    MemWidth::U16 => mem.write_u16(a, v as u16),
-                                    MemWidth::I32 => mem.write_u32(a, v as u32),
-                                    MemWidth::U64 => mem.write_u64(a, v),
-                                }
-                            }
+                        let a = f[addr].wrapping_add(disp as i64 as u64);
+                        if let Err(trap) = check_align(a, width, self.config.align) {
+                            leave!(FragExit::Trap {
+                                vaddr: frag.meta[idx].vaddr,
+                                trap,
+                                state: precise(f),
+                            });
                         }
+                        let len = width.bytes() as u64;
+                        if cache.smc_hit(a, len) {
+                            // Self-modifying code: surface the store
+                            // *before* it executes, with precise state
+                            // (the store's recovery table). The store
+                            // retires nothing — the VM re-runs it
+                            // interpretively after invalidating the
+                            // affected fragments — so settlement stops
+                            // short of it.
+                            let exit = FragExit::SmcStore {
+                                addr: a,
+                                len,
+                                vaddr: frag.meta[idx].vaddr,
+                                state: precise(f),
+                            };
+                            settle!(idx);
+                            return exit;
+                        }
+                        if S::TRACING {
+                            d.mem_addr = Some(a);
+                        }
+                        let v = f.val(value, kv);
+                        match width {
+                            MemWidth::U8 => mem.write_u8(a, v as u8),
+                            MemWidth::U16 => mem.write_u16(a, v as u16),
+                            MemWidth::I32 => mem.write_u32(a, v as u32),
+                            MemWidth::U64 => mem.write_u64(a, v),
+                        }
+                        None
                     }
-                    IInst::CopyToGpr { acc, dst } => {
-                        self.stats.copies_executed += 1;
-                        cpu.write(dst, self.accs[acc.index()]);
+                    Op::Mov { dst, src } => {
+                        f[dst] = f[src];
+                        None
                     }
-                    IInst::CopyFromGpr { acc, src } => {
-                        self.stats.copies_executed += 1;
-                        self.accs[acc.index()] = cpu.read(src);
-                    }
-                    IInst::CondBranch {
-                        acc,
+                    Op::CondBr {
                         cond,
                         src,
-                        target,
+                        k,
+                        link,
+                        taken_pc,
                     } => {
-                        let taken = cond.eval(self.val(src, acc, cpu));
-                        if taken {
+                        if cond.eval(f.val(src, k)) {
                             // Every resolved branch keeps its direct link in
                             // lockstep with the instruction word; a missing
                             // link means the target fragment vanished without
                             // this site being un-patched.
-                            match link {
-                                Some(t) => {
-                                    if S::TRACING {
-                                        d.taken = true;
-                                        if let ITarget::Addr(a) = target {
-                                            d.next_pc = a;
-                                        }
-                                    }
-                                    goto = Some(t);
-                                }
-                                None => {
-                                    exit = Some(FragExit::Fault {
-                                        error: VmError::UnlinkedTransfer {
-                                            fragment: fid.0,
-                                            index: idx as u32,
-                                        },
-                                    });
-                                }
+                            let Some(t) = link else {
+                                leave!(unlinked());
+                            };
+                            if S::TRACING {
+                                d.taken = true;
+                                d.next_pc = taken_pc;
                             }
+                            Some(t)
+                        } else {
+                            None
                         }
                     }
-                    IInst::Branch { .. } => {
-                        // class, taken and next_pc are static — already in the
-                        // template.
-                        match link {
-                            Some(t) => goto = Some(t),
-                            None => {
-                                exit = Some(FragExit::Fault {
-                                    error: VmError::UnlinkedTransfer {
-                                        fragment: fid.0,
-                                        index: idx as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    IInst::IndirectJump { acc, kind, addr } => {
-                        debug_assert_eq!(kind, JumpKind::Ret, "only returns reach the engine");
-                        let actual_v = self.val(addr, acc, cpu) & !3u64;
+                    // class, taken and next_pc are static — already in the
+                    // template.
+                    Op::Br { link } => match link {
+                        Some(t) => Some(t),
+                        None => leave!(unlinked()),
+                    },
+                    Op::Ret { addr, k } => {
+                        let actual_v = f.val(addr, k) & !3u64;
                         if S::TRACING {
                             d.v_target = actual_v;
                         }
@@ -678,28 +1129,20 @@ impl Engine {
                                     d.taken = true;
                                     d.next_pc = e.i;
                                 }
-                                // The direct link is valid only within the epoch
-                                // it was captured in: a stale link (the cache was
-                                // flushed since the push) and an unresolved push
-                                // (no link) both go through dispatch,
-                                // architecturally correct either way.
+                                // The direct link is valid only within the
+                                // epoch it was captured in: a stale link (the
+                                // cache was flushed since the push) and an
+                                // unresolved push (no link) both go through
+                                // dispatch, architecturally correct either
+                                // way.
                                 match e.link.filter(|_| e.epoch == cache.epoch()) {
-                                    Some(t) => goto = Some(t),
+                                    Some(t) => Some(t),
                                     None => {
                                         if S::TRACING {
                                             sink.retire(&d);
                                         }
-                                        if pending_entries != 0 {
-                                            cache.fragment_mut(fid).entries += pending_entries;
-                                        }
-                                        self.stats.executed += executed_l;
-                                        self.stats.v_insts += v_insts_l;
-                                        self.stats.chain_executed += chain_l;
-                                        self.stats.categories.merge(&cats_l);
-                                        let target = cache.lookup(actual_v);
-                                        let ti = target.map(|t| cache.fragment(t).istart);
-                                        self.run_dispatch(actual_v, ti, sink);
-                                        match target {
+                                        settle!(idx + 1);
+                                        match self.run_dispatch(cache, actual_v, sink) {
                                             Some(t) => {
                                                 fid = t;
                                                 continue 'fragment;
@@ -718,42 +1161,34 @@ impl Engine {
                                 // instruction that follows the return (the
                                 // template's taken stays false).
                                 self.stats.ras_misses += 1;
+                                None
                             }
                         }
                     }
-                    IInst::SetVpcBase { .. } => {}
-                    IInst::LoadEmbeddedTarget { acc, vaddr } => {
-                        self.accs[acc.index()] = vaddr;
+                    // class and ras_pair are static — in the template.
+                    Op::PushRas { vret, iret, link } => {
+                        let epoch = cache.epoch();
+                        self.ras_push(RasEntry {
+                            v: vret,
+                            i: iret,
+                            link: (link != NO_LINK).then_some(FragmentId(link)),
+                            epoch,
+                        });
+                        None
                     }
-                    IInst::SaveVReturn { dst, vaddr } => {
-                        cpu.write(dst, vaddr);
-                    }
-                    IInst::PushDualRas { vret, iret } => {
-                        // class and ras_pair are static — in the template.
-                        match iret {
-                            ITarget::Addr(i) => self.ras_push(RasEntry {
-                                v: vret,
-                                i,
-                                link,
-                                epoch: cache.epoch(),
-                            }),
-                            ITarget::Local(_) => {
-                                exit = Some(FragExit::Fault {
-                                    error: VmError::UnresolvedDualRas {
-                                        fragment: fid.0,
-                                        index: idx as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    IInst::CallTranslatorIfCond {
-                        acc,
+                    Op::PushRasUnresolved => leave!(FragExit::Fault {
+                        error: VmError::UnresolvedDualRas {
+                            fragment: fid.0,
+                            index: idx as u32,
+                        },
+                    }),
+                    Op::ExitIf {
                         cond,
                         src,
+                        k,
                         vtarget,
                     } => {
-                        let taken = cond.eval(self.val(src, acc, cpu));
+                        let taken = cond.eval(f.val(src, k));
                         if S::TRACING {
                             d.taken = taken;
                             if taken {
@@ -761,29 +1196,19 @@ impl Engine {
                             }
                         }
                         if taken {
-                            exit = Some(FragExit::NotTranslated { vtarget });
+                            leave!(FragExit::NotTranslated { vtarget });
                         }
+                        None
                     }
-                    IInst::CallTranslator { vtarget } => {
-                        // class, taken and next_pc are static — in the template.
-                        exit = Some(FragExit::NotTranslated { vtarget });
-                    }
-                    IInst::Dispatch { acc, src } => {
-                        let v = self.val(src, acc, cpu) & !3u64;
+                    // class, taken and next_pc are static — in the template.
+                    Op::Exit { vtarget } => leave!(FragExit::NotTranslated { vtarget }),
+                    Op::Dispatch { src, k } => {
+                        let v = f.val(src, k) & !3u64;
                         if S::TRACING {
                             sink.retire(&d);
                         }
-                        if pending_entries != 0 {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                        }
-                        self.stats.executed += executed_l;
-                        self.stats.v_insts += v_insts_l;
-                        self.stats.chain_executed += chain_l;
-                        self.stats.categories.merge(&cats_l);
-                        let target = cache.lookup(v);
-                        let ti = target.map(|t| cache.fragment(t).istart);
-                        self.run_dispatch(v, ti, sink);
-                        match target {
+                        settle!(idx + 1);
+                        match self.run_dispatch(cache, v, sink) {
                             Some(t) => {
                                 fid = t;
                                 continue 'fragment;
@@ -791,98 +1216,68 @@ impl Engine {
                             None => return FragExit::NotTranslated { vtarget: v },
                         }
                     }
-                    IInst::GenTrap => {
-                        let state = self.recover_state(cache, fid, idx as u32, cpu);
-                        exit = Some(FragExit::Trap {
-                            vaddr: meta.vaddr,
+                    Op::GenTrap => {
+                        let state = precise(f);
+                        leave!(FragExit::Trap {
+                            vaddr: frag.meta[idx].vaddr,
                             trap: Trap::GenTrap {
                                 code: state[Reg::A0.number() as usize],
                             },
                             state,
                         });
                     }
-                    IInst::PutChar { acc, src } => {
-                        let b = self.val(src, acc, cpu) as u8;
+                    Op::PutChar { src, k } => {
+                        let b = f.val(src, k) as u8;
                         self.output.push(b);
+                        None
                     }
-                    IInst::Halt => {
-                        exit = Some(FragExit::Halt);
-                    }
-                }
+                    Op::Halt => leave!(FragExit::Halt),
+                };
 
                 if S::TRACING {
                     sink.retire(&d);
                 }
-                if let Some(e) = exit {
-                    if pending_entries != 0 {
+                let Some(t) = goto else {
+                    idx += 1;
+                    continue;
+                };
+                if t != fid {
+                    settle!(idx + 1);
+                    fid = t;
+                    continue 'fragment;
+                }
+                // Self-transfer fast path: the target is the fragment
+                // already resident in the loop's slices, so restart
+                // without re-borrowing it — keeping the boundary checks
+                // and the entry accounting the loop top would have
+                // performed. The GPR file is architecturally complete here
+                // (every fragment entry assumes it), so budget, fuel, and
+                // region-hot exits stay resumable.
+                self.stats.settle(retired, start, idx + 1);
+                start = loop_entry;
+                if self.stats.v_insts >= budget_v {
+                    cache.fragment_mut(fid).entries += pending_entries;
+                    *pc = vstart;
+                    return FragExit::Budget;
+                }
+                if let Some(limit) = fuel_limit {
+                    if self.stats.v_insts >= limit {
                         cache.fragment_mut(fid).entries += pending_entries;
-                    }
-                    self.stats.executed += executed_l;
-                    self.stats.v_insts += v_insts_l;
-                    self.stats.chain_executed += chain_l;
-                    self.stats.categories.merge(&cats_l);
-                    return e;
-                }
-                match goto {
-                    None => idx += 1,
-                    Some(t) if t == fid => {
-                        // Self-transfer fast path: the target is the
-                        // fragment already resident in the loop's slices,
-                        // so restart at index 0 without re-borrowing it —
-                        // keeping the boundary checks and the entry
-                        // accounting the loop top would have performed.
-                        // The GPR file is architecturally complete here
-                        // (every fragment entry assumes it), so budget,
-                        // fuel, and region-hot exits stay resumable.
-                        if self.stats.v_insts + v_insts_l >= budget_v {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                            self.stats.executed += executed_l;
-                            self.stats.v_insts += v_insts_l;
-                            self.stats.chain_executed += chain_l;
-                            self.stats.categories.merge(&cats_l);
-                            cpu.pc = vstart;
-                            return FragExit::Budget;
-                        }
-                        if let Some(limit) = fuel_limit {
-                            if self.stats.v_insts + v_insts_l >= limit {
-                                cache.fragment_mut(fid).entries += pending_entries;
-                                self.stats.executed += executed_l;
-                                self.stats.v_insts += v_insts_l;
-                                self.stats.chain_executed += chain_l;
-                                self.stats.categories.merge(&cats_l);
-                                return FragExit::Preempted { vtarget: vstart };
-                            }
-                        }
-                        pending_entries += 1;
-                        if is_region {
-                            self.stats.region_entries += 1;
-                        } else if self.config.region_trigger == Some(base_entries + pending_entries)
-                        {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                            self.stats.executed += executed_l;
-                            self.stats.v_insts += v_insts_l;
-                            self.stats.chain_executed += chain_l;
-                            self.stats.categories.merge(&cats_l);
-                            return FragExit::RegionHot { vtarget: vstart };
-                        }
-                        self.stats.fragment_entries += 1;
-                        // The leading `set-vpc-base` is a no-op on a
-                        // self-transfer — the base it would set is already
-                        // in force — so resume past it.
-                        idx = loop_entry;
-                    }
-                    Some(t) => {
-                        if pending_entries != 0 {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                        }
-                        self.stats.executed += executed_l;
-                        self.stats.v_insts += v_insts_l;
-                        self.stats.chain_executed += chain_l;
-                        self.stats.categories.merge(&cats_l);
-                        fid = t;
-                        continue 'fragment;
+                        return FragExit::Preempted { vtarget: vstart };
                     }
                 }
+                pending_entries += 1;
+                if is_region {
+                    self.stats.region_entries += 1;
+                } else if self.config.region_trigger == Some(base_entries + pending_entries) {
+                    cache.fragment_mut(fid).entries += pending_entries;
+                    return FragExit::RegionHot { vtarget: vstart };
+                }
+                self.stats.fragment_entries += 1;
+                // The leading `set-vpc-base` is a no-op on a self-transfer
+                // — the base it would set is already in force — so resume
+                // past it.
+                idx = loop_entry;
             }
         }
     }
@@ -1085,5 +1480,88 @@ mod tests {
         let exit = engine.run(&mut cache, a, &mut cpu, &mut mem, 500, &mut NullSink);
         assert_eq!(exit, FragExit::Budget);
         assert!(engine.stats.v_insts >= 500);
+    }
+
+    #[test]
+    fn r31_reads_zero_and_absorbs_writes() {
+        let mut cache = TranslationCache::new();
+        let zero = Reg::new(31);
+        let a = install_simple(
+            &mut cache,
+            0x1000,
+            vec![
+                IInst::Op {
+                    op: OperateOp::Addq,
+                    acc: Acc::new(0),
+                    lhs: ASrc::Imm(7),
+                    rhs: ASrc::Imm(0),
+                    dst: Some(zero),
+                },
+                IInst::CopyToGpr {
+                    acc: Acc::new(0),
+                    dst: zero,
+                },
+                IInst::Op {
+                    op: OperateOp::Addq,
+                    acc: Acc::new(1),
+                    lhs: ASrc::Gpr(zero),
+                    rhs: ASrc::Imm(1),
+                    dst: Some(Reg::new(2)),
+                },
+                IInst::Halt,
+            ],
+        );
+        let mut engine = Engine::new(EngineConfig::default());
+        let mut cpu = CpuState::new(0);
+        let mut mem = Memory::new();
+        let exit = engine.run(&mut cache, a, &mut cpu, &mut mem, u64::MAX, &mut NullSink);
+        assert_eq!(exit, FragExit::Halt);
+        assert_eq!(cpu.read(Reg::new(2)), 1);
+        assert_eq!(cpu.registers()[31], 0);
+        assert_eq!(engine.stats.copies_executed, 1);
+        assert_eq!(engine.stats.executed, 4);
+    }
+
+    #[test]
+    fn smc_store_is_not_retired() {
+        let mut cache = TranslationCache::new();
+        // The store writes the fragment's own source page.
+        let a = install_simple(
+            &mut cache,
+            0x1000,
+            vec![
+                IInst::SetVpcBase { vaddr: 0x1000 },
+                IInst::Op {
+                    op: OperateOp::Addq,
+                    acc: Acc::new(0),
+                    lhs: ASrc::Imm(0x1000),
+                    rhs: ASrc::Imm(8),
+                    dst: Some(Reg::new(3)),
+                },
+                IInst::Store {
+                    width: MemWidth::U64,
+                    acc: Acc::new(0),
+                    addr: ASrc::Acc,
+                    disp: 0,
+                    value: ASrc::Gpr(Reg::new(3)),
+                },
+                IInst::Halt,
+            ],
+        );
+        let mut engine = Engine::new(EngineConfig::default());
+        let mut cpu = CpuState::new(0);
+        let mut mem = Memory::new();
+        let exit = engine.run(&mut cache, a, &mut cpu, &mut mem, u64::MAX, &mut NullSink);
+        let FragExit::SmcStore {
+            addr, len, state, ..
+        } = exit
+        else {
+            panic!("expected an SMC exit, got {exit:?}");
+        };
+        assert_eq!((addr, len), (0x1008, 8));
+        assert_eq!(state[3], 0x1008);
+        assert_eq!(mem.read_u64(0x1008), 0, "the store must not execute");
+        // Entry and address computation retire; the store does not.
+        assert_eq!((engine.stats.executed, engine.stats.v_insts), (2, 2));
     }
 }

@@ -9,6 +9,7 @@
 //! direct branch (paper §3.2).
 
 use crate::classify::UsageCat;
+use crate::engine::{lower, Op, Retired};
 use alpha_isa::{PageHasher, Reg};
 use ildp_isa::{Acc, IInst, ITarget, IsaForm};
 use ildp_uarch::{DynInst, InstClass};
@@ -85,17 +86,25 @@ pub struct Fragment {
     /// Per PEI instruction index: accumulator-resident architected values
     /// to merge into the GPR file on a trap (basic form).
     pub recovery: HashMap<u32, Vec<RecoveryEntry>>,
-    /// Predecoded per-instruction trace templates: everything about a
-    /// [`DynInst`] that is static — PC, size, operand names, class, the
-    /// fall-through `next_pc` — computed once at install time so tracing
-    /// execution is copy-plus-patch instead of per-retire construction.
-    pub templates: Vec<DynInst>,
     /// Per-instruction direct links: for a control transfer whose target
     /// I-address is resolved, the fragment whose entry point it is. Kept in
     /// lockstep with patching so the engine follows links without hashing
     /// through the I-address lookup map. Invalidated wholesale by
     /// [`TranslationCache::flush`] (the fragments are dropped).
     pub links: Vec<Option<FragmentId>>,
+    /// The engine's lowered form of `insts` (with `links` folded in), one
+    /// op per instruction. The cache re-lowers a slot at every patch and
+    /// un-patch and the whole fragment at every
+    /// [`edit_fragment`](TranslationCache::edit_fragment), so it always
+    /// equals the lowering of the current code.
+    pub(crate) ops: Vec<Op>,
+    /// Retirement prefix table (`insts.len() + 1` rows): what the first
+    /// `k` instructions retire, settled by the engine at fragment exits.
+    pub(crate) retired: Vec<Retired>,
+    /// Per-instruction trace templates ([`Fragment::trace_templates`]),
+    /// built on the fragment's first traced entry and empty until then;
+    /// kept in lockstep with patching once built.
+    pub(crate) templates: Vec<DynInst>,
     /// Times this fragment has been entered (for statistics).
     pub entries: u64,
     /// Clock-eviction referenced bit: set by the engine on entry, cleared
@@ -128,6 +137,47 @@ impl Fragment {
             .iter()
             .map(|i| i.size_bytes(self.form) as u64)
             .sum()
+    }
+
+    /// The I-address after instruction `k` (its fall-through `next_pc`).
+    fn next_pc(&self, k: usize) -> u64 {
+        self.iaddrs
+            .get(k + 1)
+            .copied()
+            .unwrap_or(self.iaddrs[k] + self.insts[k].size_bytes(self.form) as u64)
+    }
+
+    /// The lowering of instruction `k` in its current form.
+    pub(crate) fn lowered(&self, k: usize) -> Op {
+        lower(&self.insts[k], self.links[k], self.next_pc(k))
+    }
+
+    fn template(&self, k: usize) -> DynInst {
+        build_template(
+            &self.insts[k],
+            self.iaddrs[k],
+            self.next_pc(k),
+            &self.meta[k],
+            self.form,
+        )
+    }
+
+    /// Predecoded per-instruction trace templates: everything about a
+    /// [`DynInst`] that is static — PC, size, operand names, class, the
+    /// fall-through `next_pc` — so tracing execution is copy-plus-patch
+    /// instead of per-retire construction.
+    pub fn trace_templates(&self) -> Vec<DynInst> {
+        (0..self.insts.len()).map(|k| self.template(k)).collect()
+    }
+
+    /// Re-derives the op stream, the retirement table and (once built)
+    /// the trace templates from the current code.
+    fn relower(&mut self) {
+        self.ops = (0..self.insts.len()).map(|k| self.lowered(k)).collect();
+        self.retired = Retired::table(&self.insts, &self.meta);
+        if !self.templates.is_empty() {
+            self.templates = self.trace_templates();
+        }
     }
 
     /// Indices of PEI instructions with their V-addresses (the PEI table of
@@ -269,19 +319,40 @@ impl TranslationCache {
     ///
     /// # Panics
     ///
-    /// Panics if the fragment has been invalidated; use
-    /// [`try_fragment_mut`] when the id may be stale.
-    ///
-    /// [`try_fragment_mut`]: TranslationCache::try_fragment_mut
-    pub fn fragment_mut(&mut self, id: FragmentId) -> &mut Fragment {
+    /// Panics if the fragment has been invalidated.
+    pub(crate) fn fragment_mut(&mut self, id: FragmentId) -> &mut Fragment {
         self.slots[id.0 as usize]
             .as_mut()
             .expect("fragment was invalidated")
     }
 
-    /// Mutable access to a fragment, `None` if it was invalidated.
-    pub fn try_fragment_mut(&mut self, id: FragmentId) -> Option<&mut Fragment> {
+    fn try_fragment_mut(&mut self, id: FragmentId) -> Option<&mut Fragment> {
         self.slots.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Edits an installed fragment in place — fault injection and seeded
+    /// miscompiles rewrite its instructions, links or counters — then
+    /// re-derives everything the engine executes from the edited code, so
+    /// the lowered form stays in lockstep. `None` if the fragment was
+    /// invalidated.
+    pub fn edit_fragment<R>(
+        &mut self,
+        id: FragmentId,
+        edit: impl FnOnce(&mut Fragment) -> R,
+    ) -> Option<R> {
+        let f = self.try_fragment_mut(id)?;
+        let r = edit(f);
+        f.relower();
+        Some(r)
+    }
+
+    /// Builds a fragment's trace templates if this is its first traced
+    /// entry.
+    pub(crate) fn build_templates(&mut self, id: FragmentId) {
+        let f = self.fragment_mut(id);
+        if f.templates.is_empty() {
+            f.templates = f.trace_templates();
+        }
     }
 
     /// Total patches applied so far (chaining statistic).
@@ -396,18 +467,6 @@ impl TranslationCache {
         }
         self.next_iaddr = (addr + 7) & !7;
 
-        let templates = insts
-            .iter()
-            .enumerate()
-            .map(|(k, inst)| {
-                let pc = iaddrs[k];
-                let next_pc = iaddrs
-                    .get(k + 1)
-                    .copied()
-                    .unwrap_or(pc + inst.size_bytes(form) as u64);
-                build_template(inst, pc, next_pc, &meta[k], form)
-            })
-            .collect();
         let links = vec![None; insts.len()];
         // Exit V-targets must be captured before `resolve_new_fragment`
         // patches any of this fragment's own exits into direct branches.
@@ -424,7 +483,7 @@ impl TranslationCache {
         src_pages.sort_unstable();
         src_pages.dedup();
 
-        let fragment = Fragment {
+        let mut fragment = Fragment {
             id,
             vstart,
             istart,
@@ -434,14 +493,17 @@ impl TranslationCache {
             form,
             src_inst_count,
             recovery,
-            templates,
             links,
+            ops: Vec::new(),
+            retired: Vec::new(),
+            templates: Vec::new(),
             entries: 0,
             referenced: true,
             is_region: false,
             src_pages,
             exit_varms,
         };
+        fragment.relower();
         let bytes = fragment.size_bytes();
         for &page in &fragment.src_pages {
             self.src_pages.entry(page).or_default().push(id);
@@ -553,30 +615,25 @@ impl TranslationCache {
         self.refresh_site(fid, idx);
     }
 
-    /// Recomputes the trace template and direct link of one instruction
-    /// from its (just rewritten) form, keeping both in lockstep with
-    /// patching, and records the link in the reverse incoming-link map.
+    /// Recomputes the direct link, the lowered op and (once built) the
+    /// trace template of one instruction from its (just rewritten) form,
+    /// keeping all three in lockstep with patching, and records the link
+    /// in the reverse incoming-link map.
     fn refresh_site(&mut self, fid: FragmentId, idx: u32) {
         let Some(f) = self.try_fragment(fid) else {
             return;
         };
         let k = idx as usize;
-        let inst = f.insts[k];
-        let pc = f.iaddrs[k];
-        let next_pc = f
-            .iaddrs
-            .get(k + 1)
-            .copied()
-            .unwrap_or(pc + inst.size_bytes(f.form) as u64);
-        let m = f.meta[k];
-        let template = build_template(&inst, pc, next_pc, &m, f.form);
-        let link = self.link_of(&inst);
+        let link = self.link_of(&f.insts[k]);
         if let Some(target) = link {
             self.incoming.entry(target).or_default().push((fid, idx));
         }
         let f = self.fragment_mut(fid);
-        f.templates[k] = template;
         f.links[k] = link;
+        f.ops[k] = f.lowered(k);
+        if !f.templates.is_empty() {
+            f.templates[k] = f.template(k);
+        }
     }
 
     /// Precisely invalidates one fragment: empties its slot, removes it
@@ -1115,5 +1172,97 @@ mod tests {
         cache.force_epoch_bump();
         assert_eq!(cache.epoch(), e + 1);
         assert_eq!(cache.fragments().count(), 1);
+    }
+
+    /// Every live fragment's op stream, retirement table and (once built)
+    /// trace templates equal a fresh derivation from its current code.
+    fn assert_lockstep(cache: &TranslationCache) {
+        for f in cache.fragments() {
+            for k in 0..f.insts.len() {
+                let fresh = lower(&f.insts[k], f.links[k], f.next_pc(k));
+                assert_eq!(f.ops[k], fresh, "fragment {:?} slot {k}", f.id);
+            }
+            assert_eq!(f.ops.len(), f.insts.len());
+            assert_eq!(f.retired, Retired::table(&f.insts, &f.meta));
+            if !f.templates.is_empty() {
+                assert_eq!(f.templates, f.trace_templates(), "fragment {:?}", f.id);
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_ops_track_install_patch_unpatch_and_edit() {
+        let mut cache = TranslationCache::new();
+        // A: a conditional exit to B, a dual-RAS push returning to C, and
+        // an unconditional exit to B.
+        let insts = vec![
+            IInst::SetVpcBase { vaddr: 0x1000 },
+            IInst::CallTranslatorIfCond {
+                cond: CondKind::Ne,
+                acc: Acc::new(0),
+                src: ASrc::Gpr(Reg::new(1)),
+                vtarget: 0x2000,
+            },
+            IInst::PushDualRas {
+                vret: 0x3000,
+                iret: ITarget::Addr(DISPATCH_IADDR),
+            },
+            IInst::CallTranslator { vtarget: 0x2000 },
+        ];
+        let meta = vec![
+            IMeta {
+                vaddr: 0x1000,
+                vcount: 1,
+                category: Some(UsageCat::Local),
+                is_chain: false,
+            },
+            IMeta::chain(0x1000),
+            IMeta::chain(0x1000),
+            IMeta::chain(0x1000),
+        ];
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        cache.build_templates(a);
+        assert_lockstep(&cache);
+        assert_eq!(cache.fragment(a).ops[3], Op::Exit { vtarget: 0x2000 });
+
+        // Patch: installing B and C resolves A's exits and push.
+        let (insts, meta) = mk_insts(0x9000);
+        let b = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let (insts, meta) = mk_insts(0x9000);
+        let c = cache.install(0x3000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        assert_lockstep(&cache);
+        assert_eq!(cache.fragment(a).ops[3], Op::Br { link: Some(b) });
+        assert!(matches!(
+            cache.fragment(a).ops[1],
+            Op::CondBr { link: Some(l), .. } if l == b
+        ));
+        assert!(matches!(
+            cache.fragment(a).ops[2],
+            Op::PushRas { link, .. } if link == c.0
+        ));
+
+        // Invalidate B: A's branches un-patch back to exits.
+        cache.invalidate(b);
+        assert_lockstep(&cache);
+        assert_eq!(cache.fragment(a).ops[3], Op::Exit { vtarget: 0x2000 });
+        assert!(matches!(cache.fragment(a).ops[1], Op::ExitIf { .. }));
+
+        // Re-patch: a re-translated B re-links A.
+        let (insts, meta) = mk_insts(0x9000);
+        let b2 = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        assert_lockstep(&cache);
+        assert_eq!(cache.fragment(a).ops[3], Op::Br { link: Some(b2) });
+
+        // An edit (fault injection's path) re-lowers the whole fragment.
+        cache.edit_fragment(a, |f| {
+            f.links[3] = None;
+            f.insts[1] = IInst::CopyToGpr {
+                acc: Acc::new(0),
+                dst: Reg::new(31),
+            };
+        });
+        assert_lockstep(&cache);
+        assert_eq!(cache.fragment(a).ops[3], Op::Br { link: None });
+        assert_eq!(cache.fragment(a).retired[2].copies, 1);
     }
 }

@@ -891,6 +891,12 @@ mod tests {
         assert_eq!(out.code.insts, reference.insts);
         assert_eq!(out.code.meta, reference.meta);
         assert_eq!(out.code.src_inst_count, reference.src_inst_count);
+        // The worker counts a reply only once `send` has returned, so the
+        // counter may trail the reply this thread already received.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while pool.stats().completed == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let stats = pool.stats();
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);

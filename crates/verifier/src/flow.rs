@@ -1248,11 +1248,12 @@ mod tests {
         // link table is refreshed to match. Only F04 sees the V-side
         // disagreement with the recorded exit target.
         let c_start = cache.fragment(cid).istart;
-        let fa = cache.fragment_mut(aid);
-        fa.insts[1] = IInst::Branch {
-            target: ITarget::Addr(c_start),
-        };
-        fa.links[1] = Some(cid);
+        cache.edit_fragment(aid, |fa| {
+            fa.insts[1] = IInst::Branch {
+                target: ITarget::Addr(c_start),
+            };
+            fa.links[1] = Some(cid);
+        });
         let (violations, _) = check_cache(&cache, None);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "F04");
@@ -1280,9 +1281,11 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
         // Poison the resolved push to another legitimate entry.
         let c_start = cache.fragment(cid).istart;
-        if let IInst::PushDualRas { iret, .. } = &mut cache.fragment_mut(aid).insts[0] {
-            *iret = ITarget::Addr(c_start);
-        }
+        cache.edit_fragment(aid, |fa| {
+            if let IInst::PushDualRas { iret, .. } = &mut fa.insts[0] {
+                *iret = ITarget::Addr(c_start);
+            }
+        });
         let (violations, _) = check_cache(&cache, Some(ChainPolicy::SwPredDualRas));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "F05");
@@ -1313,20 +1316,24 @@ mod tests {
         ];
         let m = meta_for(&insts, 0x1000);
         let fid = cache.install(0x1000, IsaForm::Basic, insts, m, 1, Map::new());
-        let trace: Vec<DynInst> = cache.fragment(fid).templates.clone();
+        let trace: Vec<DynInst> = cache.fragment(fid).trace_templates();
         assert!(check_dynamic(&cache, &trace).is_empty());
         // (a) Tamper the installed load's source register: the recorded
         // trace no longer matches the cache contents.
-        if let IInst::Load { addr, .. } = &mut cache.fragment_mut(fid).insts[1] {
-            *addr = ASrc::Gpr(r(7));
-        }
+        cache.edit_fragment(fid, |f| {
+            if let IInst::Load { addr, .. } = &mut f.insts[1] {
+                *addr = ASrc::Gpr(r(7));
+            }
+        });
         let vs = check_dynamic(&cache, &trace);
         assert!(vs.iter().any(|v| v.rule == "F06"), "{vs:?}");
         // (b) A trace whose copy-out retires without the accumulator
         // having been written since entry (skipping the load).
-        if let IInst::Load { addr, .. } = &mut cache.fragment_mut(fid).insts[1] {
-            *addr = ASrc::Gpr(r(2));
-        }
+        cache.edit_fragment(fid, |f| {
+            if let IInst::Load { addr, .. } = &mut f.insts[1] {
+                *addr = ASrc::Gpr(r(2));
+            }
+        });
         let seam_read = vec![trace[0], trace[2]];
         let vs = check_dynamic(&cache, &seam_read);
         assert!(
@@ -1351,8 +1358,8 @@ mod tests {
         let b = mk(0x2000, 0x1000);
         let bm = meta_for(&b, 0x2000);
         let bid = cache.install(0x2000, IsaForm::Modified, b, bm, 1, Map::new());
-        cache.fragment_mut(aid).entries = 10;
-        cache.fragment_mut(bid).entries = 5;
+        cache.edit_fragment(aid, |f| f.entries = 10);
+        cache.edit_fragment(bid, |f| f.entries = 5);
         let regions = select_regions(&cache, 8);
         assert_eq!(regions.len(), 1, "{regions:?}");
         assert_eq!(regions[0].head, 0x1000);

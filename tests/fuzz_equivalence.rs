@@ -180,11 +180,28 @@ fn build_program(ops: &[BodyOp], iters: i16) -> Program {
     asm.finish().expect("generated program assembles")
 }
 
-fn check(ops: &[BodyOp], iters: i16, form: IsaForm, chain: ChainPolicy) {
-    check_fuse(ops, iters, form, chain, false);
+/// The accumulator count a case runs with: the paper's 4, or 8 so the
+/// engine's upper accumulator slots see random programs too.
+fn accs(eight: bool) -> usize {
+    if eight {
+        8
+    } else {
+        4
+    }
 }
 
-fn check_fuse(ops: &[BodyOp], iters: i16, form: IsaForm, chain: ChainPolicy, fuse: bool) {
+fn check(ops: &[BodyOp], iters: i16, form: IsaForm, chain: ChainPolicy, acc_count: usize) {
+    check_fuse(ops, iters, form, chain, acc_count, false);
+}
+
+fn check_fuse(
+    ops: &[BodyOp],
+    iters: i16,
+    form: IsaForm,
+    chain: ChainPolicy,
+    acc_count: usize,
+    fuse: bool,
+) {
     let program = build_program(ops, iters);
     let budget = 40_000 + (ops.len() as u64 + 16) * (iters as u64 + 4) * 6;
     let (mut rcpu, mut rmem) = program.load();
@@ -194,7 +211,7 @@ fn check_fuse(ops: &[BodyOp], iters: i16, form: IsaForm, chain: ChainPolicy, fus
         translator: Translator {
             form,
             chain,
-            acc_count: 4,
+            acc_count,
             fuse_memory: fuse,
         },
         profile: ProfileConfig {
@@ -220,32 +237,37 @@ proptest! {
     fn random_programs_translate_exactly_modified(
         ops in prop::collection::vec(body_op(), 4..40),
         iters in 20i16..60,
+        eight in any::<bool>(),
     ) {
-        check(&ops, iters, IsaForm::Modified, ChainPolicy::SwPredDualRas);
+        check(&ops, iters, IsaForm::Modified, ChainPolicy::SwPredDualRas, accs(eight));
     }
 
     #[test]
     fn random_programs_translate_exactly_basic(
         ops in prop::collection::vec(body_op(), 4..40),
         iters in 20i16..60,
+        eight in any::<bool>(),
     ) {
-        check(&ops, iters, IsaForm::Basic, ChainPolicy::SwPredDualRas);
+        check(&ops, iters, IsaForm::Basic, ChainPolicy::SwPredDualRas, accs(eight));
     }
 
     #[test]
     fn random_programs_translate_exactly_no_pred(
         ops in prop::collection::vec(body_op(), 4..24),
         iters in 20i16..40,
+        eight in any::<bool>(),
     ) {
-        check(&ops, iters, IsaForm::Basic, ChainPolicy::NoPred);
+        check(&ops, iters, IsaForm::Basic, ChainPolicy::NoPred, accs(eight));
     }
 
     #[test]
     fn random_programs_translate_exactly_fused_memory(
         ops in prop::collection::vec(body_op(), 4..40),
         iters in 20i16..60,
+        eight in any::<bool>(),
     ) {
-        check_fuse(&ops, iters, IsaForm::Modified, ChainPolicy::SwPredDualRas, true);
-        check_fuse(&ops, iters, IsaForm::Basic, ChainPolicy::SwPredDualRas, true);
+        let acc_count = accs(eight);
+        check_fuse(&ops, iters, IsaForm::Modified, ChainPolicy::SwPredDualRas, acc_count, true);
+        check_fuse(&ops, iters, IsaForm::Basic, ChainPolicy::SwPredDualRas, acc_count, true);
     }
 }
