@@ -382,11 +382,18 @@ impl FragmentArtifact {
     /// cannot run on the result, only the static chaining and symbolic
     /// re-execution families can.
     pub fn to_translated_code(&self) -> TranslatedCode {
+        self.clone().into_translated_code()
+    }
+
+    /// Rehydrates the artifact into a [`TranslatedCode`] by value — the
+    /// warm-start install path, which owns the looked-up artifact and has
+    /// no use for it afterwards. The analysis trace is empty.
+    pub fn into_translated_code(self) -> TranslatedCode {
         TranslatedCode {
             vstart: self.vstart,
-            insts: self.insts.clone(),
-            meta: self.meta.clone(),
-            recovery: self.recovery.clone(),
+            insts: self.insts,
+            meta: self.meta,
+            recovery: self.recovery,
             src_inst_count: self.src_inst_count,
             stats: crate::translate::TranslateStats {
                 copies: self.copies,
