@@ -204,6 +204,44 @@ impl Default for EngineConfig {
 /// behavior of the dispatch loads).
 const DISPATCH_TABLE_BASE: u64 = 0xE000_0000;
 
+/// Emits the trace records of one `n`-instruction shared-dispatch
+/// execution for `vtarget`: a short dependence chain that hashes the
+/// V-PC, probes the translation table (two loads), compares, then jumps
+/// indirect to `target_iaddr` (back into the dispatcher on a miss). The
+/// engine and the straightened system dispatch through the same code.
+pub(crate) fn trace_dispatch<S: TraceSink>(
+    vtarget: u64,
+    target_iaddr: Option<u64>,
+    n: u32,
+    sink: &mut S,
+) {
+    let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
+    let probe = DISPATCH_TABLE_BASE + (hash & 0xfff) * 16;
+    for k in 0..n {
+        let pc = DISPATCH_IADDR + (k as u64) * 4;
+        let mut d = DynInst::alu(pc, 4);
+        d.vcount = 0;
+        // Thread a dependence chain through scratch register names 200..
+        // so the dispatch has realistic ILP (~4-deep chain).
+        let scratch = 200 + (k % 4) as u8;
+        d.dst = Some(scratch);
+        if k > 0 {
+            d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
+        }
+        if k == 2 || k == 3 {
+            d.class = InstClass::Load;
+            d.mem_addr = Some(probe + (k as u64 - 2) * 8);
+        }
+        if k == n - 1 {
+            d.class = InstClass::IndirectJump;
+            d.dst = None;
+            d.next_pc = target_iaddr.unwrap_or(DISPATCH_IADDR);
+            d.taken = true;
+        }
+        sink.retire(&d);
+    }
+}
+
 /// One architectural dual-RAS entry: the architected (V, I) return-address
 /// pair, plus a fast-path annotation — the fragment the I-address enters,
 /// stamped with the cache epoch it was captured in. The link is followed
@@ -753,36 +791,8 @@ impl Engine {
         let n = self.config.dispatch_cost.max(2);
         self.stats.executed += n as u64;
         self.stats.chain_executed += n as u64;
-        if !S::TRACING {
-            return target;
-        }
-        let target_iaddr = target.map(|t| cache.fragment(t).istart);
-        // A short dependence chain: hash the V-PC, probe the translation
-        // table (two loads), compare, then jump indirect.
-        let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        let probe = DISPATCH_TABLE_BASE + (hash & 0xfff) * 16;
-        for k in 0..n {
-            let pc = DISPATCH_IADDR + (k as u64) * 4;
-            let mut d = DynInst::alu(pc, 4);
-            d.vcount = 0;
-            // Thread a dependence chain through scratch register names
-            // 200.. so the dispatch has realistic ILP (~4-deep chain).
-            let scratch = 200 + (k % 4) as u8;
-            d.dst = Some(scratch);
-            if k > 0 {
-                d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
-            }
-            if k == 2 || k == 3 {
-                d.class = InstClass::Load;
-                d.mem_addr = Some(probe + (k as u64 - 2) * 8);
-            }
-            if k == n - 1 {
-                d.class = InstClass::IndirectJump;
-                d.dst = None;
-                d.next_pc = target_iaddr.unwrap_or(DISPATCH_IADDR);
-                d.taken = true;
-            }
-            sink.retire(&d);
+        if S::TRACING {
+            trace_dispatch(vtarget, target.map(|t| cache.fragment(t).istart), n, sink);
         }
         target
     }

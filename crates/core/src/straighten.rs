@@ -12,13 +12,14 @@
 //! instruction count) and 6 (straightening/RAS IPC) are measured on this
 //! system.
 
+use crate::engine::trace_dispatch;
 use crate::fragment::{AddrHasher, DISPATCH_COST_INSTS, DISPATCH_IADDR};
 use crate::profile::{
     collect_superblock_with_output, interp_block, Candidates, InterpEvent, ProfileConfig,
 };
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::ChainPolicy;
-use crate::vm::VmExit;
+use crate::vm::{alpha_record, VmExit};
 use alpha_isa::{step, BranchOp, Control, CpuState, Inst, JumpKind, Memory, Program, Reg};
 use ildp_uarch::{DynInst, InstClass};
 use std::collections::HashMap;
@@ -558,32 +559,11 @@ impl StraightenedVm {
     ) -> Option<usize> {
         self.stats.dispatches += 1;
         let target = self.by_vstart.get(&vtarget).copied();
-        let ti = target.map(|t| self.fragments[t].istart);
-        let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        let probe = 0xE000_0000u64 + (hash & 0xfff) * 16;
         let n = DISPATCH_COST_INSTS;
-        for k in 0..n {
-            let pc = DISPATCH_IADDR + (k as u64) * 4;
-            let mut d = DynInst::alu(pc, 4);
-            d.vcount = 0;
-            let scratch = 200 + (k % 4) as u8;
-            d.dst = Some(scratch);
-            if k > 0 {
-                d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
-            }
-            if k == 2 || k == 3 {
-                d.class = InstClass::Load;
-                d.mem_addr = Some(probe + (k as u64 - 2) * 8);
-            }
-            if k == n - 1 {
-                d.class = InstClass::IndirectJump;
-                d.dst = None;
-                d.next_pc = ti.unwrap_or(DISPATCH_IADDR);
-                d.taken = true;
-            }
-            self.stats.executed += 1;
-            self.stats.chain_executed += 1;
-            sink.retire(&d);
+        self.stats.executed += n as u64;
+        self.stats.chain_executed += n as u64;
+        if S::TRACING {
+            trace_dispatch(vtarget, target.map(|t| self.fragments[t].istart), n, sink);
         }
         target
     }
@@ -630,19 +610,7 @@ impl StraightenedVm {
                             if let Some(b) = out.output {
                                 self.output.push(b);
                             }
-                            d.class = match a {
-                                Inst::Operate { op, .. } if op.is_multiply() => InstClass::IntMul,
-                                Inst::Mem { op, .. } if op.is_load() => InstClass::Load,
-                                Inst::Mem { op, .. } if op.is_store() => InstClass::Store,
-                                _ => InstClass::IntAlu,
-                            };
-                            let mut srcs = [None; 3];
-                            for (k, r) in a.sources().iter().enumerate() {
-                                srcs[k] = Some(r.number());
-                            }
-                            d.srcs = srcs;
-                            d.dst = a.dest().map(|r| r.number());
-                            d.mem_addr = out.mem.map(|ma| ma.addr);
+                            alpha_record(&mut d, a, &out);
                             if out.control == Control::Halt {
                                 exit = Some(ExecExit::Halted);
                             }

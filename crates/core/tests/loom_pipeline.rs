@@ -87,11 +87,11 @@ fn pool_keeps_request_reply_pairing_under_contention() {
                         assert_eq!(resp.token, resp.vstart, "reply token must echo the request");
                         let out = resp.result.expect("unfaulted worker must translate");
                         assert!(out.verdict.is_ok());
-                        let (reference, verdict, _, _) =
+                        let (reference, _) =
                             translate_job(&tiny_superblock(resp.vstart), &translator, None);
-                        assert!(verdict.is_ok());
-                        assert_eq!(out.code.insts, reference.insts);
-                        assert_eq!(out.code.meta, reference.meta);
+                        assert!(reference.verdict.is_ok());
+                        assert_eq!(out.code.insts, reference.code.insts);
+                        assert_eq!(out.code.meta, reference.code.meta);
                         seen.push(resp.vstart);
                     }
                     seen.sort_unstable();
@@ -231,10 +231,10 @@ fn surviving_replies_stay_paired_under_worker_death() {
                     assert_eq!(resp.token, k as u64, "reply token crossed submissions");
                     let out = resp.result.expect("survivor must carry a translation");
                     assert!(out.verdict.is_ok());
-                    let (reference, _, _, _) =
+                    let (reference, _) =
                         translate_job(&tiny_superblock(resp.vstart), &translator, None);
-                    assert_eq!(out.code.insts, reference.insts);
-                    assert_eq!(out.code.meta, reference.meta);
+                    assert_eq!(out.code.insts, reference.code.insts);
+                    assert_eq!(out.code.meta, reference.code.meta);
                     seen.push(resp.vstart);
                 }
                 // Dead workers strand queued jobs: revive and retry.
@@ -254,8 +254,8 @@ fn surviving_replies_stay_paired_under_worker_death() {
 /// a torn one), and one coherence `remove` empties the entry again.
 #[test]
 fn store_publish_lookup_remove_is_atomic() {
-    let (code, _, _, _) = translate_job(&tiny_superblock(0x2_0000), &Translator::default(), None);
-    let artifact = FragmentArtifact::from_translation(&code, Translator::default().form);
+    let (out, _) = translate_job(&tiny_superblock(0x2_0000), &Translator::default(), None);
+    let artifact = FragmentArtifact::from_translation(&out.code, Translator::default().form);
     loom::model(move || {
         let store = Arc::new(FragmentStore::new());
         let key = ArtifactKey {
