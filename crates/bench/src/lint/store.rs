@@ -332,7 +332,7 @@ fn run_scenario(
                 println!("  open: {}", describe_report(&report));
             }
             if target_present {
-                if report.loaded as usize != base.entries.len()
+                if report.loaded != base.entries.len()
                     || !report.seal_intact
                     || report.rejected != 0
                 {
@@ -356,7 +356,7 @@ fn run_scenario(
                         base.entries.len()
                     ));
                 }
-            } else if !report.missing || store.len() != 0 {
+            } else if !report.missing || !store.is_empty() {
                 return Err(format!(
                     "absent target must open empty+missing: {}",
                     describe_report(&report)
@@ -392,7 +392,11 @@ fn run_scenario(
             for (i, (key, bytes)) in base.entries.iter().enumerate() {
                 let (_, art) =
                     FragmentArtifact::from_bytes(bytes).map_err(|e| format!("baseline: {e}"))?;
-                let target = if (i as u64 + round) % 2 == 0 { &a } else { &b };
+                let target = if (i as u64 + round).is_multiple_of(2) {
+                    &a
+                } else {
+                    &b
+                };
                 target.put(*key, &art);
             }
             let (ra, rb) = std::thread::scope(|s| {

@@ -128,7 +128,7 @@ proptest! {
         let form = if form_modified { IsaForm::Modified } else { IsaForm::Basic };
         let w = by_name("bzip2", 2).expect("bzip2 workload");
         let reference = interp_reference(&w.program, w.budget * 2)
-            .map_err(|e| TestCaseError::fail(e))?;
+            .map_err(TestCaseError::fail)?;
 
         let config = region_config(form, ChainPolicy::SwPredDualRas);
         // A budget pause completes the in-flight fragment before
