@@ -16,7 +16,7 @@
 //! generator in the loop ([`chaos_replay`]) and feeds straight into the
 //! divergence-triage engine (`crate::triage`).
 
-use alpha_isa::{step, AlignPolicy, Control, DecodeCache, Program};
+use ildp_core::oracle::{self, EndState};
 use ildp_core::{
     ChainPolicy, FragmentId, NullSink, OnViolation, ProfileConfig, ReplayEvent, ReplayLog,
     Translator, Vm, VmConfig, VmExit, VmStats,
@@ -25,64 +25,6 @@ use ildp_isa::{IInst, ITarget, IsaForm};
 use ildp_verifier::verify_installed;
 use spec_workloads::{Workload, XorShift};
 use std::collections::BTreeSet;
-
-/// Architected end state of a run, usually a pure-interpreter reference
-/// run ([`interp_reference`]): the one definition of "identical" every
-/// differential in the harness checks through [`Reference::check`].
-pub struct Reference {
-    /// Final GPR file.
-    pub regs: [u64; 32],
-    /// Order-independent digest of final memory contents.
-    pub mem_digest: u64,
-    /// Console output, in emission order.
-    pub output: Vec<u8>,
-    /// Instructions retired to the halt.
-    pub insts: u64,
-}
-
-impl Reference {
-    /// The architected state `vm` has reached, as a reference for
-    /// another run (a replay or a resumed snapshot) to match.
-    pub fn of(vm: &Vm<'_>) -> Reference {
-        Reference {
-            regs: vm.cpu().registers(),
-            mem_digest: vm.memory().content_digest(),
-            output: vm.output().to_vec(),
-            insts: vm.v_instructions(),
-        }
-    }
-
-    /// Checks that `vm` ended in exactly this state: registers, memory
-    /// digest, console output and retired count. `Err` names the first
-    /// difference.
-    pub fn check(&self, vm: &Vm<'_>) -> Result<(), String> {
-        let regs = vm.cpu().registers();
-        if let Some(r) = (0..32).find(|&r| regs[r] != self.regs[r]) {
-            return Err(format!(
-                "GPR file diverged (r{r}: {:#x}, reference {:#x})",
-                regs[r], self.regs[r]
-            ));
-        }
-        if vm.memory().content_digest() != self.mem_digest {
-            return Err("memory diverged".to_string());
-        }
-        if vm.output() != self.output.as_slice() {
-            return Err(format!(
-                "console output diverged ({} bytes, reference {})",
-                vm.output().len(),
-                self.output.len()
-            ));
-        }
-        if vm.v_instructions() != self.insts {
-            return Err(format!(
-                "retired {} instructions, reference {}",
-                vm.v_instructions(),
-                self.insts
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// `stats` with the wall-clock-derived fields zeroed: what a scheduled
 /// replay must reproduce bit for bit.
@@ -94,39 +36,6 @@ pub fn untimed(stats: &VmStats) -> VmStats {
         pool_await_max_nanos: 0,
         pool_respawns: 0,
         ..stats.clone()
-    }
-}
-
-/// Interprets `program` to a clean halt (within `budget` instructions),
-/// capturing the architected end state the VM under fault injection must
-/// reproduce.
-pub fn interp_reference(program: &Program, budget: u64) -> Result<Reference, String> {
-    let decoded = DecodeCache::new(program);
-    let (mut cpu, mut mem) = program.load();
-    let mut output = Vec::new();
-    let mut insts = 0u64;
-    loop {
-        if insts >= budget {
-            return Err(format!("reference exhausted {budget} instructions"));
-        }
-        let pc = cpu.pc;
-        let inst = decoded
-            .fetch(pc)
-            .map_err(|t| format!("reference fetch trap at {pc:#x}: {t}"))?;
-        let outcome = step(&mut cpu, &mut mem, inst, AlignPolicy::Enforce)
-            .map_err(|t| format!("reference trap at {pc:#x}: {t}"))?;
-        insts += 1;
-        if let Some(b) = outcome.output {
-            output.push(b);
-        }
-        if outcome.control == Control::Halt {
-            return Ok(Reference {
-                regs: cpu.registers(),
-                mem_digest: mem.content_digest(),
-                output,
-                insts,
-            });
-        }
     }
 }
 
@@ -448,21 +357,19 @@ pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
     }
 }
 
-/// Checks a finished cell run against the pure-interpreter reference:
-/// clean halt, identical architected state, and zero audit-escaped
-/// corruptions.
+/// Checks a finished cell run against the pure-interpreter reference
+/// (the oracle: same end, identical architected state) and for zero
+/// audit-escaped corruptions.
 fn check_outcome(
     vm: &Vm<'_>,
     exit: VmExit,
-    reference: &Reference,
+    reference: &EndState,
     report: ChaosReport,
     cell: &str,
 ) -> Result<ChaosReport, String> {
-    match exit {
-        VmExit::Halted => {}
-        other => return Err(format!("{cell}: expected clean halt, got {other:?}")),
-    }
-    reference.check(vm).map_err(|e| format!("{cell}: {e}"))?;
+    reference
+        .check(&EndState::of(vm, &exit))
+        .map_err(|e| format!("{cell}: {e}"))?;
     if report.undetected > 0 {
         return Err(format!(
             "{cell}: {} structural corruption(s) escaped the C01–C07 audit",
@@ -493,7 +400,7 @@ pub fn chaos_cell_recorded(
         ..ReplayLog::default()
     };
     let budget = w.budget * 2;
-    let reference = match interp_reference(&w.program, budget) {
+    let reference = match oracle::reference(&w.program, budget) {
         Ok(r) => r,
         Err(e) => return (Err(format!("{}: {e}", w.name)), log),
     };
@@ -509,7 +416,7 @@ pub fn chaos_cell_recorded(
     let chunks = 12u64;
     let mut exit = VmExit::Budget;
     for c in 1..=chunks {
-        let target = (reference.insts * c / (chunks + 1)).max(1);
+        let target = (reference.retired * c / (chunks + 1)).max(1);
         log.events.push(ReplayEvent::Run { budget: target });
         exit = vm.run(target, &mut NullSink);
         // Count-anchored install/drop decisions made during this run
@@ -564,7 +471,8 @@ pub fn chaos_replay(
     delay: Option<u64>,
 ) -> Result<ChaosReport, String> {
     let budget = w.budget * 2;
-    let reference = interp_reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
+    let reference =
+        oracle::reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
     let config = VmConfig {
         install_delay: delay,
         ..cell_config(form, chain)

@@ -14,9 +14,9 @@
 //!    install gate (`verify_translation`).
 
 use super::{check_seeds, collecting_config, LintArgs, LintReport};
-use crate::chaos::interp_reference;
 use crate::miscompile::region_seeds;
-use ildp_core::{ChainPolicy, NullSink, Vm, VmExit};
+use ildp_core::oracle::{self, EndState};
+use ildp_core::{ChainPolicy, NullSink, Vm};
 use ildp_isa::IsaForm;
 use ildp_verifier::{flow, take_report, verify_translation};
 use spec_workloads::Workload;
@@ -47,13 +47,11 @@ fn run_cell(workload: &Workload, form: IsaForm, chain: ChainPolicy) -> CellResul
     let (cache_violations, _seam) = flow::check_cache(vm.cache(), Some(chain));
     violations.extend(cache_violations.iter().map(|v| v.to_string()));
 
-    let mut diverged = Vec::new();
-    if exit != VmExit::Halted {
-        diverged.push(format!("exited {exit:?} instead of halting"));
-    }
-    if let Err(e) = interp_reference(&workload.program, budget).and_then(|r| r.check(&vm)) {
-        diverged.push(e);
-    }
+    let diverged: Vec<String> = oracle::reference(&workload.program, budget)
+        .and_then(|r| r.check(&EndState::of(&vm, &exit)))
+        .err()
+        .into_iter()
+        .collect();
     let stats = vm.stats();
     CellResult {
         diverged,

@@ -3,9 +3,9 @@
 //!
 //! 1. **snapshot roundtrip**: every workload × both ISA forms runs to a
 //!    mid-run fragment boundary, snapshots (through the wire format), and
-//!    restores onto a fresh VM; the resumed run must reach the exact
-//!    final architected state of an uninterrupted run, with statistics
-//!    continuing cumulatively across the seam.
+//!    restores onto a fresh VM; the resumed run must pass the oracle
+//!    against an uninterrupted reference run, with statistics continuing
+//!    cumulatively across the seam.
 //! 2. **record→replay equality**: one recorded chaos cell per workload
 //!    (plus one delayed-install cell) must replay from its envelope to
 //!    the identical tally.
@@ -27,10 +27,9 @@
 //! The gates have no `--repro` form: a failure re-runs the family.
 
 use super::{form_name, LintArgs, LintReport, ALL_FORMS};
-use crate::chaos::{
-    cell_config, chaos_cell_recorded, chaos_replay, interp_reference, untimed, Reference,
-};
+use crate::chaos::{cell_config, chaos_cell_recorded, chaos_replay, untimed};
 use crate::triage::{paced_run_events, triage_run, ReproBundle};
+use ildp_core::oracle::{self, EndState};
 use ildp_core::{
     ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit,
 };
@@ -39,7 +38,7 @@ use spec_workloads::{suite, Workload};
 
 /// Runs `w` to a mid-run boundary, snapshots through the wire format,
 /// restores, and requires the resumed run to finish exactly like an
-/// uninterrupted one.
+/// uninterrupted reference run.
 fn snapshot_roundtrip(w: &Workload, form: IsaForm) -> Result<(), String> {
     let cell = format!("{}:{}", w.name, form_name(form));
     let config = VmConfig {
@@ -50,18 +49,11 @@ fn snapshot_roundtrip(w: &Workload, form: IsaForm) -> Result<(), String> {
         ..VmConfig::default()
     };
     let budget = w.budget * 2;
-    let reference = interp_reference(&w.program, budget).map_err(|e| format!("{cell}: {e}"))?;
-
-    // The uninterrupted baseline.
-    let mut whole = Vm::new(config, &w.program);
-    let whole_exit = whole.run(budget, &mut NullSink);
-    if whole_exit != VmExit::Halted {
-        return Err(format!("{cell}: baseline run exited {whole_exit:?}"));
-    }
+    let reference = oracle::reference(&w.program, budget).map_err(|e| format!("{cell}: {e}"))?;
 
     // Pause at (roughly) the midpoint, snapshot, wire-roundtrip, restore.
     let mut vm = Vm::new(config, &w.program);
-    let exit = vm.run((reference.insts / 2).max(1), &mut NullSink);
+    let exit = vm.run((reference.retired / 2).max(1), &mut NullSink);
     if exit != VmExit::Budget {
         return Err(format!("{cell}: reached {exit:?} before the midpoint"));
     }
@@ -71,12 +63,8 @@ fn snapshot_roundtrip(w: &Workload, form: IsaForm) -> Result<(), String> {
     let mut resumed =
         Vm::restore(config, &w.program, &snap).map_err(|e| format!("{cell}: restore: {e}"))?;
     let exit = resumed.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!("{cell}: resumed run exited {exit:?}"));
-    }
-
-    Reference::of(&whole)
-        .check(&resumed)
+    reference
+        .check(&EndState::of(&resumed, &exit))
         .map_err(|e| format!("{cell}: resumed run: {e}"))?;
     // Statistics must continue cumulatively across the seam: the resumed
     // run's interpret/execute split covers the whole timeline, so the
@@ -183,12 +171,9 @@ fn schedule_replay(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Str
         &w.program,
     );
     replayed.set_install_schedule(&events);
-    let exit = replayed.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!("{cell}: scheduled replay exited {exit:?}"));
-    }
-    Reference::of(&recorded)
-        .check(&replayed)
+    let replayed_exit = replayed.run(budget, &mut NullSink);
+    EndState::of(&recorded, &exit)
+        .check(&EndState::of(&replayed, &replayed_exit))
         .map_err(|e| format!("{cell}: replay: {e}"))?;
     if replayed.bg_events() != events.as_slice() {
         return Err(format!(

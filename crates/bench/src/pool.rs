@@ -36,11 +36,12 @@
 //! [`ReplayEvent::PoolPanicReply`]: ildp_core::ReplayEvent::PoolPanicReply
 //! [`ReplayEvent::PoolShed`]: ildp_core::ReplayEvent::PoolShed
 
-use crate::chaos::{cell_config, interp_reference, untimed};
+use crate::chaos::{cell_config, untimed};
 use crate::lint::cell_spec;
+use ildp_core::oracle::{self, EndState};
 use ildp_core::{
     silence_injected_panics, ChainPolicy, NullSink, PoolFaultKind, PoolFaults, TranslatePool, Vm,
-    VmConfig, VmExit,
+    VmConfig,
 };
 use ildp_isa::IsaForm;
 use spec_workloads::Workload;
@@ -212,7 +213,7 @@ pub fn pool_cell(
         ..cell_config(form, chain)
     };
     let budget = w.budget * 2;
-    let reference = interp_reference(&w.program, budget).map_err(|e| format!("{cell}: {e}"))?;
+    let reference = oracle::reference(&w.program, budget).map_err(|e| format!("{cell}: {e}"))?;
 
     let pool = TranslatePool::with_options(
         scenario.workers,
@@ -226,17 +227,11 @@ pub fn pool_cell(
     }
 
     let exit = vm.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!(
-            "{cell} [{}]: run exited {exit:?} instead of halting",
-            scenario.name
-        ));
-    }
 
-    // Gate 1: architected equality with the pure interpreter — a faulted
-    // pipeline may cost time, never correctness.
+    // Gate 1: the oracle — a faulted pipeline may cost time, never
+    // correctness.
     reference
-        .check(&vm)
+        .check(&EndState::of(&vm, &exit))
         .map_err(|e| format!("{cell} [{}]: {e}", scenario.name))?;
 
     // Gate 2: liveness — no await blocked past the deadline (+ slack).
@@ -302,14 +297,8 @@ pub fn pool_cell(
     let mut replayed = Vm::new(config, &w.program);
     replayed.set_install_schedule(&events);
     let exit = replayed.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!(
-            "{cell} [{}]: scheduled replay exited {exit:?}",
-            scenario.name
-        ));
-    }
     reference
-        .check(&replayed)
+        .check(&EndState::of(&replayed, &exit))
         .map_err(|e| format!("{cell} [{}]: scheduled replay: {e}", scenario.name))?;
     if replayed.bg_events() != events.as_slice() {
         return Err(format!(

@@ -24,6 +24,7 @@
 //! `/proc/thread-self/stat`; on non-Linux systems it degrades to zero
 //! and the aggregate falls back to wall-clock.
 
+use ildp_core::oracle::EndState;
 use ildp_core::{
     ChainPolicy, FragmentStore, NullSink, TranslatePool, Translator, Vm, VmConfig, VmExit,
 };
@@ -306,6 +307,7 @@ fn warm_cell(w: &Workload, form: IsaForm, warm_vms: usize, totals: &mut WarmStar
         "{}: cold run exited {exit:?}",
         w.name
     );
+    let cold_end = EndState::of(&cold, &exit);
     let violations = take_report();
     assert!(
         violations.is_empty(),
@@ -319,27 +321,13 @@ fn warm_cell(w: &Workload, form: IsaForm, warm_vms: usize, totals: &mut WarmStar
         let mut warm = Vm::new(cold_config, &w.program);
         warm.attach_store(Arc::clone(&store));
         let exit = warm.run(w.budget * 2, &mut NullSink);
-        assert!(
-            matches!(exit, VmExit::Halted | VmExit::Budget),
-            "{}: warm run exited {exit:?}",
-            w.name
-        );
         // The warm VM installed pre-verified artifacts; its validator
         // must never have fired.
         let violations = take_report();
         assert!(violations.is_empty(), "{}: warm run verified code", w.name);
-        assert_eq!(
-            warm.cpu().registers(),
-            cold.cpu().registers(),
-            "{}: warm-start run diverged architecturally",
-            w.name
-        );
-        assert_eq!(
-            warm.output(),
-            cold.output(),
-            "{}: warm output diverged",
-            w.name
-        );
+        if let Err(e) = cold_end.check(&EndState::of(&warm, &exit)) {
+            panic!("{}: warm-start run diverged: {e}", w.name);
+        }
         let st = warm.stats();
         totals.warm_runs += 1;
         totals.warm_hits += st.warm_hits;

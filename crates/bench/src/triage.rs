@@ -7,8 +7,8 @@
 //!
 //! 1. **monitors** — replays the envelope while taking periodic
 //!    checkpoints ([`Snapshot`]) at fragment boundaries, then compares
-//!    the final architected state against an instruction-accurate
-//!    reference interpreter ([`RefInterp`]);
+//!    the end state against the oracle's instruction-accurate reference
+//!    interpreter ([`RefInterp`]);
 //! 2. **bisects** — on divergence, binary-searches the checkpoints for
 //!    the last one whose architected state still matches the reference
 //!    (divergence is assumed persistent: corrupted architected state does
@@ -33,7 +33,8 @@
 //! translated.
 
 use crate::chaos::{apply_event, audit_and_heal, cell_config, ChaosReport};
-use alpha_isa::{step, AlignPolicy, Control, CpuState, DecodeCache, Memory, Program};
+use alpha_isa::Program;
+use ildp_core::oracle::{End, EndState, RefInterp};
 use ildp_core::wire::Cursor;
 use ildp_core::{
     wire, ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Snapshot, SnapshotError, Vm,
@@ -48,104 +49,6 @@ pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
 /// Current `.repro` bundle format version.
 pub const REPRO_VERSION: u32 = 1;
-
-/// An instruction-accurate reference interpreter that can start either
-/// from program entry or from a verified-good checkpoint, and advance to
-/// an exact retired-instruction count for lockstep comparison.
-pub struct RefInterp {
-    decoded: DecodeCache,
-    cpu: CpuState,
-    mem: Memory,
-    output: Vec<u8>,
-    v: u64,
-    halted: bool,
-}
-
-impl RefInterp {
-    /// A reference positioned at program entry.
-    pub fn from_start(program: &Program) -> RefInterp {
-        let (cpu, mem) = program.load();
-        RefInterp {
-            decoded: DecodeCache::new(program),
-            cpu,
-            mem,
-            output: Vec::new(),
-            v: 0,
-            halted: false,
-        }
-    }
-
-    /// A reference positioned at a checkpoint. Only sound when the
-    /// checkpoint's architected state is known to match the reference
-    /// timeline — the triage engine guarantees this by bisecting to the
-    /// last checkpoint it verified against a from-start reference.
-    pub fn from_snapshot(program: &Program, snap: &Snapshot) -> RefInterp {
-        RefInterp {
-            decoded: DecodeCache::new(program),
-            cpu: CpuState::with_registers(snap.pc, &snap.regs),
-            mem: snap.to_memory(),
-            output: snap.output.clone(),
-            v: snap.v_insts,
-            halted: false,
-        }
-    }
-
-    /// Steps until exactly `target` instructions have retired (or the
-    /// program halts first — check [`halted`](RefInterp::halted)).
-    pub fn advance_to(&mut self, target: u64) -> Result<(), String> {
-        while self.v < target && !self.halted {
-            let pc = self.cpu.pc;
-            let inst = self
-                .decoded
-                .fetch(pc)
-                .map_err(|t| format!("reference fetch trap at {pc:#x}: {t}"))?;
-            let outcome = step(&mut self.cpu, &mut self.mem, inst, AlignPolicy::Enforce)
-                .map_err(|t| format!("reference trap at {pc:#x}: {t}"))?;
-            // Mirror `Vm::v_instructions`: architectural NOPs retire but
-            // never count, in any execution mode.
-            if !inst.is_nop() {
-                self.v += 1;
-            }
-            if let Some(b) = outcome.output {
-                self.output.push(b);
-            }
-            if outcome.control == Control::Halt {
-                self.halted = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Instructions retired so far.
-    pub fn v(&self) -> u64 {
-        self.v
-    }
-
-    /// Whether the program has halted.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Current architected register file.
-    pub fn regs(&self) -> [u64; 32] {
-        self.cpu.registers()
-    }
-
-    /// Current architected pc.
-    pub fn pc(&self) -> u64 {
-        self.cpu.pc
-    }
-
-    /// Order-independent digest of current memory contents.
-    pub fn mem_digest(&self) -> u64 {
-        self.mem.content_digest()
-    }
-
-    /// Console output so far.
-    pub fn output(&self) -> &[u8] {
-        &self.output
-    }
-}
 
 /// XORs `rule.imm_xor` into the first immediate operand at or after
 /// `rule.slot` (wrapping) of a fragment's code — the modelled translator
@@ -371,10 +274,10 @@ pub struct Divergence {
     pub entry_translated: bool,
     /// Reference pc at the boundary (meaningful when `pc_compared`).
     pub pc_expected: u64,
-    /// VM pc at the boundary.
+    /// VM pc at the boundary (meaningful when `pc_compared`).
     pub pc_actual: u64,
-    /// Whether pc participated in the comparison (only at mid-run
-    /// boundaries; halt pc conventions differ between engines).
+    /// Whether pc participated in the comparison (only where both sides
+    /// paused mid-run; halt pc conventions differ between engines).
     pub pc_compared: bool,
     /// Mismatched registers, ascending by index.
     pub regs: Vec<RegDiff>,
@@ -432,63 +335,47 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Compares the VM's architected state against the reference at a common
-/// retired count. `compare_pc` is set only at mid-run boundaries.
-fn state_diff(
-    vm: &Vm<'_>,
-    reference: &RefInterp,
-    compare_pc: bool,
-) -> Option<(Vec<RegDiff>, bool, bool)> {
-    let vr = vm.cpu().registers();
-    let rr = reference.regs();
-    let regs: Vec<RegDiff> = (0..32)
-        .filter(|&i| vr[i] != rr[i])
-        .map(|i| RegDiff {
-            index: i as u8,
-            expected: rr[i],
-            actual: vr[i],
-        })
-        .collect();
-    let mem = vm.memory().content_digest() != reference.mem_digest();
-    let out = vm.output() != reference.output();
-    let pc = compare_pc && vm.cpu().pc != reference.pc();
-    if regs.is_empty() && !mem && !out && !pc {
-        None
-    } else {
-        Some((regs, mem, out))
-    }
-}
-
-fn divergence_at(
-    vm: &Vm<'_>,
-    reference: &RefInterp,
+/// The divergence report for a boundary where the VM's state `actual`
+/// fails the oracle against the reference's `expected`. Program
+/// counters are compared only where both sides paused mid-run (halt pc
+/// conventions differ between engines).
+fn divergence(
+    actual: &EndState,
+    expected: &EndState,
     entry_vstart: u64,
     entry_translated: bool,
-    compare_pc: bool,
-    abnormal: bool,
-    diff: (Vec<RegDiff>, bool, bool),
 ) -> Divergence {
-    let (regs, _, out) = diff;
+    let pc = |s: &EndState| match s.end {
+        End::Paused { pc } => Some(pc),
+        _ => None,
+    };
     Divergence {
-        v_insts: vm.v_instructions(),
+        v_insts: actual.retired,
         entry_vstart,
         entry_translated,
-        pc_expected: reference.pc(),
-        pc_actual: vm.cpu().pc,
-        pc_compared: compare_pc,
-        regs,
-        mem_expected: reference.mem_digest(),
-        mem_actual: vm.memory().content_digest(),
-        output_diverged: out,
-        abnormal_exit: abnormal,
+        pc_expected: pc(expected).unwrap_or(0),
+        pc_actual: pc(actual).unwrap_or(0),
+        pc_compared: pc(expected).is_some() && pc(actual).is_some(),
+        regs: (0..32)
+            .filter(|&i| actual.regs[i] != expected.regs[i])
+            .map(|i| RegDiff {
+                index: i as u8,
+                expected: expected.regs[i],
+                actual: actual.regs[i],
+            })
+            .collect(),
+        mem_expected: expected.mem_digest,
+        mem_actual: actual.mem_digest,
+        output_diverged: actual.output != expected.output,
+        abnormal_exit: matches!(actual.end, End::Trapped { .. } | End::Fault(_)),
     }
 }
 
 /// Restores a VM from a verified-good checkpoint and single-steps
 /// fragment boundaries in lockstep with a reference started from the
-/// same checkpoint, until the first divergent boundary (or `max_v`
-/// retired instructions). Returns `None` if the timelines agree to a
-/// clean common halt.
+/// same checkpoint, until the first boundary that fails the oracle (or
+/// `max_v` retired instructions). Returns `None` if the timelines agree
+/// to a common end (halt or trap).
 pub fn localize(
     program: &Program,
     config: VmConfig,
@@ -500,8 +387,7 @@ pub fn localize(
     let mut driver = LogDriver::new(vm, log);
     let mut reference = RefInterp::from_snapshot(program, snap);
     loop {
-        let v0 = driver.vm.v_instructions();
-        if v0 >= max_v {
+        if driver.vm.v_instructions() >= max_v {
             return Err(format!(
                 "localization exceeded {max_v} instructions without reproducing the divergence"
             ));
@@ -509,53 +395,14 @@ pub fn localize(
         let entry = driver.vm.cpu().pc;
         let translated = driver.vm.cache().lookup(entry).is_some();
         let exit = driver.step();
-        let v1 = driver.vm.v_instructions();
-        reference.advance_to(v1)?;
-        let abnormal = matches!(exit, VmExit::Trapped { .. } | VmExit::Fault { .. });
-        // The reference halting short of the VM's count is itself a
-        // divergence (the VM ran past the architected halt).
-        if reference.v() < v1 {
-            let diff =
-                state_diff(&driver.vm, &reference, false).unwrap_or((Vec::new(), false, false));
-            return Ok(Some(divergence_at(
-                &driver.vm, &reference, entry, translated, false, abnormal, diff,
-            )));
+        let actual = EndState::of(&driver.vm, &exit);
+        reference.catch_up(&actual);
+        let expected = reference.state();
+        if expected.check(&actual).is_err() {
+            return Ok(Some(divergence(&actual, &expected, entry, translated)));
         }
-        let compare_pc = exit == VmExit::Budget;
-        if let Some(diff) = state_diff(&driver.vm, &reference, compare_pc) {
-            return Ok(Some(divergence_at(
-                &driver.vm, &reference, entry, translated, compare_pc, abnormal, diff,
-            )));
-        }
-        if abnormal {
-            // Architected state agrees but the VM cannot continue while
-            // the reference can: report the stop itself.
-            return Ok(Some(divergence_at(
-                &driver.vm,
-                &reference,
-                entry,
-                translated,
-                false,
-                true,
-                (Vec::new(), false, false),
-            )));
-        }
-        if exit == VmExit::Halted {
-            return Ok(if reference.halted() {
-                None
-            } else {
-                // VM halted early: count agreement was checked above, so
-                // the reference must be able to continue — divergent.
-                Some(divergence_at(
-                    &driver.vm,
-                    &reference,
-                    entry,
-                    translated,
-                    false,
-                    false,
-                    (Vec::new(), false, false),
-                ))
-            });
+        if !matches!(actual.end, End::Paused { .. }) {
+            return Ok(None);
         }
     }
 }
@@ -586,35 +433,27 @@ pub fn triage_run(
     let vm = Vm::new(cell_config(form, chain), program);
     let mut driver = LogDriver::new(vm, log);
     let (cps, exit) = driver.run_monitored(interval);
-    let v_final = driver.vm.v_instructions();
+    let actual = EndState::of(&driver.vm, &exit);
+    let v_final = actual.retired;
     let mut reference = RefInterp::from_start(program);
-    reference.advance_to(v_final)?;
-    let abnormal = matches!(exit, VmExit::Trapped { .. } | VmExit::Fault { .. });
-    let clean = !abnormal
-        && reference.v() == v_final
-        && state_diff(&driver.vm, &reference, exit == VmExit::Budget).is_none()
-        && (exit != VmExit::Halted || reference.halted());
-    if clean {
+    reference.catch_up(&actual);
+    if reference.state().check(&actual).is_ok() {
         return Ok(None);
     }
     // Phase B: bisect the checkpoints for the last one whose architected
     // state matches a from-start reference. Assumes divergence persists
     // once present (miscompiled state does not self-correct), which makes
     // "checkpoint diverged" monotone over the run.
-    let diverged = |snap: &Snapshot| -> Result<bool, String> {
+    let diverged = |snap: &Snapshot| {
         let mut r = RefInterp::from_start(program);
-        r.advance_to(snap.v_insts)?;
-        Ok(r.v() < snap.v_insts
-            || r.regs() != snap.regs
-            || r.pc() != snap.pc
-            || r.mem_digest() != snap.mem_digest()
-            || r.output() != snap.output.as_slice())
+        r.advance_to(snap.v_insts);
+        r.state().check(&EndState::of_snapshot(snap)).is_err()
     };
     // cps[0] is the pre-run state and always good; partition in (0, n).
     let (mut good, mut bad) = (0usize, cps.len());
     while bad - good > 1 {
         let mid = good + (bad - good) / 2;
-        if diverged(&cps[mid])? {
+        if diverged(&cps[mid]) {
             bad = mid;
         } else {
             good = mid;

@@ -935,8 +935,7 @@ impl Engine {
                     DynInst::alu(0, 0)
                 };
                 // Retires this instruction's record, settles through it and
-                // returns `$exit` (evaluated first: trap state reads the
-                // register file as it is before the exit).
+                // returns `$exit`.
                 macro_rules! leave {
                     ($exit:expr) => {{
                         let exit = $exit;
@@ -944,6 +943,22 @@ impl Engine {
                             sink.retire(&d);
                         }
                         settle!(idx + 1);
+                        return exit;
+                    }};
+                }
+                // Stops at a faulting instruction — a trap, or an SMC
+                // store the VM re-runs interpretively — and returns `$exit`
+                // (evaluated first: precise state reads the register file
+                // as it is before the exit). The instruction does not
+                // retire, but the straightened-away branches credited with
+                // it did, so settlement stops short of it and books their
+                // share of its credit.
+                macro_rules! fault {
+                    ($exit:expr) => {{
+                        let exit = $exit;
+                        let credit = frag.meta[idx].vcount;
+                        settle!(idx);
+                        self.stats.v_insts += u64::from(credit.saturating_sub(1));
                         return exit;
                     }};
                 }
@@ -1029,7 +1044,7 @@ impl Engine {
                     } => {
                         let a = f[addr].wrapping_add(disp as i64 as u64);
                         if let Err(trap) = check_align(a, width, self.config.align) {
-                            leave!(FragExit::Trap {
+                            fault!(FragExit::Trap {
                                 vaddr: frag.meta[idx].vaddr,
                                 trap,
                                 state: precise(f),
@@ -1057,7 +1072,7 @@ impl Engine {
                     } => {
                         let a = f[addr].wrapping_add(disp as i64 as u64);
                         if let Err(trap) = check_align(a, width, self.config.align) {
-                            leave!(FragExit::Trap {
+                            fault!(FragExit::Trap {
                                 vaddr: frag.meta[idx].vaddr,
                                 trap,
                                 state: precise(f),
@@ -1067,19 +1082,15 @@ impl Engine {
                         if cache.smc_hit(a, len) {
                             // Self-modifying code: surface the store
                             // *before* it executes, with precise state
-                            // (the store's recovery table). The store
-                            // retires nothing — the VM re-runs it
-                            // interpretively after invalidating the
-                            // affected fragments — so settlement stops
-                            // short of it.
-                            let exit = FragExit::SmcStore {
+                            // (the store's recovery table). The VM re-runs
+                            // it interpretively after invalidating the
+                            // affected fragments.
+                            fault!(FragExit::SmcStore {
                                 addr: a,
                                 len,
                                 vaddr: frag.meta[idx].vaddr,
                                 state: precise(f),
-                            };
-                            settle!(idx);
-                            return exit;
+                            });
                         }
                         if S::TRACING {
                             d.mem_addr = Some(a);
@@ -1228,7 +1239,7 @@ impl Engine {
                     }
                     Op::GenTrap => {
                         let state = precise(f);
-                        leave!(FragExit::Trap {
+                        fault!(FragExit::Trap {
                             vaddr: frag.meta[idx].vaddr,
                             trap: Trap::GenTrap {
                                 code: state[Reg::A0.number() as usize],

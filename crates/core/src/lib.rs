@@ -24,7 +24,8 @@
 //!
 //! The crate also contains the *code-straightening-only* translator
 //! ([`StraightenedVm`]) used by the paper to isolate chaining effects on a
-//! conventional superscalar (Figures 4–6).
+//! conventional superscalar (Figures 4–6), and the [`oracle`] every tier
+//! is judged by: a reference interpreter and one end-state check.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,6 +36,7 @@ mod cost;
 mod engine;
 mod error;
 mod fragment;
+pub mod oracle;
 mod pipeline;
 mod profile;
 mod replay;
@@ -68,7 +70,7 @@ pub use pipeline::{
 };
 pub use profile::{
     collect_superblock, collect_superblock_with_output, interp_block, Candidates, CodeIndex,
-    InterpEvent, ProfileConfig,
+    CollectionTrap, InterpEvent, ProfileConfig,
 };
 pub use replay::{ReplayEvent, ReplayLog, Sabotage, REPLAY_MAGIC, REPLAY_VERSION};
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

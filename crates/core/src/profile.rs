@@ -276,6 +276,19 @@ pub fn interp_block<C: CodeIndex>(
     }
 }
 
+/// A trap raised while collecting a superblock. The partial superblock
+/// is abandoned with the PC on the faulting instruction, but the
+/// instructions before it have executed and must be counted as retired.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CollectionTrap {
+    /// Faulting V-address.
+    pub vaddr: u64,
+    /// The condition.
+    pub trap: Trap,
+    /// Instructions executed before the faulting one, NOPs excluded.
+    pub executed: u64,
+}
+
 /// Follows the interpreted path from the current PC, executing and
 /// recording instructions until a superblock ending condition (paper
 /// §3.1). NOP instructions are executed but not recorded.
@@ -293,7 +306,7 @@ pub fn collect_superblock(
     mem: &mut Memory,
     program: &Program,
     config: &ProfileConfig,
-) -> Result<Superblock, (u64, Trap)> {
+) -> Result<Superblock, CollectionTrap> {
     let decoded = DecodeCache::new(program);
     collect_superblock_with_output(cpu, mem, &decoded, config, &mut Vec::new())
 }
@@ -311,7 +324,7 @@ pub fn collect_superblock_with_output(
     decoded: &DecodeCache,
     config: &ProfileConfig,
     output: &mut Vec<u8>,
-) -> Result<Superblock, (u64, Trap)> {
+) -> Result<Superblock, CollectionTrap> {
     let start = cpu.pc;
     let mut insts: Vec<SbInst> = Vec::new();
     let mut seen: HashSet<u64, AddrHasher> = HashSet::default();
@@ -331,8 +344,13 @@ pub fn collect_superblock_with_output(
                 end: SbEnd::MaxSize { next: pc },
             });
         }
-        let inst = decoded.fetch(pc).map_err(|t| (pc, t))?;
-        let outcome = step(cpu, mem, inst, config.align).map_err(|t| (pc, t))?;
+        let trapped = |trap| CollectionTrap {
+            vaddr: pc,
+            trap,
+            executed: insts.len() as u64,
+        };
+        let inst = decoded.fetch(pc).map_err(trapped)?;
+        let outcome = step(cpu, mem, inst, config.align).map_err(trapped)?;
         if let Some(b) = outcome.output {
             output.push(b);
         }
@@ -611,8 +629,9 @@ mod tests {
         let (mut cpu, mut mem) = program.load();
         let err = collect_superblock(&mut cpu, &mut mem, &program, &ProfileConfig::default())
             .unwrap_err();
-        assert_eq!(err.0, 0x5004);
-        assert_eq!(err.1, Trap::GenTrap { code: 42 });
+        assert_eq!(err.vaddr, 0x5004);
+        assert_eq!(err.trap, Trap::GenTrap { code: 42 });
+        assert_eq!(err.executed, 1, "the lda ran before the trap");
     }
 
     #[test]

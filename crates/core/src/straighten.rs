@@ -80,6 +80,8 @@ enum SInst {
 
 #[derive(Clone, Copy, Debug)]
 struct SMeta {
+    /// V-address of the originating instruction (a trap's V-PC).
+    vaddr: u64,
     vcount: u16,
     is_chain: bool,
 }
@@ -174,7 +176,7 @@ pub struct StraightenedVm {
     embed: u64,
     cmp: u64,
     /// Console bytes in emission order.
-    pub output: Vec<u8>,
+    output: Vec<u8>,
     stats: StraightenStats,
 }
 
@@ -214,6 +216,22 @@ impl StraightenedVm {
         &self.cpu
     }
 
+    /// The guest memory.
+    pub fn memory(&self) -> &Memory {
+        &self.mem
+    }
+
+    /// Console output produced so far, in emission order.
+    pub fn output(&self) -> &[u8] {
+        &self.output
+    }
+
+    /// V-ISA instructions retired so far (interpreted or straightened),
+    /// NOPs excluded — counted as [`crate::Vm::v_instructions`] counts.
+    pub fn v_instructions(&self) -> u64 {
+        self.stats.interpreted + self.stats.v_insts
+    }
+
     fn ras_push(&mut self, v: u64, i: u64) {
         self.ras_top = (self.ras_top + 1) % self.ras.len();
         self.ras[self.ras_top] = (v, i);
@@ -236,62 +254,47 @@ impl StraightenedVm {
         let mut insts = Vec::with_capacity(sb.insts.len() + 8);
         let mut meta: Vec<SMeta> = Vec::new();
         let mut credited = 0u32;
-        let push = |insts: &mut Vec<SInst>, meta: &mut Vec<SMeta>, i: SInst, m: SMeta| {
-            insts.push(i);
-            meta.push(m);
-        };
         for (k, si) in sb.insts.iter().enumerate() {
-            let credit = |credited: &mut u32| -> u16 {
-                let through = k as u32 + 1;
-                let c = through.saturating_sub(*credited);
-                *credited = through;
+            // Every slot carries its originating V-address; `vcount`
+            // credits the retirement of this instruction and of any
+            // straightened-away branches before it.
+            let mut push = |i: SInst, vcount: u16, is_chain: bool| {
+                insts.push(i);
+                meta.push(SMeta {
+                    vaddr: si.vaddr,
+                    vcount,
+                    is_chain,
+                });
+            };
+            let through = k as u32 + 1;
+            let mut credit = || {
+                let c = through.saturating_sub(credited);
+                credited = through;
                 c as u16
             };
             let is_last = k == sb.insts.len() - 1;
             match si.flow {
-                CollectedFlow::Sequential => {
-                    let c = credit(&mut credited);
-                    push(
-                        &mut insts,
-                        &mut meta,
-                        SInst::Alpha(si.inst),
-                        SMeta {
-                            vcount: c,
-                            is_chain: false,
-                        },
-                    );
-                }
+                CollectedFlow::Sequential => push(SInst::Alpha(si.inst), credit(), false),
                 CollectedFlow::Direct { links, .. } => {
                     if links {
                         let Inst::Branch { ra, .. } = si.inst else {
                             unreachable!("linking direct flow from a branch")
                         };
-                        let c = credit(&mut credited);
+                        let dst_vaddr = si.vaddr + 4;
                         push(
-                            &mut insts,
-                            &mut meta,
                             SInst::SaveVReturn {
                                 dst: ra,
-                                vaddr: si.vaddr + 4,
+                                vaddr: dst_vaddr,
                             },
-                            SMeta {
-                                vcount: c,
-                                is_chain: false,
-                            },
+                            credit(),
+                            false,
                         );
                         if self.chain.uses_dual_ras() {
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::PushDualRas {
-                                    vret: si.vaddr + 4,
-                                    iret: None,
-                                },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
+                            let push_ras = SInst::PushDualRas {
+                                vret: dst_vaddr,
+                                iret: None,
+                            };
+                            push(push_ras, 0, true);
                         }
                     }
                     // Non-linking direct branches are removed outright.
@@ -300,21 +303,13 @@ impl StraightenedVm {
                     let Inst::Branch { op, ra, .. } = si.inst else {
                         unreachable!("conditional flow from a branch")
                     };
-                    let c = credit(&mut credited);
-                    push(
-                        &mut insts,
-                        &mut meta,
-                        SInst::ExitIf {
-                            op,
-                            ra,
-                            vtarget: taken_target,
-                            resolved: None,
-                        },
-                        SMeta {
-                            vcount: c,
-                            is_chain: false,
-                        },
-                    );
+                    let exit = SInst::ExitIf {
+                        op,
+                        ra,
+                        vtarget: taken_target,
+                        resolved: None,
+                    };
+                    push(exit, credit(), false);
                 }
                 CollectedFlow::CondTaken {
                     taken_target,
@@ -323,49 +318,28 @@ impl StraightenedVm {
                     let Inst::Branch { op, ra, .. } = si.inst else {
                         unreachable!("conditional flow from a branch")
                     };
-                    let c = credit(&mut credited);
+                    let c = credit();
                     if is_last && matches!(sb.end, SbEnd::BackwardTakenBranch { .. }) {
-                        push(
-                            &mut insts,
-                            &mut meta,
-                            SInst::ExitIf {
-                                op,
-                                ra,
-                                vtarget: taken_target,
-                                resolved: None,
-                            },
-                            SMeta {
-                                vcount: c,
-                                is_chain: false,
-                            },
-                        );
-                        push(
-                            &mut insts,
-                            &mut meta,
-                            SInst::Exit {
-                                vtarget: fallthrough,
-                                resolved: None,
-                            },
-                            SMeta {
-                                vcount: 0,
-                                is_chain: true,
-                            },
-                        );
+                        let exit = SInst::ExitIf {
+                            op,
+                            ra,
+                            vtarget: taken_target,
+                            resolved: None,
+                        };
+                        push(exit, c, false);
+                        let exit = SInst::Exit {
+                            vtarget: fallthrough,
+                            resolved: None,
+                        };
+                        push(exit, 0, true);
                     } else {
-                        push(
-                            &mut insts,
-                            &mut meta,
-                            SInst::ExitIf {
-                                op: op.inverse(),
-                                ra,
-                                vtarget: fallthrough,
-                                resolved: None,
-                            },
-                            SMeta {
-                                vcount: c,
-                                is_chain: false,
-                            },
-                        );
+                        let exit = SInst::ExitIf {
+                            op: op.inverse(),
+                            ra,
+                            vtarget: fallthrough,
+                            resolved: None,
+                        };
+                        push(exit, c, false);
                     }
                 }
                 CollectedFlow::Indirect { kind, target } => {
@@ -377,107 +351,36 @@ impl StraightenedVm {
                         "straightened chaining does not support a linking \
                          jump through its own link register"
                     );
+                    let vret = si.vaddr + 4;
                     if !ra.is_zero() {
                         push(
-                            &mut insts,
-                            &mut meta,
                             SInst::SaveVReturn {
                                 dst: ra,
-                                vaddr: si.vaddr + 4,
+                                vaddr: vret,
                             },
-                            SMeta {
-                                vcount: 0,
-                                is_chain: false,
-                            },
+                            0,
+                            false,
                         );
                         if self.chain.uses_dual_ras() {
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::PushDualRas {
-                                    vret: si.vaddr + 4,
-                                    iret: None,
-                                },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
+                            push(SInst::PushDualRas { vret, iret: None }, 0, true);
                         }
                     }
-                    let c = credit(&mut credited);
+                    let c = credit();
                     match (kind, self.chain) {
                         (JumpKind::Ret, ChainPolicy::SwPredDualRas) => {
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::Return { rb },
-                                SMeta {
-                                    vcount: c,
-                                    is_chain: false,
-                                },
-                            );
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::Dispatch { rb },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
+                            push(SInst::Return { rb }, c, false);
+                            push(SInst::Dispatch { rb }, 0, true);
                         }
-                        (_, ChainPolicy::NoPred) => {
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::Dispatch { rb },
-                                SMeta {
-                                    vcount: c,
-                                    is_chain: false,
-                                },
-                            );
-                        }
+                        (_, ChainPolicy::NoPred) => push(SInst::Dispatch { rb }, c, false),
                         _ => {
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::LoadEmbedded { vaddr: target },
-                                SMeta {
-                                    vcount: c,
-                                    is_chain: true,
-                                },
-                            );
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::CmpEmbedded { rb },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::BranchIfMatch {
-                                    vtarget: target,
-                                    resolved: None,
-                                },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
-                            push(
-                                &mut insts,
-                                &mut meta,
-                                SInst::Dispatch { rb },
-                                SMeta {
-                                    vcount: 0,
-                                    is_chain: true,
-                                },
-                            );
+                            push(SInst::LoadEmbedded { vaddr: target }, c, true);
+                            push(SInst::CmpEmbedded { rb }, 0, true);
+                            let hit = SInst::BranchIfMatch {
+                                vtarget: target,
+                                resolved: None,
+                            };
+                            push(hit, 0, true);
+                            push(SInst::Dispatch { rb }, 0, true);
                         }
                     }
                 }
@@ -489,8 +392,11 @@ impl StraightenedVm {
                     vtarget: next,
                     resolved: None,
                 });
+                // Trailing straightened-away branches have no later slot
+                // to credit them; they retire on the way to this exit.
                 meta.push(SMeta {
-                    vcount: 0,
+                    vaddr: sb.insts.last().map_or(sb.start, |si| si.vaddr),
+                    vcount: (sb.insts.len() as u32).saturating_sub(credited) as u16,
                     is_chain: true,
                 });
             }
@@ -616,11 +522,15 @@ impl StraightenedVm {
                             }
                         }
                         Err(trap) => {
-                            self.cpu.pc = saved_pc;
-                            exit = Some(ExecExit::Trapped {
-                                vaddr: 0, // straightened system: address via side table
+                            // The faulting instruction does not retire; the
+                            // straightened-away branches credited with it
+                            // did.
+                            self.stats.v_insts -= 1;
+                            self.cpu.pc = m.vaddr;
+                            return ExecExit::Trapped {
+                                vaddr: m.vaddr,
                                 trap,
-                            });
+                            };
                         }
                     }
                     self.cpu.pc = saved_pc;
@@ -833,8 +743,8 @@ impl StraightenedVm {
             &self.profile,
             &mut self.output,
         );
-        if let Ok(sb) = result {
-            if !sb.is_empty() {
+        match result {
+            Ok(sb) if !sb.is_empty() => {
                 // A collection that ran into the guest's halt leaves the
                 // PC pinned on it; ordinary interpretation re-raises and
                 // counts it, so don't count it here too.
@@ -844,6 +754,10 @@ impl StraightenedVm {
                 };
                 self.install(&sb);
             }
+            Ok(_) => {}
+            // Interpretation re-raises the trap; what ran before it
+            // retired.
+            Err(t) => self.stats.interpreted += t.executed,
         }
     }
 }
@@ -870,7 +784,17 @@ enum ExecExit {
 mod tests {
     use super::*;
     use crate::engine::NullSink;
-    use alpha_isa::{run_to_halt, AlignPolicy, Assembler};
+    use crate::oracle::{reference, EndState};
+    use alpha_isa::Assembler;
+
+    /// Panics with the first difference unless `vm`, stopped with
+    /// `exit`, passes the oracle against an interpreter run of `program`.
+    fn assert_oracle(program: &Program, vm: &StraightenedVm, exit: VmExit) {
+        let expected = reference(program, 100_000).unwrap();
+        if let Err(e) = expected.check(&EndState::of_straightened(vm, &exit)) {
+            panic!("{e}");
+        }
+    }
 
     fn call_loop_program() -> Program {
         // A loop that calls a tiny function indirectly and returns —
@@ -892,24 +816,9 @@ mod tests {
 
     fn check_policy(chain: ChainPolicy) {
         let program = call_loop_program();
-        let (mut rcpu, mut rmem) = program.load();
-        run_to_halt(
-            &mut rcpu,
-            &mut rmem,
-            &program,
-            AlignPolicy::Enforce,
-            100_000,
-        )
-        .unwrap();
-
         let mut vm = StraightenedVm::new(chain, ProfileConfig::default(), &program);
         let exit = vm.run(100_000, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{chain:?}");
-        assert_eq!(
-            vm.cpu().registers(),
-            rcpu.registers(),
-            "straightened execution must preserve state ({chain:?})"
-        );
+        assert_oracle(&program, &vm, exit);
         assert!(vm.stats().fragments > 0);
         assert!(
             vm.stats().v_insts > 500,
@@ -980,23 +889,13 @@ mod tests {
         asm.halt();
         let program = asm.finish().unwrap();
 
-        let (mut rcpu, mut rmem) = program.load();
-        run_to_halt(
-            &mut rcpu,
-            &mut rmem,
-            &program,
-            AlignPolicy::Enforce,
-            100_000,
-        )
-        .unwrap();
-
         let mut vm = StraightenedVm::new(
             ChainPolicy::SwPredDualRas,
             ProfileConfig::default(),
             &program,
         );
-        vm.run(100_000, &mut NullSink);
-        assert_eq!(vm.cpu().registers(), rcpu.registers());
+        let exit = vm.run(100_000, &mut NullSink);
+        assert_oracle(&program, &vm, exit);
         // Straightened hot code drops the BR: fewer executed instructions
         // per iteration (4 vs 5, minus cold-start noise).
         let hot_ratio = vm.stats().executed as f64 / vm.stats().v_insts as f64;

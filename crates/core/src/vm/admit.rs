@@ -85,10 +85,12 @@ impl Vm<'_> {
         ) {
             Ok(sb) if !sb.is_empty() => sb,
             Ok(_) => return false,
-            Err((pc, _trap)) => {
+            Err(t) => {
                 // Trap during collection: abandon the superblock; the trap
-                // will be re-raised by ordinary interpretation.
-                self.cpu.pc = pc;
+                // will be re-raised by ordinary interpretation, but the
+                // instructions before it have retired.
+                self.stats.interpreted += t.executed;
+                self.cpu.pc = t.vaddr;
                 return false;
             }
         };

@@ -50,7 +50,12 @@ impl Vm<'_> {
                     FragExit::Halt => break VmExit::Halted,
                     FragExit::Budget => break VmExit::Budget,
                     FragExit::Trap { vaddr, trap, state } => {
-                        break VmExit::Trapped { vaddr, trap, state }
+                        // The architected state at a trap is the precise
+                        // state in front of the faulting instruction, as
+                        // in every other mode.
+                        self.cpu.set_registers(&state);
+                        self.cpu.pc = vaddr;
+                        break VmExit::Trapped { vaddr, trap, state };
                     }
                     FragExit::SmcStore {
                         addr,

@@ -1,7 +1,8 @@
 use super::*;
 use crate::engine::NullSink;
+use crate::oracle::{reference, EndState};
 use crate::translate::ChainPolicy;
-use alpha_isa::{run_to_halt, AlignPolicy, Assembler, Reg};
+use alpha_isa::{Assembler, Reg};
 use ildp_isa::IsaForm;
 
 fn loop_program(iters: i16) -> Program {
@@ -23,18 +24,18 @@ fn loop_program(iters: i16) -> Program {
     asm.finish().unwrap()
 }
 
+/// Panics with the first difference unless `vm`, stopped with `exit`,
+/// passes the oracle against an interpreter run of `program`.
+fn assert_oracle(program: &Program, vm: &Vm, exit: VmExit) {
+    let expected = reference(program, 1_000_000).unwrap();
+    if let Err(e) = expected.check(&EndState::of(vm, &exit)) {
+        panic!("{e}");
+    }
+}
+
 fn final_state_matches(form: IsaForm, chain: ChainPolicy) {
     let program = loop_program(500);
-    // Reference: pure interpretation.
-    let (mut rcpu, mut rmem) = program.load();
-    run_to_halt(
-        &mut rcpu,
-        &mut rmem,
-        &program,
-        AlignPolicy::Enforce,
-        100_000,
-    )
-    .unwrap();
+    let expected = reference(&program, 100_000).unwrap();
 
     let config = VmConfig {
         translator: Translator {
@@ -47,7 +48,9 @@ fn final_state_matches(form: IsaForm, chain: ChainPolicy) {
     };
     let mut vm = Vm::new(config, &program);
     let exit = vm.run(100_000, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted);
+    if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+        panic!("translated execution diverged ({form:?}, {chain:?}): {e}");
+    }
     assert!(
         vm.stats().fragments > 0,
         "hot loop must have been translated ({form:?}, {chain:?})"
@@ -56,12 +59,6 @@ fn final_state_matches(form: IsaForm, chain: ChainPolicy) {
         vm.stats().engine.v_insts > 1_000,
         "most iterations must run translated ({form:?}, {chain:?}): {}",
         vm.stats().engine.v_insts
-    );
-    assert_eq!(
-        vm.cpu().registers(),
-        rcpu.registers(),
-        "translated execution must preserve architected state \
-         ({form:?}, {chain:?})"
     );
 }
 
@@ -146,10 +143,8 @@ fn snapshot_restore_continues_identically() {
     assert!(!snap.translated.is_empty(), "hot loop must be captured");
     let mut vm3 = Vm::restore(VmConfig::default(), &program, &snap).unwrap();
     assert_eq!(vm3.v_instructions(), snap.v_insts);
-    assert_eq!(vm3.run(100_000, &mut NullSink), VmExit::Halted);
-    assert_eq!(vm3.cpu().registers(), vm1.cpu().registers());
-    assert_eq!(vm3.memory().content_digest(), vm1.memory().content_digest());
-    assert_eq!(vm3.v_instructions(), vm1.v_instructions());
+    let exit = vm3.run(100_000, &mut NullSink);
+    assert_oracle(&program, &vm3, exit);
     // Stats continue cumulatively: the resumed run retranslates the
     // loop, so fragment counts only grow past the snapshot's.
     assert!(vm3.stats().fragments > snap.stats.fragments);
@@ -181,16 +176,11 @@ fn sync_config() -> VmConfig {
 fn async_pipeline_matches_sync_architecturally() {
     let program = loop_program(800);
     let mut sync_vm = Vm::new(sync_config(), &program);
-    assert_eq!(sync_vm.run(100_000, &mut NullSink), VmExit::Halted);
+    let exit = sync_vm.run(100_000, &mut NullSink);
+    assert_oracle(&program, &sync_vm, exit);
     let mut async_vm = Vm::new(VmConfig::default(), &program);
-    assert_eq!(async_vm.run(100_000, &mut NullSink), VmExit::Halted);
-    assert_eq!(async_vm.cpu().registers(), sync_vm.cpu().registers());
-    assert_eq!(
-        async_vm.memory().content_digest(),
-        sync_vm.memory().content_digest()
-    );
-    assert_eq!(async_vm.output(), sync_vm.output());
-    assert_eq!(async_vm.v_instructions(), sync_vm.v_instructions());
+    let exit = async_vm.run(100_000, &mut NullSink);
+    assert_oracle(&program, &async_vm, exit);
     assert!(
         async_vm.stats().fragments > 0,
         "the hot loop must still get translated in the background"
@@ -210,11 +200,8 @@ fn delayed_install_parks_translations_until_anchor() {
         ..sync_config()
     };
     let mut vm = Vm::new(config, &program);
-    assert_eq!(vm.run(100_000, &mut NullSink), VmExit::Halted);
-    let mut reference = Vm::new(sync_config(), &program);
-    assert_eq!(reference.run(100_000, &mut NullSink), VmExit::Halted);
-    assert_eq!(vm.cpu().registers(), reference.cpu().registers());
-    assert_eq!(vm.v_instructions(), reference.v_instructions());
+    let exit = vm.run(100_000, &mut NullSink);
+    assert_oracle(&program, &vm, exit);
     assert!(vm.stats().fragments > 0, "delayed installs must land");
     assert_eq!(vm.stats().async_installs, vm.stats().fragments);
     // Every install was recorded as a count-anchored event.
@@ -233,15 +220,15 @@ fn warm_start_reuses_published_fragments() {
     let store = Arc::new(FragmentStore::new());
     let mut cold = Vm::new(sync_config(), &program);
     cold.attach_store(Arc::clone(&store));
-    assert_eq!(cold.run(100_000, &mut NullSink), VmExit::Halted);
+    let exit = cold.run(100_000, &mut NullSink);
+    assert_oracle(&program, &cold, exit);
     assert!(cold.stats().warm_stores > 0, "cold VM must publish");
     assert_eq!(cold.stats().warm_hits, 0);
 
     let mut warm = Vm::new(sync_config(), &program);
     warm.attach_store(Arc::clone(&store));
-    assert_eq!(warm.run(100_000, &mut NullSink), VmExit::Halted);
-    assert_eq!(warm.cpu().registers(), cold.cpu().registers());
-    assert_eq!(warm.v_instructions(), cold.v_instructions());
+    let exit = warm.run(100_000, &mut NullSink);
+    assert_oracle(&program, &warm, exit);
     assert!(warm.stats().fragments > 0);
     assert_eq!(
         warm.stats().warm_hits,
@@ -260,14 +247,14 @@ fn warm_start_reuses_published_fragments() {
 fn recorded_async_run_replays_bit_identically() {
     let program = loop_program(800);
     let mut recorded = Vm::new(VmConfig::default(), &program);
-    assert_eq!(recorded.run(100_000, &mut NullSink), VmExit::Halted);
+    let exit = recorded.run(100_000, &mut NullSink);
+    assert_oracle(&program, &recorded, exit);
     let events = recorded.take_bg_events();
 
     let mut replayed = Vm::new(sync_config(), &program);
     replayed.set_install_schedule(&events);
-    assert_eq!(replayed.run(100_000, &mut NullSink), VmExit::Halted);
-    assert_eq!(replayed.cpu().registers(), recorded.cpu().registers());
-    assert_eq!(replayed.v_instructions(), recorded.v_instructions());
+    let exit = replayed.run(100_000, &mut NullSink);
+    assert_oracle(&program, &replayed, exit);
     // The replay reproduces the recorded decisions exactly.
     assert_eq!(replayed.bg_events(), events.as_slice());
     let mut a = recorded.stats().clone();
@@ -400,7 +387,8 @@ fn chained_budgeted_runs_match_a_single_run() {
     for config in [interp_only_config(), sync_config()] {
         let program = phased_program(true);
         let mut single = Vm::new(config, &program);
-        assert_eq!(single.run(u64::MAX, &mut NullSink), VmExit::Halted);
+        let exit = single.run(u64::MAX, &mut NullSink);
+        assert_oracle(&program, &single, exit);
         let mut chained = Vm::new(config, &program);
         let mut calls = 0;
         loop {
@@ -409,19 +397,12 @@ fn chained_budgeted_runs_match_a_single_run() {
             match chained.run(budget, &mut NullSink) {
                 VmExit::Budget => {}
                 exit => {
-                    assert_eq!(exit, VmExit::Halted);
+                    assert_oracle(&program, &chained, exit);
                     break;
                 }
             }
         }
         assert!(calls > 100);
-        assert_eq!(chained.cpu().registers(), single.cpu().registers());
-        assert_eq!(
-            chained.memory().content_digest(),
-            single.memory().content_digest()
-        );
-        assert_eq!(chained.output(), single.output());
-        assert_eq!(chained.v_instructions(), single.v_instructions());
         assert_eq!(
             without_clocks(chained.stats()),
             without_clocks(single.stats())
@@ -457,7 +438,8 @@ fn delayed_installs_land_exactly_on_mid_block_anchors() {
         assert_eq!(anchors.len(), 3, "one install per loop");
 
         let mut vm = Vm::new(config, &program);
-        assert_eq!(vm.run(u64::MAX, &mut NullSink), VmExit::Halted);
+        let exit = vm.run(u64::MAX, &mut NullSink);
+        assert_oracle(&program, &vm, exit);
         let installs: Vec<(u64, u64)> = vm
             .bg_events()
             .iter()
@@ -474,14 +456,8 @@ fn delayed_installs_land_exactly_on_mid_block_anchors() {
 
         let mut replayed = Vm::new(sync_config(), &program);
         replayed.set_install_schedule(vm.bg_events());
-        assert_eq!(replayed.run(u64::MAX, &mut NullSink), VmExit::Halted);
-        assert_eq!(replayed.cpu().registers(), vm.cpu().registers());
-        assert_eq!(
-            replayed.memory().content_digest(),
-            vm.memory().content_digest()
-        );
-        assert_eq!(replayed.output(), vm.output());
-        assert_eq!(replayed.v_instructions(), vm.v_instructions());
+        let exit = replayed.run(u64::MAX, &mut NullSink);
+        assert_oracle(&program, &replayed, exit);
         assert_eq!(replayed.bg_events(), vm.bg_events());
         assert_eq!(without_clocks(replayed.stats()), without_clocks(vm.stats()));
     }

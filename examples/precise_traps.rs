@@ -2,14 +2,17 @@
 //! hot loop eventually performs a misaligned load, under both I-ISA
 //! forms, and show that the VM delivers the trap with the exact faulting
 //! V-address and the exact architected register state — even though the
-//! basic ISA keeps some architected values only in accumulators.
+//! basic ISA keeps some architected values only in accumulators. The
+//! oracle (`ildp_core::oracle`) judges each run against the reference
+//! interpreter.
 //!
 //! ```sh
 //! cargo run --release --example precise_traps
 //! ```
 
-use alpha_isa::{run_to_halt, AlignPolicy, Assembler, Reg, RunError, Trap};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit};
+use alpha_isa::{Assembler, Reg, Trap};
+use ildp_core::oracle::{reference, End, EndState};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
 use ildp_isa::IsaForm;
 
 fn build_program() -> alpha_isa::Program {
@@ -38,21 +41,16 @@ fn main() {
     let program = build_program();
 
     // Reference: the interpreter's precise trap.
-    let (mut cpu, mut mem) = program.load();
-    let err = run_to_halt(&mut cpu, &mut mem, &program, AlignPolicy::Enforce, 100_000)
-        .expect_err("the stride must trap");
-    let RunError::Trapped {
-        pc: ref_pc,
-        trap: ref_trap,
-    } = err
-    else {
-        panic!("expected a trap, got {err}")
+    let expected = reference(&program, 100_000).expect("the reference run ends");
+    let End::Trapped { vaddr, trap, state } = &expected.end else {
+        panic!("expected a trap, got {}", expected.end)
     };
-    println!("interpreter trap     : {ref_trap} at V-PC {ref_pc:#x}");
+    assert!(matches!(trap, Trap::UnalignedAccess { .. }));
+    println!("interpreter trap     : {trap} at V-PC {vaddr:#x}");
     println!(
         "interpreter registers: a1={} v0={}\n",
-        cpu.read(Reg::A1),
-        cpu.read(Reg::V0)
+        state[Reg::A1.number() as usize],
+        state[Reg::V0.number() as usize]
     );
 
     for form in [IsaForm::Basic, IsaForm::Modified] {
@@ -72,24 +70,16 @@ fn main() {
         };
         let mut vm = Vm::new(config, &program);
         let exit = vm.run(100_000, &mut NullSink);
-        let VmExit::Trapped { vaddr, trap, state } = exit else {
-            panic!("{form:?}: expected a trap, got {exit:?}")
-        };
-        assert_eq!(vaddr, ref_pc, "{form:?}: faulting V-PC must match");
-        assert_eq!(trap, ref_trap, "{form:?}: trap condition must match");
-        assert_eq!(
-            state.as_ref(),
-            &cpu.registers(),
-            "{form:?}: recovered register state must match the interpreter"
-        );
-        assert!(matches!(trap, Trap::UnalignedAccess { .. }));
+        if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+            panic!("{form:?}: {e}");
+        }
         assert!(
             vm.stats().engine.v_insts > 100,
             "{form:?}: the trap must fire inside translated code"
         );
         println!(
-            "{form:?} I-ISA       : same trap, same V-PC, all 32 recovered registers identical \
-             ({} V-insts ran translated before the trap)",
+            "{form:?} I-ISA       : same trap, same V-PC, all 32 recovered registers, memory \
+             and retired count identical ({} V-insts ran translated before the trap)",
             vm.stats().engine.v_insts
         );
     }

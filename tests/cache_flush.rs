@@ -1,10 +1,9 @@
 //! The Dynamo-style phase-change flush extension: correctness across
 //! flushes (including stale dual-RAS entries) and the policy trigger.
 
-use alpha_isa::{run_to_halt, AlignPolicy, Assembler, Program, Reg};
-use ildp_core::{
-    ChainPolicy, FlushPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit,
-};
+use alpha_isa::{Assembler, Program, Reg};
+use ildp_core::oracle::{reference, EndState};
+use ildp_core::{ChainPolicy, FlushPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
 use ildp_isa::IsaForm;
 
 /// A two-phase program: a call-heavy phase, then a distinct arithmetic
@@ -48,8 +47,11 @@ fn two_phase_program() -> Program {
     asm.finish().unwrap()
 }
 
-fn run_with_flush(form: IsaForm, policy: FlushPolicy) -> (u64, [u64; 32]) {
+/// Runs the two-phase program under `policy`, checks it with the oracle
+/// against the interpreter, and returns how many flushes fired.
+fn run_with_flush(form: IsaForm, policy: FlushPolicy) -> u64 {
     let program = two_phase_program();
+    let expected = reference(&program, 1_000_000).unwrap();
     let config = VmConfig {
         translator: Translator {
             form,
@@ -66,25 +68,17 @@ fn run_with_flush(form: IsaForm, policy: FlushPolicy) -> (u64, [u64; 32]) {
     };
     let mut vm = Vm::new(config, &program);
     let exit = vm.run(1_000_000, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted, "{form:?}");
-    (vm.stats().cache_flushes, vm.cpu().registers())
+    if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+        panic!("{form:?} diverged across flushes: {e}");
+    }
+    vm.stats().cache_flushes
 }
 
 #[test]
 fn aggressive_flushing_preserves_architecture() {
-    let program = two_phase_program();
-    let (mut rcpu, mut rmem) = program.load();
-    run_to_halt(
-        &mut rcpu,
-        &mut rmem,
-        &program,
-        AlignPolicy::Enforce,
-        1_000_000,
-    )
-    .unwrap();
     for form in [IsaForm::Basic, IsaForm::Modified] {
         // A policy so tight that every few fragments trigger a flush.
-        let (flushes, regs) = run_with_flush(
+        let flushes = run_with_flush(
             form,
             FlushPolicy {
                 window: 1_000_000,
@@ -92,13 +86,12 @@ fn aggressive_flushing_preserves_architecture() {
             },
         );
         assert!(flushes >= 2, "{form:?}: policy must have fired: {flushes}");
-        assert_eq!(regs, rcpu.registers(), "{form:?} diverged across flushes");
     }
 }
 
 #[test]
 fn loose_policy_never_fires() {
-    let (flushes, _) = run_with_flush(IsaForm::Modified, FlushPolicy::default());
+    let flushes = run_with_flush(IsaForm::Modified, FlushPolicy::default());
     assert_eq!(
         flushes, 0,
         "default policy must not fire on a small program"
@@ -120,8 +113,10 @@ fn flush_resets_cache_but_execution_recovers() {
         }),
         ..VmConfig::default()
     };
+    let expected = reference(&program, 1_000_000).unwrap();
     let mut vm = Vm::new(config, &program);
-    vm.run(1_000_000, &mut NullSink);
+    let exit = vm.run(1_000_000, &mut NullSink);
+    expected.check(&EndState::of(&vm, &exit)).unwrap();
     // After flushing, the hot phase-2 code was re-translated: the cache
     // ends non-empty and most instructions still ran translated.
     assert!(vm.stats().cache_flushes > 0);

@@ -1,9 +1,18 @@
 //! Integration tests of fragment-chaining mechanics (paper §3.2): patch
-//! application, dual-RAS hit rates, dispatch frequencies and console
-//! output equivalence across the chaining policies.
+//! application, dual-RAS hit rates, dispatch frequencies, and the oracle
+//! (console output and trap ends included) across the chaining policies.
 
-use alpha_isa::{run_to_halt, AlignPolicy, Assembler, Program, Reg};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit};
+use alpha_isa::{Assembler, Program, Reg};
+use ildp_core::oracle::{reference, End, EndState};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig};
+
+/// Panics with the first difference unless `actual` ended exactly like
+/// `expected`.
+fn assert_passes(expected: &EndState, actual: &EndState, what: &str) {
+    if let Err(e) = expected.check(actual) {
+        panic!("{what}: {e}");
+    }
+}
 use ildp_isa::IsaForm;
 
 fn vm_config(chain: ChainPolicy) -> VmConfig {
@@ -60,9 +69,10 @@ fn call_program(iters: i16) -> Program {
 #[test]
 fn patching_links_hot_fragments() {
     let program = call_program(500);
+    let expected = reference(&program, 100_000).unwrap();
     let mut vm = Vm::new(vm_config(ChainPolicy::SwPredDualRas), &program);
     let exit = vm.run(100_000, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted);
+    assert_passes(&expected, &EndState::of(&vm, &exit), "patched");
     // Exits between the loop body, both functions and the join point get
     // patched into direct branches once their targets are translated.
     assert!(
@@ -95,18 +105,19 @@ fn dual_ras_predicts_almost_all_returns() {
 #[test]
 fn no_pred_dispatches_every_indirect_transfer() {
     let program = call_program(500);
+    let expected = reference(&program, 100_000).unwrap();
     let mut no_pred = Vm::new(vm_config(ChainPolicy::NoPred), &program);
-    no_pred.run(100_000, &mut NullSink);
+    let exit = no_pred.run(100_000, &mut NullSink);
+    assert_passes(&expected, &EndState::of(&no_pred, &exit), "no_pred");
     let mut ras = Vm::new(vm_config(ChainPolicy::SwPredDualRas), &program);
-    ras.run(100_000, &mut NullSink);
+    let exit = ras.run(100_000, &mut NullSink);
+    assert_passes(&expected, &EndState::of(&ras, &exit), "ras");
     assert!(
         no_pred.stats().engine.dispatches > ras.stats().engine.dispatches * 5,
         "no_pred {} vs ras {} dispatches",
         no_pred.stats().engine.dispatches,
         ras.stats().engine.dispatches
     );
-    // Same architecture regardless.
-    assert_eq!(no_pred.cpu().registers(), ras.cpu().registers());
 }
 
 #[test]
@@ -129,53 +140,32 @@ fn console_output_is_preserved_by_translation() {
     asm.halt();
     let program = asm.finish().unwrap();
 
-    // Reference output: interpret and collect bytes by stepping manually.
-    let (mut cpu, mut mem) = program.load();
-    let mut expected = Vec::new();
-    loop {
-        let inst = program.fetch(cpu.pc).unwrap();
-        let out = alpha_isa::step(&mut cpu, &mut mem, inst, AlignPolicy::Enforce).unwrap();
-        if let Some(b) = out.output {
-            expected.push(b);
-        }
-        if out.control == alpha_isa::Control::Halt {
-            break;
-        }
-    }
-    assert!(expected.len() > 100);
+    let expected = reference(&program, 100_000).unwrap();
+    assert!(expected.output.len() > 100);
 
     for form in [IsaForm::Basic, IsaForm::Modified] {
         let mut config = vm_config(ChainPolicy::SwPredDualRas);
         config.translator.form = form;
         let mut vm = Vm::new(config, &program);
         let exit = vm.run(100_000, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{form:?}");
+        assert_passes(&expected, &EndState::of(&vm, &exit), &format!("{form:?}"));
         assert!(
             vm.stats().engine.v_insts > 500,
             "{form:?}: output must come from translated code"
         );
-        assert_eq!(vm.output(), &expected[..], "{form:?} output diverged");
     }
 }
 
 #[test]
 fn straightened_and_original_agree_on_checksum() {
     let program = call_program(300);
-    let (mut rcpu, mut rmem) = program.load();
-    run_to_halt(
-        &mut rcpu,
-        &mut rmem,
-        &program,
-        AlignPolicy::Enforce,
-        100_000,
-    )
-    .unwrap();
+    let expected = reference(&program, 100_000).unwrap();
     for chain in [
         ChainPolicy::NoPred,
         ChainPolicy::SwPred,
         ChainPolicy::SwPredDualRas,
     ] {
-        let mut vm = ildp_core::StraightenedVm::new(
+        let mut vm = StraightenedVm::new(
             chain,
             ProfileConfig {
                 threshold: 5,
@@ -184,8 +174,8 @@ fn straightened_and_original_agree_on_checksum() {
             &program,
         );
         let exit = vm.run(100_000, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{chain:?}");
-        assert_eq!(vm.cpu().registers(), rcpu.registers(), "{chain:?}");
+        let actual = EndState::of_straightened(&vm, &exit);
+        assert_passes(&expected, &actual, &format!("{chain:?}"));
     }
 }
 
@@ -204,12 +194,11 @@ fn jump_through_zero_register_does_not_panic_the_translator() {
     asm.jmp(Reg::ZERO, Reg::ZERO); // pc <- 0
     let program = asm.finish().unwrap();
 
-    let (mut rcpu, mut rmem) = program.load();
-    let err = run_to_halt(&mut rcpu, &mut rmem, &program, AlignPolicy::Enforce, 10_000)
-        .expect_err("jumping to 0 must trap");
-    let alpha_isa::RunError::Trapped { trap, .. } = err else {
-        panic!("{err}")
-    };
+    let expected = reference(&program, 10_000).unwrap();
+    assert!(
+        matches!(expected.end, End::Trapped { vaddr: 0, .. }),
+        "jumping to 0 must trap"
+    );
 
     for chain in [
         ChainPolicy::NoPred,
@@ -218,11 +207,6 @@ fn jump_through_zero_register_does_not_panic_the_translator() {
     ] {
         let mut vm = Vm::new(vm_config(chain), &program);
         let exit = vm.run(10_000, &mut NullSink);
-        let VmExit::Trapped { vaddr, trap: t, .. } = exit else {
-            panic!("{chain:?}: expected trap, got {exit:?}")
-        };
-        assert_eq!(vaddr, 0, "{chain:?}");
-        assert_eq!(t, trap, "{chain:?}");
-        assert_eq!(vm.cpu().read(Reg::V0), rcpu.read(Reg::V0), "{chain:?}");
+        assert_passes(&expected, &EndState::of(&vm, &exit), &format!("{chain:?}"));
     }
 }

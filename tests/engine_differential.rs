@@ -2,9 +2,9 @@
 //!
 //! * A traced run (a recording sink with `TRACING = true`) and an
 //!   untraced run ([`NullSink`], which compiles the record-construction
-//!   path out) must be observationally identical — same exit, same final
-//!   architected registers, same console output, and the same
-//!   [`EngineStats`] to the last counter. Tracing is a pure observer.
+//!   path out) must be observationally identical — each passes the
+//!   oracle against the interpreter, and they agree on [`EngineStats`]
+//!   to the last counter. Tracing is a pure observer.
 //! * Trace templates are built lazily, on a fragment's first traced
 //!   entry: a VM that runs untraced and then continues traced must emit
 //!   exactly the records a VM traced from the start emits over the same
@@ -14,6 +14,7 @@
 //!   accumulators, hash to a pinned digest. An engine change meant as a
 //!   pure speed-up must leave it unchanged.
 
+use ildp_core::oracle::{reference, End, EndState};
 use ildp_core::{
     wire, ChainPolicy, EngineStats, NullSink, TraceSink, Translator, Vm, VmConfig, VmExit,
 };
@@ -62,17 +63,23 @@ fn config(form: IsaForm, chain: ChainPolicy, acc_count: usize) -> VmConfig {
     }
 }
 
-/// What one run leaves behind: exit, final registers, console output and
-/// the engine's counters.
-type Outcome = (VmExit, [u64; 32], Vec<u8>, EngineStats);
+/// What one run leaves behind: its end state and the engine's counters.
+type Outcome = (EndState, EngineStats);
 
 fn outcome(vm: &Vm, exit: VmExit) -> Outcome {
-    (
-        exit,
-        vm.cpu().registers(),
-        vm.output().to_vec(),
-        vm.stats().engine.clone(),
-    )
+    (EndState::of(vm, &exit), vm.stats().engine.clone())
+}
+
+/// Panics unless both outcomes pass the oracle against the interpreter
+/// and carry the same engine counters.
+fn assert_identical(w: &spec_workloads::Workload, a: &Outcome, b: &Outcome, what: &str) {
+    let expected = reference(&w.program, w.budget * 2).unwrap();
+    for (end, _) in [a, b] {
+        if let Err(e) = expected.check(end) {
+            panic!("{what}: {e}");
+        }
+    }
+    assert_eq!(a.1, b.1, "{what}: engine counters diverged");
 }
 
 fn run_with<S: TraceSink>(w: &spec_workloads::Workload, config: VmConfig, sink: &mut S) -> Outcome {
@@ -94,15 +101,15 @@ fn traced_and_untraced_runs_are_observationally_identical() {
                 "{}: traced run retired no records",
                 w.name
             );
-            assert_eq!(traced, untraced, "{}/{form:?}: runs diverged", w.name);
+            assert_identical(&w, &traced, &untraced, &format!("{}/{form:?}", w.name));
             // The traced run must retire at least one record per executed
             // engine instruction (dispatch expansion adds more).
             assert!(
-                sink.records >= traced.3.executed,
+                sink.records >= traced.1.executed,
                 "{}/{form:?}: {} records < {} executed",
                 w.name,
                 sink.records,
-                traced.3.executed
+                traced.1.executed
             );
         }
     }
@@ -164,7 +171,8 @@ fn traced_continuation_of_an_untraced_run_matches_a_traced_run() {
                     "{}/{form:?}/{chain:?}: continuation trace diverged",
                     w.name
                 );
-                assert_eq!(lazy_out, eager_out, "{}/{form:?}/{chain:?}", w.name);
+                let what = format!("{}/{form:?}/{chain:?}", w.name);
+                assert_identical(&w, &lazy_out, &eager_out, &what);
             }
         }
     }
@@ -182,9 +190,9 @@ fn engine_counters_match_the_pinned_digest() {
         ] {
             for acc_count in [4, 8] {
                 for w in suite(1) {
-                    let (exit, regs, out, stats) =
-                        run_with(&w, config(form, chain, acc_count), &mut NullSink);
-                    assert_eq!(exit, VmExit::Halted, "{} ({form:?}, {chain:?})", w.name);
+                    let (end, stats) = run_with(&w, config(form, chain, acc_count), &mut NullSink);
+                    assert_eq!(end.end, End::Halted, "{} ({form:?}, {chain:?})", w.name);
+                    let (regs, out) = (end.regs, end.output);
                     let text = format!("{}|{regs:?}|{out:?}|{stats:?}", w.name);
                     let mut bytes = digest.to_le_bytes().to_vec();
                     bytes.extend_from_slice(text.as_bytes());

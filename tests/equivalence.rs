@@ -1,26 +1,33 @@
 //! The fundamental DBT correctness invariant, across the whole suite:
-//! translated execution must compute exactly the architected state that
-//! pure interpretation computes — for both I-ISA forms, every chaining
-//! policy, and the code-straightening-only system.
+//! translated execution must pass the oracle against pure interpretation
+//! — for both I-ISA forms, every chaining policy, and the
+//! code-straightening-only system, including a run that ends in a trap
+//! and one whose loop carries a NOP.
 
-use alpha_isa::{run_to_halt, AlignPolicy};
-use ildp_core::{
-    ChainPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig, VmExit,
-};
+use alpha_isa::{Assembler, Program, Reg};
+use ildp_core::oracle::{reference, EndState};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig};
 use ildp_isa::IsaForm;
-use spec_workloads::{suite, Workload};
+use spec_workloads::suite;
 
-fn reference_registers(w: &Workload) -> [u64; 32] {
-    let (mut cpu, mut mem) = w.program.load();
-    run_to_halt(
-        &mut cpu,
-        &mut mem,
-        &w.program,
-        AlignPolicy::Enforce,
-        w.budget,
-    )
-    .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", w.name));
-    cpu.registers()
+/// The programs every tier must run identically: the scale-1 suite plus
+/// a loop carrying a NOP, as `(name, program, budget)`.
+fn programs() -> Vec<(String, Program, u64)> {
+    suite(1)
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.program, w.budget))
+        .chain([("nop loop".to_string(), nop_loop(), 100_000)])
+        .collect()
+}
+
+fn expected(name: &str, program: &Program, budget: u64) -> EndState {
+    reference(program, budget).unwrap_or_else(|e| panic!("{name}: reference run: {e}"))
+}
+
+fn assert_passes(expected: &EndState, actual: &EndState, what: &str) {
+    if let Err(e) = expected.check(actual) {
+        panic!("{what}: {e}");
+    }
 }
 
 fn vm_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
@@ -42,29 +49,19 @@ fn vm_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
 }
 
 fn check_form_chain(form: IsaForm, chain: ChainPolicy) {
-    for w in suite(1) {
-        let expect = reference_registers(&w);
-        let mut vm = Vm::new(vm_config(form, chain), &w.program);
-        let exit = vm.run(w.budget * 2, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{} ({form:?}, {chain:?})", w.name);
-        assert!(
-            vm.stats().fragments > 0,
-            "{}: nothing was translated",
-            w.name
-        );
-        assert_eq!(
-            vm.cpu().registers(),
-            expect,
-            "{} diverged under ({form:?}, {chain:?})",
-            w.name
-        );
+    for (name, program, budget) in programs() {
+        let mut vm = Vm::new(vm_config(form, chain), &program);
+        let exit = vm.run(budget * 2, &mut NullSink);
+        let what = format!("{name} ({form:?}, {chain:?})");
+        let expected = expected(&name, &program, budget);
+        assert_passes(&expected, &EndState::of(&vm, &exit), &what);
+        assert!(vm.stats().fragments > 0, "{name}: nothing was translated");
         // Most hot-path work must actually run translated.
         let translated_share = vm.stats().engine.v_insts as f64
             / (vm.stats().engine.v_insts + vm.stats().interpreted) as f64;
         assert!(
             translated_share > 0.5,
-            "{}: only {:.0}% of instructions ran translated",
-            w.name,
+            "{name}: only {:.0}% of instructions ran translated",
             translated_share * 100.0
         );
     }
@@ -92,44 +89,78 @@ fn basic_no_pred_matches_interpreter() {
 
 #[test]
 fn eight_accumulators_match_interpreter() {
-    for w in suite(1) {
-        let expect = reference_registers(&w);
+    for (name, program, budget) in programs() {
         let mut config = vm_config(IsaForm::Modified, ChainPolicy::SwPredDualRas);
         config.translator.acc_count = 8;
-        let mut vm = Vm::new(config, &w.program);
-        let exit = vm.run(w.budget * 2, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{} with 8 accumulators", w.name);
-        assert_eq!(
-            vm.cpu().registers(),
-            expect,
-            "{} with 8 accumulators",
-            w.name
-        );
+        let mut vm = Vm::new(config, &program);
+        let exit = vm.run(budget * 2, &mut NullSink);
+        let what = format!("{name} with 8 accumulators");
+        let expected = expected(&name, &program, budget);
+        assert_passes(&expected, &EndState::of(&vm, &exit), &what);
     }
+}
+
+/// A hot loop over an array whose `ldq` turns unaligned on iteration
+/// `trap_at` (of 200), after a straightened-away `br` so the trapping
+/// instruction carries the branch's retirement credit too.
+fn trapping_loop(trap_at: u8) -> Program {
+    let mut asm = Assembler::new(0x1_0000);
+    let arena = asm.zero_block(8192);
+    asm.li32(Reg::new(11), arena as u32);
+    asm.clr(Reg::A1);
+    asm.clr(Reg::V0);
+    let top = asm.here("top");
+    let body = asm.label("body");
+    asm.s8addq(Reg::A1, Reg::new(11), Reg::new(1));
+    asm.cmpeq_imm(Reg::A1, trap_at, Reg::new(2));
+    asm.addq(Reg::new(1), Reg::new(2), Reg::new(1));
+    asm.br(body);
+    asm.bind(body);
+    asm.ldq(Reg::new(3), 0, Reg::new(1));
+    asm.addq(Reg::V0, Reg::new(3), Reg::V0);
+    asm.addq_imm(Reg::A1, 1, Reg::A1);
+    asm.cmplt_imm(Reg::A1, 200, Reg::new(2));
+    asm.bne(Reg::new(2), top);
+    asm.halt();
+    asm.finish().unwrap()
+}
+
+/// A 200-iteration loop carrying one `nop`: NOPs retire but never count.
+fn nop_loop() -> Program {
+    let mut asm = Assembler::new(0x1_0000);
+    asm.lda_imm(Reg::A0, 200);
+    let top = asm.here("top");
+    asm.addq(Reg::V0, Reg::A0, Reg::V0);
+    asm.nop();
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.halt();
+    asm.finish().unwrap()
 }
 
 #[test]
 fn straightened_code_matches_interpreter() {
-    for chain in [
-        ChainPolicy::NoPred,
-        ChainPolicy::SwPred,
-        ChainPolicy::SwPredDualRas,
-    ] {
-        for w in suite(1) {
-            let expect = reference_registers(&w);
-            let profile = ProfileConfig {
-                threshold: 10,
-                ..ProfileConfig::default()
-            };
-            let mut vm = StraightenedVm::new(chain, profile, &w.program);
-            let exit = vm.run(w.budget * 2, &mut NullSink);
-            assert_eq!(exit, VmExit::Halted, "{} straightened ({chain:?})", w.name);
-            assert_eq!(
-                vm.cpu().registers(),
-                expect,
-                "{} straightened diverged ({chain:?})",
-                w.name
-            );
+    let profile = ProfileConfig {
+        threshold: 10,
+        ..ProfileConfig::default()
+    };
+    // Traps in straightened code, and in the iteration whose execution
+    // collects the superblock.
+    let trapping = [
+        ("trapping loop".to_string(), trapping_loop(150), 100_000),
+        ("collection trap".to_string(), trapping_loop(10), 100_000),
+    ];
+    for (name, program, budget) in programs().into_iter().chain(trapping) {
+        let expected = expected(&name, &program, budget);
+        for chain in [
+            ChainPolicy::NoPred,
+            ChainPolicy::SwPred,
+            ChainPolicy::SwPredDualRas,
+        ] {
+            let mut vm = StraightenedVm::new(chain, profile, &program);
+            let exit = vm.run(budget * 2, &mut NullSink);
+            let what = format!("{name} straightened ({chain:?})");
+            assert_passes(&expected, &EndState::of_straightened(&vm, &exit), &what);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based DBT correctness: generate random (halting) Alpha
-//! programs and verify that translated execution matches pure
-//! interpretation bit-for-bit — registers, memory effects (via a final
-//! checksum), and console output — for both I-ISA forms.
+//! programs and verify that translated execution passes the oracle
+//! against pure interpretation — registers, memory, console output,
+//! retired count and how the run ended — for both I-ISA forms.
 //!
 //! Program shape: a counted outer loop whose body is a random mix of ALU
 //! operations, loads/stores into a private arena, conditional skips and
@@ -10,8 +10,9 @@
 //! formation, accumulator assignment and chaining on shapes no
 //! hand-written workload covers.
 
-use alpha_isa::{run_to_halt, AlignPolicy, Assembler, Label, Program, Reg};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit};
+use alpha_isa::{Assembler, Label, Program, Reg};
+use ildp_core::oracle::{reference, EndState};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
 use ildp_isa::IsaForm;
 use proptest::prelude::*;
 
@@ -204,9 +205,7 @@ fn check_fuse(
 ) {
     let program = build_program(ops, iters);
     let budget = 40_000 + (ops.len() as u64 + 16) * (iters as u64 + 4) * 6;
-    let (mut rcpu, mut rmem) = program.load();
-    run_to_halt(&mut rcpu, &mut rmem, &program, AlignPolicy::Enforce, budget)
-        .expect("reference run halts");
+    let expected = reference(&program, budget).expect("reference run halts");
     let config = VmConfig {
         translator: Translator {
             form,
@@ -222,12 +221,9 @@ fn check_fuse(
     };
     let mut vm = Vm::new(config, &program);
     let exit = vm.run(budget * 2, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted);
-    assert_eq!(
-        vm.cpu().registers(),
-        rcpu.registers(),
-        "translated execution diverged for ops {ops:?}"
-    );
+    if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+        panic!("translated execution diverged for ops {ops:?}: {e}");
+    }
 }
 
 proptest! {

@@ -10,47 +10,15 @@
 //! [`VmConfig::translate_timeout`] so faults actually trip the deadline
 //! within a test-sized run.
 
-use alpha_isa::{step, AlignPolicy, Control, DecodeCache};
+use ildp_core::oracle::{reference, EndState};
 use ildp_core::{
     silence_injected_panics, ChainPolicy, NullSink, PoolFaultKind, PoolFaults, ProfileConfig,
-    TranslatePool, Translator, Vm, VmConfig, VmExit,
+    TranslatePool, Translator, Vm, VmConfig,
 };
 use ildp_isa::IsaForm;
 use spec_workloads::{suite, Workload};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Architected end state of a pure-interpreter run.
-struct Reference {
-    regs: [u64; 32],
-    mem_digest: u64,
-    output: Vec<u8>,
-}
-
-fn reference(w: &Workload) -> Reference {
-    let decoded = DecodeCache::new(&w.program);
-    let (mut cpu, mut mem) = w.program.load();
-    let mut output = Vec::new();
-    for _ in 0..w.budget * 2 {
-        let pc = cpu.pc;
-        let inst = decoded
-            .fetch(pc)
-            .unwrap_or_else(|t| panic!("{}: reference fetch trap at {pc:#x}: {t}", w.name));
-        let outcome = step(&mut cpu, &mut mem, inst, AlignPolicy::Enforce)
-            .unwrap_or_else(|t| panic!("{}: reference trap at {pc:#x}: {t}", w.name));
-        if let Some(b) = outcome.output {
-            output.push(b);
-        }
-        if outcome.control == Control::Halt {
-            return Reference {
-                regs: cpu.registers(),
-                mem_digest: mem.content_digest(),
-                output,
-            };
-        }
-    }
-    panic!("{}: reference never halted", w.name);
-}
 
 fn faulted_config(form: IsaForm) -> VmConfig {
     VmConfig {
@@ -71,8 +39,8 @@ fn faulted_config(form: IsaForm) -> VmConfig {
     }
 }
 
-/// Runs `w` under `faults` on a private pool and checks the architected
-/// end state against the interpreter. Returns the VM for stats
+/// Runs `w` under `faults` on a private pool and checks its end state
+/// against the interpreter with the oracle. Returns the VM for stats
 /// assertions.
 fn run_faulted(
     w: &Workload,
@@ -82,30 +50,14 @@ fn run_faulted(
     faults: PoolFaults,
 ) -> Vm<'_> {
     silence_injected_panics();
-    let reference = reference(w);
+    let expected = reference(&w.program, w.budget * 2).unwrap();
     let pool = TranslatePool::with_options(workers, queue_cap, Some(faults));
     let mut vm = Vm::new(faulted_config(form), &w.program);
     vm.attach_pool(Arc::clone(&pool));
     let exit = vm.run(w.budget * 2, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted, "{} ({form:?}): faulted run", w.name);
-    assert_eq!(
-        vm.cpu().registers(),
-        reference.regs,
-        "{} ({form:?}): GPR file diverged under pool faults",
-        w.name
-    );
-    assert_eq!(
-        vm.memory().content_digest(),
-        reference.mem_digest,
-        "{} ({form:?}): memory diverged under pool faults",
-        w.name
-    );
-    assert_eq!(
-        vm.output(),
-        reference.output.as_slice(),
-        "{} ({form:?}): console output diverged under pool faults",
-        w.name
-    );
+    if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+        panic!("{} ({form:?}) under pool faults: {e}", w.name);
+    }
     vm
 }
 

@@ -1,11 +1,12 @@
 //! Property-based snapshot/restore correctness: any workload, either
 //! I-ISA form, paused at an arbitrary fragment boundary, must resume
 //! from a wire-roundtripped snapshot on a *fresh* VM (translation cache
-//! cold) and reach the bit-identical final architected state of an
-//! uninterrupted run — registers, memory contents, console output, and
-//! retired-instruction count — with execution statistics continuing
-//! cumulatively across the seam.
+//! cold) and pass the oracle against an uninterrupted run — registers,
+//! memory contents, console output, retired-instruction count and how
+//! the run ended — with execution statistics continuing cumulatively
+//! across the seam.
 
+use ildp_core::oracle::EndState;
 use ildp_core::{ChainPolicy, NullSink, Snapshot, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
 use proptest::prelude::*;
@@ -42,8 +43,9 @@ proptest! {
 
         let mut whole = Vm::new(config, &w.program);
         let exit = whole.run(budget, &mut NullSink);
-        prop_assert_eq!(exit, VmExit::Halted);
-        let total = whole.v_instructions();
+        prop_assert_eq!(&exit, &VmExit::Halted);
+        let expected = EndState::of(&whole, &exit);
+        let total = expected.retired;
 
         // Pause at a boundary at (roughly) num/8 of the run, snapshot
         // through the wire format, restore onto a cold VM, and finish.
@@ -54,15 +56,9 @@ proptest! {
         let mut resumed = Vm::restore(config, &w.program, &snap).unwrap();
         prop_assert_eq!(resumed.v_instructions(), snap.v_insts);
         let exit = resumed.run(budget, &mut NullSink);
-        prop_assert_eq!(exit, VmExit::Halted);
-
-        prop_assert_eq!(resumed.cpu().registers(), whole.cpu().registers());
-        prop_assert_eq!(
-            resumed.memory().content_digest(),
-            whole.memory().content_digest()
-        );
-        prop_assert_eq!(resumed.output(), whole.output());
-        prop_assert_eq!(resumed.v_instructions(), total);
+        expected
+            .check(&EndState::of(&resumed, &exit))
+            .map_err(TestCaseError::fail)?;
 
         // Statistics continuity: the resumed run's interpret/execute
         // split accounts for the entire timeline, so the fallback ratio
