@@ -7,14 +7,13 @@
 //! mechanisms"). This ablation measures exactly that trade: dynamic
 //! expansion and ILDP V-ISA IPC with and without fusion, both forms.
 
-use ildp_bench::{harness_scale, Table};
-use ildp_core::{ChainPolicy, Translator, Vm, VmConfig};
+use ildp_bench::{harness_scale, run_ildp_with, Table};
+use ildp_core::{ChainPolicy, Translator, VmConfig};
 use ildp_isa::IsaForm;
-use ildp_uarch::{IldpConfig, IldpModel, TimingModel};
+use ildp_uarch::IldpConfig;
 use spec_workloads::{suite, Workload};
 
 fn run(w: &Workload, form: IsaForm, fuse: bool) -> (f64, f64) {
-    let mut model = IldpModel::new(IldpConfig::default());
     let config = VmConfig {
         translator: Translator {
             form,
@@ -24,10 +23,9 @@ fn run(w: &Workload, form: IsaForm, fuse: bool) -> (f64, f64) {
         },
         ..VmConfig::default()
     };
-    let mut vm = Vm::new(config, &w.program);
-    vm.run(w.budget * 2, &mut model);
-    let stats = model.finish();
-    (vm.stats().dynamic_expansion(), stats.v_ipc())
+    let r = run_ildp_with(w, config, IldpConfig::default());
+    let vm = r.vm.expect("a VM run has VM statistics");
+    (vm.dynamic_expansion(), r.timing.v_ipc())
 }
 
 fn main() {

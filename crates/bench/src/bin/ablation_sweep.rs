@@ -6,14 +6,13 @@
 //! observation: ILDP V-ISA IPC (modified form) across maximum superblock
 //! sizes and thresholds.
 
-use ildp_bench::{harness_scale, Table};
-use ildp_core::{ProfileConfig, Translator, Vm, VmConfig};
+use ildp_bench::{harness_scale, run_ildp_with, Table};
+use ildp_core::{ProfileConfig, Translator, VmConfig};
 use ildp_isa::IsaForm;
-use ildp_uarch::{IldpConfig, IldpModel, TimingModel};
+use ildp_uarch::IldpConfig;
 use spec_workloads::{suite, Workload};
 
 fn run(w: &Workload, max_superblock: usize, threshold: u32) -> f64 {
-    let mut model = IldpModel::new(IldpConfig::default());
     let config = VmConfig {
         translator: Translator {
             form: IsaForm::Modified,
@@ -26,9 +25,9 @@ fn run(w: &Workload, max_superblock: usize, threshold: u32) -> f64 {
         },
         ..VmConfig::default()
     };
-    let mut vm = Vm::new(config, &w.program);
-    vm.run(w.budget * 2, &mut model);
-    model.finish().v_ipc()
+    run_ildp_with(w, config, IldpConfig::default())
+        .timing
+        .v_ipc()
 }
 
 fn main() {

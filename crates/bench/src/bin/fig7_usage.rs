@@ -7,18 +7,15 @@
 //! copies (`local→global`, `no user→global`) raises the share needing GPR
 //! writes to about 40%.
 
-use std::cell::Cell;
-
 use ildp_bench::{harness_scale, run_dbt_functional, Table};
 use ildp_core::{analyze_oracle, decompose_with, CategoryCounts, InstallReview, UsageCat};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
+use std::sync::Mutex;
 
-thread_local! {
-    /// Oracle-boundary category counts of the translations reviewed on
-    /// this thread since they were last taken.
-    static ORACLE: Cell<CategoryCounts> = const { Cell::new(CategoryCounts([0; UsageCat::COUNT])) };
-}
+/// Oracle-boundary category counts of the translations reviewed since
+/// they were last taken.
+static ORACLE: Mutex<CategoryCounts> = Mutex::new(CategoryCounts([0; UsageCat::COUNT]));
 
 /// Always-accepting install validator: classifies each installed
 /// superblock's values under **oracle boundaries** (no saves at side
@@ -26,9 +23,8 @@ thread_local! {
 /// this classification; it is a statistic only.
 fn tally_oracle(review: &InstallReview<'_>) -> Result<(), String> {
     let nodes = decompose_with(review.sb, review.translator.fuse_memory);
-    let mut counts = ORACLE.take();
-    counts.merge(&analyze_oracle(&nodes).category_counts());
-    ORACLE.set(counts);
+    let counts = analyze_oracle(&nodes).category_counts();
+    ORACLE.lock().expect("no tally panicked").merge(&counts);
     Ok(())
 }
 
@@ -67,7 +63,9 @@ fn main() {
         let mut oracle = Vec::new();
         for w in suite(scale) {
             let s = run_dbt_functional(&w, form, Some(tally_oracle));
-            oracle.push(oracle_global_pct(&ORACLE.take()));
+            oracle.push(oracle_global_pct(&std::mem::take(
+                &mut *ORACLE.lock().expect("no tally panicked"),
+            )));
             let row = [
                 pct(&s, &[UsageCat::NoUser]),
                 pct(&s, &[UsageCat::Local]),

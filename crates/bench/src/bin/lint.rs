@@ -1,9 +1,9 @@
-//! `lint` — the lint family: seven gates that every translation, fault
+//! `lint` — the lint family: six gates that every translation, fault
 //! and replay path must pass (see `ildp_bench::lint`).
 //!
-//! Usage: `lint [verify|chaos|replay|flow|store|pool|region …] [--seed N] [--repro SPEC]`
+//! Usage: `lint [verify|chaos|replay|store|pool|region …] [--seed N] [--repro SPEC]`
 //!
-//! With no family named, runs all seven in order. Exits 1 if any family
+//! With no family named, runs all six in order. Exits 1 if any family
 //! fails, 2 on a usage error. `--repro` re-runs one failing cell and
 //! needs exactly one family; `--seed` replaces the seed schedule of the
 //! seeded families (chaos, store, pool) and is refused by the others.
@@ -14,7 +14,7 @@ use ildp_bench::harness_scale;
 use ildp_bench::lint::{Family, LintArgs, FAMILIES};
 
 const USAGE: &str =
-    "usage: lint [verify|chaos|replay|flow|store|pool|region …] [--seed N] [--repro SPEC]";
+    "usage: lint [verify|chaos|replay|store|pool|region …] [--seed N] [--repro SPEC]";
 
 /// Parses the command line into the families to run and their arguments.
 fn parse(args: &[String]) -> Result<(Vec<&'static Family>, LintArgs), String> {
@@ -66,9 +66,6 @@ fn main() {
     let mut failed: Vec<&str> = Vec::new();
     for family in &families {
         println!("==== {} ====", family.name);
-        // Violations a collecting validator filed earlier on this thread
-        // belong to no family.
-        ildp_verifier::take_report();
         let report = (family.run)(&args).unwrap_or_else(|e| {
             eprintln!("lint {}: {e}\n{USAGE}", family.name);
             std::process::exit(2);

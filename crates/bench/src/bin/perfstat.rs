@@ -44,7 +44,6 @@ use ildp_bench::store::{pretranslate_suite, run_cell_against_store};
 use ildp_bench::throughput::{run_throughput, ThroughputOptions};
 use ildp_core::{ChainPolicy, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit};
 use ildp_verifier::flow::{self, FlowReport};
-use ildp_verifier::{collecting_validator, take_report};
 use spec_workloads::suite;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -83,10 +82,11 @@ fn run_workload(w: &spec_workloads::Workload, reps: u32) -> Row {
             chain: ChainPolicy::SwPredDualRas,
             ..Translator::default()
         },
-        validator: Some(collecting_validator),
-        // The collecting validator files violations thread-locally, and
-        // the single-VM trajectory numbers should isolate engine speed
-        // from pipeline timing; `--throughput` measures async mode.
+        // Any verifier violation panics the run (the default
+        // `OnViolation::Panic`).
+        validator: Some(ildp_verifier::install_validator),
+        // The single-VM trajectory numbers isolate engine speed from
+        // pipeline timing; `--throughput` measures async mode.
         async_translate: false,
         ..VmConfig::default()
     };
@@ -144,13 +144,6 @@ fn run_workload(w: &spec_workloads::Workload, reps: u32) -> Row {
         row.regions_formed += s.regions_formed;
         row.region_entries += s.engine.region_entries;
         row.seam_pairs_eliminated += s.seam_pairs_eliminated;
-        let violations = take_report();
-        assert!(
-            violations.is_empty(),
-            "{}: {} verifier violations during a perf run",
-            w.name,
-            violations.len()
-        );
         // Whole-cache dataflow pass over the installed cache (last rep
         // wins — every rep installs the same fragments deterministically):
         // the seam report feeds the region re-formation roadmap item.

@@ -9,14 +9,10 @@
 //! vmrun --list
 //! ```
 
-use ildp_core::{
-    ChainPolicy, FlushPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig,
-    VmExit,
-};
+use ildp_bench::run_straightened;
+use ildp_core::{ChainPolicy, FlushPolicy, NullSink, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
-use ildp_uarch::{
-    IldpConfig, IldpModel, SuperscalarConfig, SuperscalarModel, TimingModel, TimingStats,
-};
+use ildp_uarch::{IldpConfig, IldpModel, TimingModel, TimingStats};
 use spec_workloads::by_name;
 
 struct Options {
@@ -153,18 +149,16 @@ fn main() {
     };
 
     if opts.timing == "superscalar-straightened" {
-        let mut model = SuperscalarModel::new(SuperscalarConfig::default());
-        let mut vm = StraightenedVm::new(opts.chain, ProfileConfig::default(), &w.program);
-        let exit = vm.run(w.budget * 2, &mut model);
-        println!("exit                  : {exit:?}");
-        let s = vm.stats();
+        // The Figures 4-6 set-up: panics unless the run ends cleanly.
+        let r = run_straightened(&w, opts.chain);
+        let s = r.straighten.expect("a straightened run has its statistics");
         println!("fragments             : {}", s.fragments);
         println!(
             "relative inst count   : {:.3}",
             s.relative_instruction_count()
         );
         println!("dual-RAS hits/misses  : {}/{}", s.ras_hits, s.ras_misses);
-        print_timing(&model.finish());
+        print_timing(&r.timing);
         return;
     }
 

@@ -1,13 +1,13 @@
-//! The lint family behind the `lint` binary: seven gates over the
+//! The lint family behind the `lint` binary: six gates over the
 //! workload suite, each a plain function from [`LintArgs`] to a
 //! [`LintReport`], listed in [`FAMILIES`].
 //!
 //! | family   | gate                                                         |
 //! |----------|--------------------------------------------------------------|
-//! | `verify` | every translated fragment passes the four verifier passes    |
+//! | `verify` | every fragment passes the verifier and whole-cache dataflow; |
+//! |          | F01–F06 seeds are detected                                   |
 //! | `chaos`  | cache fault injection is detected, healed, replayable        |
 //! | `replay` | snapshot/restore, record/replay and triage bundles roundtrip |
-//! | `flow`   | whole-cache dataflow is clean; F01–F06 seeds are detected    |
 //! | `store`  | persistent-store corruption only ever degrades to a miss     |
 //! | `pool`   | translation-pool faults degrade, never diverge or wedge      |
 //! | `region` | re-formed regions match the interpreter; region seeds caught |
@@ -23,7 +23,7 @@
 //!
 //! ```json
 //! {
-//!   "family": "<verify|chaos|replay|flow|store|pool|region>",
+//!   "family": "<verify|chaos|replay|store|pool|region>",
 //!   "scale": 10,
 //!   "<extra>": 123,            // family-specific counters, 0+ of them
 //!   "failures": [
@@ -34,14 +34,13 @@
 //! ```
 
 use crate::json_escape;
-use ildp_core::{ChainPolicy, InstallValidator, Translator, VmConfig};
+use ildp_core::{ChainPolicy, InstallValidator, OnViolation, Translator, VmConfig};
 use ildp_isa::IsaForm;
 use ildp_verifier::Violation;
 use spec_workloads::{by_name, suite, Workload, NAMES};
 use std::fmt;
 
 mod chaos;
-mod flow;
 mod pool;
 mod region;
 mod replay;
@@ -60,7 +59,7 @@ pub struct Family {
 }
 
 /// Every lint family, in the order `lint` runs them.
-pub const FAMILIES: [Family; 7] = [
+pub const FAMILIES: [Family; 6] = [
     Family {
         name: "verify",
         seeded: false,
@@ -75,11 +74,6 @@ pub const FAMILIES: [Family; 7] = [
         name: "replay",
         seeded: false,
         run: replay::run,
-    },
-    Family {
-        name: "flow",
-        seeded: false,
-        run: flow::run,
     },
     Family {
         name: "store",
@@ -362,11 +356,12 @@ pub fn parse_cell_spec(s: &str) -> Result<CellSpec, String> {
     })
 }
 
-/// The configuration a lint cell runs under: `form` and `chain` with
-/// `validator` installed. Translation stays synchronous, because the
-/// collecting validators file violations in a thread-local report that
-/// only this thread can read back ([`ildp_verifier::take_report`]).
-pub(crate) fn collecting_config(
+/// The configuration an auditing cell runs under: `form` and `chain`
+/// with `validator` installed under [`OnViolation::Record`], so every
+/// finding lands in [`ildp_core::Vm::violations`] without changing the
+/// run. Translation stays synchronous so every count reproduces run to
+/// run.
+pub(crate) fn recording_config(
     form: IsaForm,
     chain: ChainPolicy,
     validator: InstallValidator,
@@ -378,6 +373,7 @@ pub(crate) fn collecting_config(
             ..Translator::default()
         },
         validator: Some(validator),
+        on_violation: OnViolation::Record,
         async_translate: false,
         ..VmConfig::default()
     }

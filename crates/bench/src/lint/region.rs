@@ -2,9 +2,9 @@
 //!
 //! 1. **Differential matrix**: every matrix cell runs with region
 //!    re-formation forced on (a low promotion trigger so merging happens
-//!    even at lint scale) and the full install gate collecting
-//!    violations, and must halt interpreter-identical; the collecting
-//!    validator must stay silent and the installed cache must pass the
+//!    even at lint scale) and the full install gate recording
+//!    violations on the VM, and must halt interpreter-identical; the
+//!    gate must record nothing and the installed cache must pass the
 //!    whole-cache dataflow audit. The matrix as a whole must form
 //!    regions (a run where no promotion fires tests nothing).
 //! 2. **Seeded detection**: every region-specific seeded miscompile
@@ -13,12 +13,12 @@
 //!    unrolled iteration, truncated tails) must be detected by the
 //!    install gate (`verify_translation`).
 
-use super::{check_seeds, collecting_config, LintArgs, LintReport};
+use super::{check_seeds, recording_config, LintArgs, LintReport};
 use crate::miscompile::region_seeds;
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{ChainPolicy, NullSink, Vm};
 use ildp_isa::IsaForm;
-use ildp_verifier::{flow, take_report, verify_translation};
+use ildp_verifier::{flow, full_validator, verify_translation};
 use spec_workloads::Workload;
 
 /// Promotion trigger for the lint matrix: low enough that every loop
@@ -38,12 +38,12 @@ struct CellResult {
 
 /// Runs one matrix cell: region-enabled VM vs the interpreter.
 fn run_cell(workload: &Workload, form: IsaForm, chain: ChainPolicy) -> CellResult {
-    let mut config = collecting_config(form, chain, ildp_verifier::collecting_full_validator);
+    let mut config = recording_config(form, chain, full_validator);
     config.engine.region_trigger = Some(LINT_TRIGGER);
     let budget = workload.budget * 2;
     let mut vm = Vm::new(config, &workload.program);
     let exit = vm.run(budget, &mut NullSink);
-    let mut violations: Vec<String> = take_report().iter().map(|v| v.to_string()).collect();
+    let mut violations: Vec<String> = vm.violations().iter().map(|(_, m)| m.clone()).collect();
     let (cache_violations, _seam) = flow::check_cache(vm.cache(), Some(chain));
     violations.extend(cache_violations.iter().map(|v| v.to_string()));
 

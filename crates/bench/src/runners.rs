@@ -118,18 +118,30 @@ pub fn run_ildp(w: &Workload, form: IsaForm, params: IldpParams) -> CellResult {
         },
         ..IldpConfig::default()
     };
-    let vm_config = VmConfig {
-        translator: Translator {
-            form,
-            chain: ChainPolicy::SwPredDualRas,
-            acc_count: params.acc_count,
-            fuse_memory: false,
+    let translator = Translator {
+        form,
+        chain: ChainPolicy::SwPredDualRas,
+        acc_count: params.acc_count,
+        fuse_memory: false,
+    };
+    run_ildp_with(
+        w,
+        VmConfig {
+            translator,
+            ..VmConfig::default()
         },
-        // The paper's figures model translation as an in-line pipeline
-        // stage; synchronous mode keeps the reported statistics exactly
-        // reproducible run-to-run.
+        uarch,
+    )
+}
+
+/// Runs the co-designed VM under `config` on the ILDP machine `uarch`.
+/// Translation is forced synchronous: the paper's figures model it as an
+/// in-line pipeline stage, and synchronous mode keeps the reported
+/// statistics exactly reproducible run-to-run.
+pub fn run_ildp_with(w: &Workload, config: VmConfig, uarch: IldpConfig) -> CellResult {
+    let vm_config = VmConfig {
         async_translate: false,
-        ..VmConfig::default()
+        ..config
     };
     let mut model = IldpModel::new(uarch);
     let mut vm = Vm::new(vm_config, &w.program);

@@ -10,11 +10,11 @@
 //! known-good baseline store, poison it, and prove every corruption is
 //! rejected into a cache miss.
 
-use crate::lint::{cells, collecting_config};
+use crate::lint::{cells, recording_config};
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{ChainPolicy, FragmentStore, NullSink, Vm, VmExit};
 use ildp_isa::IsaForm;
-use ildp_verifier::{artifact_validator, collecting_validator, take_report};
+use ildp_verifier::{artifact_validator, install_validator};
 use spec_workloads::Workload;
 use std::sync::Arc;
 
@@ -41,14 +41,14 @@ pub fn pretranslate_cell(
     form: IsaForm,
     chain: ChainPolicy,
 ) -> Result<u64, String> {
-    let config = collecting_config(form, chain, collecting_validator);
+    let config = recording_config(form, chain, install_validator);
     let mut vm = Vm::new(config, &w.program);
     vm.attach_store(Arc::clone(store));
     let exit = vm.run(w.budget * 2, &mut NullSink);
     if !matches!(exit, VmExit::Halted | VmExit::Budget) {
         return Err(format!("{}: cold run exited {exit:?}", w.name));
     }
-    let violations = take_report();
+    let violations = vm.violations();
     if !violations.is_empty() {
         return Err(format!(
             "{}: {} verifier violations during pretranslation",
@@ -103,7 +103,7 @@ pub fn run_cell_against_store(
     let budget = w.budget * 2;
     let reference =
         oracle::reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
-    let mut config = collecting_config(form, chain, collecting_validator);
+    let mut config = recording_config(form, chain, install_validator);
     if reverify {
         config.store_validator = Some(artifact_validator);
     }
@@ -112,14 +112,12 @@ pub fn run_cell_against_store(
     let exit = vm.run(budget, &mut NullSink);
     let cell = format!("{}:{form:?}:{}", w.name, chain.label());
     let st = vm.stats().clone();
-    let violations = take_report();
-    // Violations recorded while `store_validator` was rejecting a bad
-    // disk artifact are the defense working, not a failure; anything
-    // recorded with zero quarantines came from a fresh translation.
-    if !violations.is_empty() && st.store_quarantined == 0 {
+    // `store_validator` refusals only count as quarantines; anything the
+    // VM recorded came from a fresh translation on the fallback path.
+    if !vm.violations().is_empty() {
         return Err(format!(
             "{cell}: {} verifier violations on the fallback path",
-            violations.len()
+            vm.violations().len()
         ));
     }
     reference

@@ -1,7 +1,7 @@
 //! Clean corpus translations pass all four verifier passes; every seeded
 //! miscompile in the shared corpus (`ildp_bench::miscompile`) is caught
 //! by the pass that owns the violated invariant. The same corpus drives
-//! `lint flow`'s F-rule detection phase, so rule families A–E and F
+//! `lint verify`'s F-rule detection phase, so rule families A–E and F
 //! exercise identical injection machinery.
 
 use ildp_bench::miscompile::{corpus, translate, verifier_seeds};

@@ -67,7 +67,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Magic number of a serialized fragment artifact (`"ILPF"`).
 pub const ARTIFACT_MAGIC: u32 = 0x4650_4C49;
@@ -892,14 +892,6 @@ impl FragmentStore {
     /// Creates an empty store.
     pub fn new() -> FragmentStore {
         FragmentStore::default()
-    }
-
-    /// The process-wide shared store (used when
-    /// [`VmConfig::shared_cache`](crate::VmConfig::shared_cache) is set
-    /// without an explicit [`Vm::attach_store`](crate::Vm::attach_store)).
-    pub fn global() -> &'static Arc<FragmentStore> {
-        static GLOBAL: OnceLock<Arc<FragmentStore>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(FragmentStore::new()))
     }
 
     fn content(&self) -> std::sync::MutexGuard<'_, StoreContent> {

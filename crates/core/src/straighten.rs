@@ -88,7 +88,7 @@ struct SMeta {
 
 #[derive(Clone, Debug)]
 struct SFragment {
-    #[allow(dead_code)] // kept for debugging dumps
+    /// V-address of the entry: where a budget pause resumes.
     vstart: u64,
     istart: u64,
     insts: Vec<SInst>,
@@ -483,10 +483,15 @@ impl StraightenedVm {
     ) -> ExecExit {
         let mut fi = entry;
         let mut idx = 0usize;
-        self.fragments[fi].entries += 1;
         loop {
-            if self.stats.v_insts + self.stats.interpreted >= budget {
-                return ExecExit::Budget;
+            if idx == 0 {
+                // A fragment entry is a precise V-ISA boundary: the only
+                // place a budget pause can resume from.
+                if self.stats.v_insts + self.stats.interpreted >= budget {
+                    self.cpu.pc = self.fragments[fi].vstart;
+                    return ExecExit::Budget;
+                }
+                self.fragments[fi].entries += 1;
             }
             debug_assert!(idx < self.fragments[fi].insts.len());
             let inst = self.fragments[fi].insts[idx];
@@ -598,7 +603,6 @@ impl StraightenedVm {
                                     Some(t) => {
                                         fi = t;
                                         idx = 0;
-                                        self.fragments[fi].entries += 1;
                                         continue;
                                     }
                                     None => return ExecExit::NotTranslated { vtarget: actual },
@@ -650,7 +654,6 @@ impl StraightenedVm {
                         Some(t) => {
                             fi = t;
                             idx = 0;
-                            self.fragments[fi].entries += 1;
                             continue;
                         }
                         None => return ExecExit::NotTranslated { vtarget: v },
@@ -665,17 +668,17 @@ impl StraightenedVm {
             match goto {
                 None => idx += 1,
                 Some(a) => {
-                    let t = self.by_istart[&a];
-                    fi = t;
+                    fi = self.by_istart[&a];
                     idx = 0;
-                    self.fragments[fi].entries += 1;
                 }
             }
         }
     }
 
     /// Runs until halt, trap, or `budget` V-ISA instructions, streaming
-    /// the straightened-code trace into `sink`.
+    /// the straightened-code trace into `sink`. A budget pause inside
+    /// straightened code lands on the next fragment entry, where a later
+    /// `run` resumes.
     pub fn run<S: crate::engine::TraceSink>(&mut self, budget: u64, sink: &mut S) -> VmExit {
         loop {
             if self.stats.interpreted + self.stats.v_insts >= budget {

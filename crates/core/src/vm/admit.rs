@@ -234,18 +234,19 @@ impl Vm<'_> {
             self.account_verify(out.verify_nanos);
         }
         if let Err(msg) = out.verdict {
-            self.refuse("fragment", vstart, &msg);
-            // Ladder: retry without the optional optimizations, then
-            // blacklist.
-            self.demote(vstart);
-            if safe_point {
-                self.stats.async_dropped += 1;
-                self.bg_events.push(ReplayEvent::BgDrop {
-                    fragment_vstart: vstart,
-                    at_v_insts: self.v_instructions(),
-                });
+            if !self.refuse("fragment", vstart, msg) {
+                // Ladder: retry without the optional optimizations, then
+                // blacklist.
+                self.demote(vstart);
+                if safe_point {
+                    self.stats.async_dropped += 1;
+                    self.bg_events.push(ReplayEvent::BgDrop {
+                        fragment_vstart: vstart,
+                        at_v_insts: self.v_instructions(),
+                    });
+                }
+                return false;
             }
-            return false;
         }
         if safe_point {
             self.stats.async_installs += 1;
@@ -282,15 +283,23 @@ impl Vm<'_> {
     }
 
     /// Applies [`crate::VmConfig::on_violation`] to a translation the
-    /// validator refused: panics with the diagnostic, or counts the
-    /// refusal ([`crate::VmStats::verify_rejected`]) and lets the caller
-    /// back out.
-    pub(super) fn refuse(&mut self, what: &str, vstart: u64, msg: &str) {
+    /// validator refused and returns whether the caller goes on to
+    /// install it: panics with the diagnostic, counts the refusal
+    /// ([`crate::VmStats::verify_rejected`]) and backs out, or records
+    /// the diagnostic ([`Vm::violations`]) and goes on.
+    pub(super) fn refuse(&mut self, what: &str, vstart: u64, msg: String) -> bool {
         match self.config.on_violation {
             OnViolation::Panic => {
                 panic!("translation validator rejected {what} at {vstart:#x}: {msg}")
             }
-            OnViolation::Reject => self.stats.verify_rejected += 1,
+            OnViolation::Reject => {
+                self.stats.verify_rejected += 1;
+                false
+            }
+            OnViolation::Record => {
+                self.violations.push((vstart, msg));
+                true
+            }
         }
     }
 

@@ -61,6 +61,10 @@ pub enum OnViolation {
     /// (`reject-on-violation` mode): the fragment never enters the cache,
     /// and [`VmStats::verify_rejected`] counts the refusal.
     Reject,
+    /// Install the translation anyway and keep the diagnostic on the VM
+    /// ([`crate::Vm::violations`]): audits a whole run without changing
+    /// its execution, on whichever thread the validator ran.
+    Record,
 }
 
 /// VM configuration.
@@ -108,14 +112,8 @@ pub struct VmConfig {
     /// upper bound on how long any VM step can block on the pool,
     /// whatever the pool's workers are doing.
     pub translate_timeout: Duration,
-    /// Share translated-and-verified fragments through the process-wide
-    /// [`FragmentStore`](crate::FragmentStore): translations are
-    /// published keyed by guest-code digest and translator configuration,
-    /// and later VMs running the same code warm-start from the store
-    /// instead of re-translating.
-    pub shared_cache: bool,
     /// Optional re-verification of warm-start artifacts before install:
-    /// when set, every fragment taken from the shared
+    /// when set, every fragment taken from the attached
     /// [`FragmentStore`](crate::FragmentStore) is rehydrated and run
     /// through this validator first (the
     /// `ildp-verifier` crate's `artifact_validator` runs the trace-free
@@ -155,7 +153,6 @@ impl Default for VmConfig {
             max_demotions: 2,
             async_translate: true,
             translate_timeout: Duration::from_secs(10),
-            shared_cache: false,
             store_validator: None,
             install_delay: None,
             region_budget: 256,

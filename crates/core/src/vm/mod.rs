@@ -134,6 +134,10 @@ pub struct Vm<'p> {
     /// Region heads whose re-formation the verifier refused: banned from
     /// re-promotion so a rejected merge is attempted exactly once.
     region_banned: HashSet<u64>,
+    /// Translations the validator refused but [`OnViolation::Record`]
+    /// installed anyway: entry V-address and diagnostic, in decision
+    /// order.
+    violations: Vec<(u64, String)>,
 }
 
 impl<'p> Vm<'p> {
@@ -150,9 +154,6 @@ impl<'p> Vm<'p> {
         let pool = config
             .async_translate
             .then(|| Arc::clone(TranslatePool::global()));
-        let store = config
-            .shared_cache
-            .then(|| Arc::clone(FragmentStore::global()));
         Vm {
             config,
             program,
@@ -180,10 +181,11 @@ impl<'p> Vm<'p> {
             staged: Vec::new(),
             schedule: None,
             bg_events: Vec::new(),
-            store,
+            store: None,
             store_keys: HashMap::new(),
             region_src: HashMap::new(),
             region_banned: HashSet::new(),
+            violations: Vec::new(),
         }
     }
 
@@ -288,6 +290,13 @@ impl<'p> Vm<'p> {
     /// Accumulated statistics.
     pub fn stats(&self) -> &VmStats {
         &self.stats
+    }
+
+    /// The validator's findings on translations installed under
+    /// [`OnViolation::Record`]: entry V-address and diagnostic, in the
+    /// order the install decisions were made.
+    pub fn violations(&self) -> &[(u64, String)] {
+        &self.violations
     }
 
     /// The translation cache (inspection).
@@ -414,9 +423,8 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Attaches a shared warm-start fragment store (see
-    /// [`VmConfig::shared_cache`], which attaches the process-global one).
-    /// Must be called before the run starts translating.
+    /// Attaches a shared warm-start fragment store. Must be called before
+    /// the run starts translating.
     pub fn attach_store(&mut self, store: Arc<FragmentStore>) {
         // Damage observed while the store was opened from disk becomes
         // visible on this VM's stats: it bounds how much warm start the

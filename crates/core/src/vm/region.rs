@@ -159,9 +159,10 @@ impl Vm<'_> {
                     });
                     self.account_verify(v0.elapsed().as_nanos() as u64);
                     self.stats.regions_verified += 1;
-                    verdict
-                        .map_err(|msg| self.refuse("region", head, &msg))
-                        .is_ok()
+                    match verdict {
+                        Ok(()) => true,
+                        Err(msg) => self.refuse("region", head, msg),
+                    }
                 }
                 None => true,
             };

@@ -22,11 +22,17 @@
 //!    registers and memory, proving identical live-out GPR expressions,
 //!    memory/output effects, exit conditions and precise-trap state.
 //!
-//! The VM invokes these through its install-validator hook
-//! ([`ildp_core::VmConfig::validator`]); `lint verify` in
-//! `ildp-bench` runs them over every fragment of the full workload suite.
-//! With the `verify` feature disabled (it is on by default),
-//! [`install_validator`] accepts everything at zero cost.
+//! The VM invokes these through its install-validator hooks
+//! ([`ildp_core::VmConfig::validator`] and `store_validator`). Three
+//! validators cover the rule families: [`install_validator`] (A/P/C/E),
+//! [`full_validator`] (A/P/C/E plus the pre-install flow rules F01–F04)
+//! and [`artifact_validator`] (C/E, for warm-start artifacts). Each one
+//! rejects on any violation; [`ildp_core::OnViolation`] decides whether
+//! the VM then refuses the translation, panics, or installs it and
+//! records the diagnostic on the VM. `lint verify` in `ildp-bench` runs
+//! [`full_validator`] in record mode over every fragment of the full
+//! workload suite. With the `verify` feature disabled (it is on by
+//! default), every validator accepts everything at zero cost.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +48,6 @@ pub use flow::{
     RegionCandidate,
 };
 
-use std::cell::RefCell;
 use std::fmt;
 
 use ildp_core::{
@@ -141,8 +146,7 @@ pub fn verify_artifact(sb: &Superblock, code: &TranslatedCode, tr: &Translator) 
 /// [`ildp_core::VmConfig::store_validator`]: runs
 /// [`verify_artifact`] on a warm-start fragment before it installs and
 /// rejects it when any rule fires, sending the VM back to the ordinary
-/// translate/verify path. Violations are also recorded for
-/// [`take_report`]. A no-op accept when the `verify` feature is
+/// translate/verify path. A no-op accept when the `verify` feature is
 /// disabled.
 pub fn artifact_validator(review: &InstallReview<'_>) -> Result<(), String> {
     gate(|| verify_artifact(review.sb, review.code, review.translator))
@@ -156,26 +160,11 @@ pub fn verify_installed(cache: &TranslationCache, frag: &Fragment) -> Vec<Violat
     chaining::check_installed(cache, frag)
 }
 
-thread_local! {
-    static REPORT: RefCell<Vec<Violation>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Drains the violations recorded by [`collecting_validator`] (and by
-/// [`install_validator`] before it rejected) on this thread.
-pub fn take_report() -> Vec<Violation> {
-    REPORT.with(|r| std::mem::take(&mut *r.borrow_mut()))
-}
-
-fn record(violations: &[Violation]) {
-    if violations.is_empty() {
-        return;
-    }
-    REPORT.with(|r| r.borrow_mut().extend_from_slice(violations));
-}
-
-/// The rejecting validators' shared verdict: runs `check`, records any
-/// violations for [`take_report`] and rejects with all of them joined.
-/// Accepts without running `check` when the `verify` feature is disabled.
+/// The validators' shared verdict: runs `check` and rejects with all of
+/// its violations joined. Whether a rejection refuses the translation or
+/// only records it is the VM's choice
+/// ([`ildp_core::VmConfig::on_violation`]). Accepts without running
+/// `check` when the `verify` feature is disabled.
 fn gate(check: impl FnOnce() -> Vec<Violation>) -> Result<(), String> {
     if !cfg!(feature = "verify") {
         return Ok(());
@@ -184,56 +173,26 @@ fn gate(check: impl FnOnce() -> Vec<Violation>) -> Result<(), String> {
     if violations.is_empty() {
         return Ok(());
     }
-    record(&violations);
     let msg: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     Err(msg.join("; "))
 }
 
 /// The install-time validator for [`ildp_core::VmConfig::validator`]:
-/// runs every pass and rejects the translation when any rule fires. The
-/// diagnostic string joins all violations; they are also recorded for
-/// [`take_report`]. A no-op accept when the `verify` feature is disabled.
+/// runs every single-fragment pass (A/P/C/E) and rejects the translation
+/// when any rule fires, with all violations joined in the diagnostic. A
+/// no-op accept when the `verify` feature is disabled.
 pub fn install_validator(review: &InstallReview<'_>) -> Result<(), String> {
     gate(|| verify_translation(review.sb, review.code, review.translator))
 }
 
-/// Like [`install_validator`] but never rejects: violations are recorded
-/// for [`take_report`] and the installation proceeds. Used by `lint verify` to
-/// audit a whole run without changing its execution.
-pub fn collecting_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    let violations = verify_translation(review.sb, review.code, review.translator);
-    record(&violations);
-    Ok(())
-}
-
-/// Install-time hook for the pre-install flow rules (F01–F04): rejects
-/// the translation when any fires. A no-op accept when the `verify`
-/// feature is disabled. Pairs with [`install_validator`]; the whole-cache
-/// rules (F04 installed, F05) and the dynamic rule (F06) need the full
-/// cache or a trace and live in [`flow::check_cache`] /
-/// [`flow::check_dynamic`].
-pub fn flow_install_validator(review: &InstallReview<'_>) -> Result<(), String> {
+/// [`install_validator`] plus the pre-install flow rules (F01–F04): the
+/// full install gate. The whole-cache rules (F04 installed, F05) and the
+/// dynamic rule (F06) need the full cache or a trace and live in
+/// [`flow::check_cache`] / [`flow::check_dynamic`].
+pub fn full_validator(review: &InstallReview<'_>) -> Result<(), String> {
     gate(|| {
-        let mut violations = Vec::new();
+        let mut violations = verify_translation(review.sb, review.code, review.translator);
         flow::check_translation(review.sb, review.code, &mut violations);
         violations
     })
-}
-
-/// Like [`flow_install_validator`] but never rejects: flow violations are
-/// recorded for [`take_report`] and the installation proceeds. Used by
-/// `lint flow` to audit a whole run without changing its execution.
-pub fn collecting_flow_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    let mut violations = Vec::new();
-    flow::check_translation(review.sb, review.code, &mut violations);
-    record(&violations);
-    Ok(())
-}
-
-/// A combined collecting validator: the single-fragment passes *and* the
-/// pre-install flow rules, never rejecting. Lets one run feed both rule
-/// families into [`take_report`].
-pub fn collecting_full_validator(review: &InstallReview<'_>) -> Result<(), String> {
-    collecting_validator(review)?;
-    collecting_flow_validator(review)
 }

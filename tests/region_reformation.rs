@@ -11,9 +11,8 @@
 //!    oracle, with no region left installed.
 
 use ildp_core::oracle::{reference, EndState};
-use ildp_core::{ChainPolicy, NullSink, Translator, Vm, VmConfig, VmExit};
+use ildp_core::{ChainPolicy, NullSink, OnViolation, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
-use ildp_verifier::take_report;
 use proptest::prelude::*;
 use spec_workloads::{by_name, suite};
 
@@ -29,9 +28,10 @@ fn region_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
             acc_count: 4,
             fuse_memory: false,
         },
-        validator: Some(ildp_verifier::collecting_full_validator),
-        // The collecting validator files violations thread-locally;
-        // translation must stay on this thread to read them back.
+        validator: Some(ildp_verifier::full_validator),
+        on_violation: OnViolation::Record,
+        // Synchronous translation keeps every promotion point (and so
+        // every pause the property test takes) reproducible.
         async_translate: false,
         ..VmConfig::default()
     };
@@ -55,10 +55,10 @@ fn region_runs_match_interpreter_across_the_matrix() {
                 let cell = format!("{}:{form:?}:{chain:?}", w.name);
                 let mut vm = Vm::new(region_config(form, chain), &w.program);
                 let exit = vm.run(w.budget * 2, &mut NullSink);
-                let violations = take_report();
                 assert!(
-                    violations.is_empty(),
-                    "{cell}: install gate violations on promoted regions: {violations:?}"
+                    vm.violations().is_empty(),
+                    "{cell}: install gate violations on promoted regions: {:?}",
+                    vm.violations()
                 );
                 if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
                     panic!("{cell}: {e}");
@@ -137,8 +137,7 @@ proptest! {
         // Resume to the halt: the boundary the pause landed on must have
         // been architecturally precise, or the tail diverges.
         let exit = vm.run(w.budget * 2, &mut NullSink);
-        let violations = take_report();
-        prop_assert!(violations.is_empty(), "violations after demotion: {:?}", violations);
+        prop_assert!(vm.violations().is_empty(), "violations after demotion: {:?}", vm.violations());
         expected
             .check(&EndState::of(&vm, &exit))
             .map_err(TestCaseError::fail)?;
@@ -157,7 +156,6 @@ fn regions_exist_by_midpoint_for_the_demotion_property() {
         &w.program,
     );
     let exit = vm.run((expected.retired / 2).max(1), &mut NullSink);
-    let _ = take_report();
     assert_eq!(exit, VmExit::Budget);
     assert!(
         vm.stats().regions_formed > 0,

@@ -5,17 +5,14 @@
 //! this digest unchanged; a deliberate change to the emitted code updates
 //! the pin in the same commit and says why.
 
-use std::cell::Cell;
+use std::sync::Mutex;
 
 use ildp_core::{wire, ChainPolicy, InstallReview, NullSink, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
 
-thread_local! {
-    /// Running digest and fragment count of every translation reviewed
-    /// on this thread.
-    static DIGEST: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
+/// Running digest and fragment count of every translation reviewed.
+static DIGEST: Mutex<(u64, u64)> = Mutex::new((0, 0));
 
 /// Install validator that folds each translation into [`DIGEST`]:
 /// FNV-1a (the wire format's checksum) over the entry address, the
@@ -29,18 +26,15 @@ fn fold(review: &InstallReview<'_>) -> Result<(), String> {
         "{:#x}|{:?}|{:?}|{:?}",
         code.vstart, code.insts, code.meta, recovery
     );
-    DIGEST.with(|d| {
-        let (h, n) = d.get();
-        let mut bytes = h.to_le_bytes().to_vec();
-        bytes.extend_from_slice(text.as_bytes());
-        d.set((wire::fnv1a(&bytes), n + 1));
-    });
+    let mut d = DIGEST.lock().unwrap();
+    let mut bytes = d.0.to_le_bytes().to_vec();
+    bytes.extend_from_slice(text.as_bytes());
+    *d = (wire::fnv1a(&bytes), d.1 + 1);
     Ok(())
 }
 
 #[test]
 fn suite_translations_match_the_pinned_digest() {
-    DIGEST.with(|d| d.set((0, 0)));
     for form in [IsaForm::Basic, IsaForm::Modified] {
         for chain in [
             ChainPolicy::NoPred,
@@ -64,7 +58,7 @@ fn suite_translations_match_the_pinned_digest() {
             }
         }
     }
-    let (digest, fragments) = DIGEST.with(|d| d.get());
+    let (digest, fragments) = *DIGEST.lock().unwrap();
     assert_eq!(
         (digest, fragments),
         (0x74f1_ef05_bbf2_5f05, 315),

@@ -1,17 +1,19 @@
 //! The translation validator wired into the VM: every fragment installed
 //! while running the full workload suite — under every ISA form and
 //! chaining policy — passes all four static passes, the installed
-//! (patched, linked) fragments audit clean against the cache, and the
+//! (patched, linked) fragments audit clean against the cache, the
 //! engine's reject-on-violation mode degrades to interpretation instead
-//! of installing a flagged translation.
+//! of installing a flagged translation, and record mode installs it and
+//! keeps the diagnostic on the VM.
 
+use ildp_core::oracle::{reference, EndState};
 use ildp_core::{
     ChainPolicy, InstallReview, NullSink, OnViolation, ProfileConfig, Translator, Vm, VmConfig,
     VmExit,
 };
 use ildp_isa::IsaForm;
-use ildp_verifier::{collecting_validator, install_validator, take_report, verify_installed};
-use spec_workloads::suite;
+use ildp_verifier::{install_validator, verify_installed};
+use spec_workloads::{by_name, suite};
 
 fn vm_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
     VmConfig {
@@ -67,24 +69,53 @@ fn every_installed_fragment_verifies_clean_across_the_suite() {
     }
 }
 
-#[test]
-fn collecting_validator_reports_without_rejecting() {
-    let w = &suite(1)[0];
-    let mut config = vm_config(IsaForm::Basic, ChainPolicy::SwPredDualRas);
-    config.validator = Some(collecting_validator);
-    let mut vm = Vm::new(config, &w.program);
-    let exit = vm.run(w.budget * 2, &mut NullSink);
-    assert_eq!(exit, VmExit::Halted);
-    assert!(
-        take_report().is_empty(),
-        "clean translations must not report"
-    );
-}
-
 /// A validator that rejects everything: with `OnViolation::Reject` the VM
 /// must fall back to interpretation rather than panic or install.
 fn reject_all(_review: &InstallReview<'_>) -> Result<(), String> {
     Err("rejected by test".to_string())
+}
+
+#[test]
+fn record_mode_installs_refused_translations_and_keeps_their_diagnostics() {
+    let w = by_name("bzip2", 1).expect("bzip2 workload");
+    let expected = reference(&w.program, w.budget * 2).expect("reference");
+    let mut clean = vm_config(IsaForm::Modified, ChainPolicy::SwPredDualRas);
+    clean.on_violation = OnViolation::Record;
+    let mut vm = Vm::new(clean, &w.program);
+    vm.run(w.budget * 2, &mut NullSink);
+    assert!(
+        vm.violations().is_empty(),
+        "clean translations must not report"
+    );
+
+    // Every translation refused, sync and on the background pool (whose
+    // findings a validator could not hand back itself), with region
+    // promotion forced so `promote_region` refuses merged regions too.
+    for async_translate in [false, true] {
+        let mut config = VmConfig {
+            validator: Some(reject_all),
+            on_violation: OnViolation::Record,
+            async_translate,
+            ..clean
+        };
+        config.engine.region_trigger = Some(64);
+        let mut vm = Vm::new(config, &w.program);
+        let exit = vm.run(w.budget * 2, &mut NullSink);
+        let mode = if async_translate { "async" } else { "sync" };
+        if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+            panic!("{mode}: {e}");
+        }
+        let s = vm.stats();
+        assert!(s.fragments > 0, "{mode}: refused translations must install");
+        assert!(
+            vm.cache().fragments().any(|f| f.is_region),
+            "{mode}: a refused region must install"
+        );
+        assert_eq!(s.verify_rejected, 0, "{mode}: record mode rejects nothing");
+        // One diagnostic per installed translation, regions included.
+        assert_eq!(vm.violations().len() as u64, s.fragments, "{mode}");
+        assert!(vm.violations().iter().all(|(_, m)| m == "rejected by test"));
+    }
 }
 
 #[test]
