@@ -24,9 +24,9 @@ fn main() {
         .iter()
         .map(|&chain| {
             run_straightened(&w, chain)
-                .straighten
+                .vm
                 .expect("straightened stats")
-                .relative_instruction_count()
+                .dynamic_expansion()
         })
         .collect();
         table.row(w.name, &rows);

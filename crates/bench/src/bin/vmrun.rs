@@ -4,15 +4,15 @@
 //!
 //! ```text
 //! vmrun gzip --form basic --chain sw_pred --accs 8 --pe 6 --comm 2
-//! vmrun perlbmk --timing superscalar-straightened
+//! vmrun perlbmk --form straightened --chain no_pred
 //! vmrun mcf --fuse --dump-fragments
 //! vmrun --list
 //! ```
 
-use ildp_bench::run_straightened;
+use ildp_bench::{straightened_machine, straightened_vm};
 use ildp_core::{ChainPolicy, FlushPolicy, NullSink, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
-use ildp_uarch::{IldpConfig, IldpModel, TimingModel, TimingStats};
+use ildp_uarch::{IldpConfig, IldpModel, SuperscalarModel, TimingModel, TimingStats};
 use spec_workloads::by_name;
 
 struct Options {
@@ -23,7 +23,9 @@ struct Options {
     scale: u32,
     fuse: bool,
     flush: bool,
-    timing: String,
+    /// `false` for `--timing none`. A timed run uses the form's machine:
+    /// the superscalar for the straightened form, ILDP otherwise.
+    timed: bool,
     pe: usize,
     comm: u64,
     dump_fragments: bool,
@@ -31,10 +33,11 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vmrun <workload> [--form basic|modified] [--chain no_pred|sw_pred|ras]\n\
-         \u{20}            [--accs N] [--scale N] [--fuse] [--flush] [--pe N] [--comm N]\n\
-         \u{20}            [--timing ildp|superscalar-straightened|none] [--dump-fragments]\n\
-         \u{20}      vmrun --list"
+        "usage: vmrun <workload> [--form basic|modified|straightened]\n\
+         \u{20}            [--chain no_pred|sw_pred|ras] [--accs N] [--scale N] [--fuse] [--flush]\n\
+         \u{20}            [--pe N] [--comm N] [--timing ildp|none] [--dump-fragments]\n\
+         \u{20}      vmrun --list\n\
+         --form straightened is timed on the superscalar of Figs. 4-6 instead of ILDP"
     );
     std::process::exit(2);
 }
@@ -48,7 +51,7 @@ fn parse() -> Options {
         scale: 10,
         fuse: false,
         flush: false,
-        timing: "ildp".to_string(),
+        timed: true,
         pe: 8,
         comm: 0,
         dump_fragments: false,
@@ -72,6 +75,7 @@ fn parse() -> Options {
                 opts.form = match value("--form").as_str() {
                     "basic" => IsaForm::Basic,
                     "modified" => IsaForm::Modified,
+                    "straightened" => IsaForm::Straightened,
                     other => {
                         eprintln!("unknown form `{other}`");
                         usage()
@@ -93,7 +97,16 @@ fn parse() -> Options {
             "--scale" => opts.scale = value("--scale").parse().unwrap_or_else(|_| usage()),
             "--pe" => opts.pe = value("--pe").parse().unwrap_or_else(|_| usage()),
             "--comm" => opts.comm = value("--comm").parse().unwrap_or_else(|_| usage()),
-            "--timing" => opts.timing = value("--timing"),
+            "--timing" => {
+                opts.timed = match value("--timing").as_str() {
+                    "ildp" => true,
+                    "none" => false,
+                    other => {
+                        eprintln!("unknown timing model `{other}`");
+                        usage()
+                    }
+                }
+            }
             "--fuse" => opts.fuse = true,
             "--flush" => opts.flush = true,
             "--dump-fragments" => opts.dump_fragments = true,
@@ -148,35 +161,34 @@ fn main() {
         std::process::exit(2);
     };
 
-    if opts.timing == "superscalar-straightened" {
-        // The Figures 4-6 set-up: panics unless the run ends cleanly.
-        let r = run_straightened(&w, opts.chain);
-        let s = r.straighten.expect("a straightened run has its statistics");
-        println!("fragments             : {}", s.fragments);
-        println!(
-            "relative inst count   : {:.3}",
-            s.relative_instruction_count()
-        );
-        println!("dual-RAS hits/misses  : {}/{}", s.ras_hits, s.ras_misses);
-        print_timing(&r.timing);
-        return;
-    }
-
-    let config = VmConfig {
-        translator: Translator {
-            form: opts.form,
-            chain: opts.chain,
-            acc_count: opts.accs,
-            fuse_memory: opts.fuse,
+    let config = match opts.form {
+        // The Figures 4-6 set-up.
+        IsaForm::Straightened => straightened_vm(opts.chain),
+        form => VmConfig {
+            translator: Translator {
+                form,
+                chain: opts.chain,
+                acc_count: opts.accs,
+                fuse_memory: opts.fuse,
+            },
+            ..VmConfig::default()
         },
+    };
+    let config = VmConfig {
         flush: opts.flush.then(FlushPolicy::default),
-        ..VmConfig::default()
+        ..config
     };
     let mut vm = Vm::new(config, &w.program);
 
     let mut pe_utilization: Option<Vec<u64>> = None;
-    let (exit, timing): (VmExit, Option<TimingStats>) = match opts.timing.as_str() {
-        "ildp" => {
+    let (exit, timing): (VmExit, Option<TimingStats>) = match (opts.timed, opts.form) {
+        (false, _) => (vm.run(w.budget * 2, &mut NullSink), None),
+        (true, IsaForm::Straightened) => {
+            let mut model = SuperscalarModel::new(straightened_machine(opts.chain));
+            let exit = vm.run(w.budget * 2, &mut model);
+            (exit, Some(model.finish()))
+        }
+        (true, _) => {
             let mut model = IldpModel::new(IldpConfig {
                 pe_count: opts.pe,
                 comm_latency: opts.comm,
@@ -185,11 +197,6 @@ fn main() {
             let exit = vm.run(w.budget * 2, &mut model);
             pe_utilization = Some(model.pe_utilization().to_vec());
             (exit, Some(model.finish()))
-        }
-        "none" => (vm.run(w.budget * 2, &mut NullSink), None),
-        other => {
-            eprintln!("unknown timing model `{other}`");
-            usage()
         }
     };
 

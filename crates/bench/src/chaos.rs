@@ -18,8 +18,8 @@
 
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{
-    ChainPolicy, FragmentId, NullSink, OnViolation, ProfileConfig, ReplayEvent, ReplayLog,
-    Translator, Vm, VmConfig, VmExit, VmStats,
+    ChainPolicy, EngineConfig, FragmentId, NullSink, OnViolation, ProfileConfig, ReplayEvent,
+    ReplayLog, Translator, Vm, VmConfig, VmExit, VmStats,
 };
 use ildp_isa::{IInst, ITarget, IsaForm};
 use ildp_verifier::verify_installed;
@@ -351,7 +351,10 @@ pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
         validator: Some(ildp_verifier::install_validator),
         on_violation: OnViolation::Reject,
         cache_budget: Some(256),
-        fuel: Some(2_000),
+        engine: EngineConfig {
+            fuel: Some(2_000),
+            ..EngineConfig::default()
+        },
         async_translate: false,
         ..VmConfig::default()
     }

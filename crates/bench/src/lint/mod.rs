@@ -259,6 +259,7 @@ pub fn form_name(form: IsaForm) -> &'static str {
     match form {
         IsaForm::Basic => "basic",
         IsaForm::Modified => "modified",
+        IsaForm::Straightened => "straightened",
     }
 }
 

@@ -1,8 +1,8 @@
 //! Experiment runners: one function per simulated configuration.
 
 use ildp_core::{
-    trace_original, ChainPolicy, InstallValidator, ProfileConfig, StraightenStats, StraightenedVm,
-    Translator, Vm, VmConfig, VmExit, VmStats,
+    trace_original, ChainPolicy, EngineConfig, InstallValidator, Translator, Vm, VmConfig, VmExit,
+    VmStats,
 };
 use ildp_isa::IsaForm;
 use ildp_uarch::{
@@ -18,8 +18,6 @@ pub struct CellResult {
     pub timing: TimingStats,
     /// DBT statistics (absent for original-program runs).
     pub vm: Option<VmStats>,
-    /// Straightened-system statistics, when that system ran.
-    pub straighten: Option<StraightenStats>,
 }
 
 fn expect_clean(name: &str, exit: &VmExit) {
@@ -51,33 +49,48 @@ pub fn run_original(w: &Workload, use_ras: bool) -> CellResult {
     CellResult {
         timing: model.finish(),
         vm: None,
-        straighten: None,
     }
 }
 
-/// Runs the **code-straightening-only** system on the superscalar model
-/// with the given chaining policy (Figures 4, 5, 6).
-pub fn run_straightened(w: &Workload, chain: ChainPolicy) -> CellResult {
-    let predictors = PredictorConfig {
-        // Returns exist in the trace only under the dual-RAS policy; the
-        // other policies lower returns to compare-and-branch/dispatch.
-        dual_ras: chain.uses_dual_ras(),
-        use_ras: chain.uses_dual_ras(),
-        ..PredictorConfig::default()
-    };
-    let config = SuperscalarConfig {
-        predictors,
-        ..SuperscalarConfig::default()
-    };
-    let mut model = SuperscalarModel::new(config);
-    let mut vm = StraightenedVm::new(chain, ProfileConfig::default(), &w.program);
-    let exit = vm.run(w.budget * 2, &mut model);
-    expect_clean(w.name, &exit);
-    CellResult {
-        timing: model.finish(),
-        vm: None,
-        straighten: Some(*vm.stats()),
+/// The **code-straightening-only** configuration (paper §4.1): the VM
+/// translating to the straightened form with `chain`, synchronously, and
+/// without region promotion — the paper's straightened system chains
+/// superblocks only.
+pub fn straightened_vm(chain: ChainPolicy) -> VmConfig {
+    VmConfig {
+        translator: Translator {
+            form: IsaForm::Straightened,
+            chain,
+            ..Translator::default()
+        },
+        engine: EngineConfig {
+            region_trigger: None,
+            ..EngineConfig::default()
+        },
+        async_translate: false,
+        ..VmConfig::default()
     }
+}
+
+/// The conventional superscalar the straightened configuration runs on.
+/// Returns exist in its trace only under the dual-RAS policy; the other
+/// policies lower returns to compare-and-branch/dispatch.
+pub fn straightened_machine(chain: ChainPolicy) -> SuperscalarConfig {
+    SuperscalarConfig {
+        predictors: PredictorConfig {
+            dual_ras: chain.uses_dual_ras(),
+            use_ras: chain.uses_dual_ras(),
+            ..PredictorConfig::default()
+        },
+        ..SuperscalarConfig::default()
+    }
+}
+
+/// Runs the code-straightening-only configuration on its superscalar
+/// (Figures 4, 5, 6).
+pub fn run_straightened(w: &Workload, chain: ChainPolicy) -> CellResult {
+    let model = SuperscalarModel::new(straightened_machine(chain));
+    run_vm(w, straightened_vm(chain), model)
 }
 
 /// ILDP machine parameters for one Figure 8/9 configuration.
@@ -135,22 +148,25 @@ pub fn run_ildp(w: &Workload, form: IsaForm, params: IldpParams) -> CellResult {
 }
 
 /// Runs the co-designed VM under `config` on the ILDP machine `uarch`.
-/// Translation is forced synchronous: the paper's figures model it as an
-/// in-line pipeline stage, and synchronous mode keeps the reported
-/// statistics exactly reproducible run-to-run.
 pub fn run_ildp_with(w: &Workload, config: VmConfig, uarch: IldpConfig) -> CellResult {
+    run_vm(w, config, IldpModel::new(uarch))
+}
+
+/// Runs the VM under `config` on the timing `model`. Translation is
+/// forced synchronous: the paper's figures model it as an in-line
+/// pipeline stage, and synchronous mode keeps the reported statistics
+/// exactly reproducible run-to-run.
+fn run_vm<M: TimingModel>(w: &Workload, config: VmConfig, mut model: M) -> CellResult {
     let vm_config = VmConfig {
         async_translate: false,
         ..config
     };
-    let mut model = IldpModel::new(uarch);
     let mut vm = Vm::new(vm_config, &w.program);
     let exit = vm.run(w.budget * 2, &mut model);
     expect_clean(w.name, &exit);
     CellResult {
         timing: model.finish(),
         vm: Some(vm.stats().clone()),
-        straighten: None,
     }
 }
 
@@ -197,8 +213,7 @@ mod tests {
     fn straightened_run_produces_timing_and_stats() {
         let w = by_name("eon", 1).unwrap();
         let r = run_straightened(&w, ChainPolicy::SwPredDualRas);
-        let s = r.straighten.unwrap();
-        assert!(s.fragments > 0);
+        assert!(r.vm.unwrap().fragments > 0);
         assert!(r.timing.v_instructions > 1_000);
     }
 

@@ -554,7 +554,14 @@ impl ReproBundle {
     /// Serializes into the enveloped wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        wire::put_u8(&mut p, matches!(self.form, IsaForm::Modified) as u8);
+        wire::put_u8(
+            &mut p,
+            match self.form {
+                IsaForm::Basic => 0,
+                IsaForm::Modified => 1,
+                IsaForm::Straightened => 2,
+            },
+        );
         wire::put_u8(
             &mut p,
             match self.chain {
@@ -584,10 +591,11 @@ impl ReproBundle {
             return Err(SnapshotError::BadVersion { version });
         }
         let mut c = Cursor::new(payload);
-        let form = if c.take_u8()? != 0 {
-            IsaForm::Modified
-        } else {
-            IsaForm::Basic
+        let form = match c.take_u8()? {
+            0 => IsaForm::Basic,
+            1 => IsaForm::Modified,
+            2 => IsaForm::Straightened,
+            v => return Err(SnapshotError::BadVersion { version: v as u32 }),
         };
         let chain = match c.take_u8()? {
             0 => ChainPolicy::NoPred,

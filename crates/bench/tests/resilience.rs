@@ -7,8 +7,8 @@ use alpha_isa::parse_program;
 use ildp_bench::chaos::chaos_cell;
 use ildp_core::oracle::{reference, EndState};
 use ildp_core::{
-    ChainPolicy, FlushPolicy, InstallReview, NullSink, OnViolation, ProfileConfig, Translator, Vm,
-    VmConfig, VmExit,
+    ChainPolicy, EngineConfig, FlushPolicy, InstallReview, NullSink, OnViolation, ProfileConfig,
+    Translator, Vm, VmConfig, VmExit,
 };
 use ildp_isa::IsaForm;
 use ildp_verifier::verify_installed;
@@ -178,9 +178,13 @@ fn check_self_modifying(source: &str, shape: &str) {
 fn fuel_preemption_degrades_and_stays_correct() {
     let w = spec_workloads::by_name("gzip", 1).unwrap();
     let expected = reference(&w.program, w.budget * 2).unwrap();
+    let base = base_config(IsaForm::Modified);
     let config = VmConfig {
-        fuel: Some(100),
-        ..base_config(IsaForm::Modified)
+        engine: EngineConfig {
+            fuel: Some(100),
+            ..base.engine
+        },
+        ..base
     };
     let mut vm = Vm::new(config, &w.program);
     let exit = vm.run(w.budget * 2, &mut NullSink);

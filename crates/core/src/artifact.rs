@@ -176,10 +176,7 @@ pub fn translator_digest(t: &Translator) -> u64 {
         ChainPolicy::SwPredDualRas => 2,
     };
     let buf = [
-        match t.form {
-            IsaForm::Basic => 0u8,
-            IsaForm::Modified => 1,
-        },
+        enum_index(&FORMS, &t.form),
         chain,
         t.acc_count as u8,
         t.fuse_memory as u8,
@@ -257,7 +254,7 @@ impl FragmentArtifact {
         wire::put_u64(&mut p, key.code_digest);
         wire::put_u64(&mut p, key.config_digest);
         wire::put_u64(&mut p, self.vstart);
-        wire::put_u8(&mut p, matches!(self.form, IsaForm::Modified) as u8);
+        wire::put_u8(&mut p, enum_index(&FORMS, &self.form));
         wire::put_u32(&mut p, self.src_inst_count);
         wire::put_u32(&mut p, self.insts.len() as u32);
         for inst in &self.insts {
@@ -310,16 +307,12 @@ impl FragmentArtifact {
             config_digest: c.take_u64()?,
         };
         let vstart = c.take_u64()?;
-        let form = if c.take_u8()? == 0 {
-            IsaForm::Basic
-        } else {
-            IsaForm::Modified
-        };
+        let form = take_indexed(&mut c, &FORMS)?;
         let src_inst_count = c.take_u32()?;
         let n = c.take_u32()? as usize;
         let mut insts = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            insts.push(take_iinst(&mut c)?);
+            insts.push(take_iinst(&mut c, form)?);
         }
         let n = c.take_u32()? as usize;
         let mut meta = Vec::with_capacity(n.min(1 << 16));
@@ -538,6 +531,9 @@ const OPERATE_OPS: [OperateOp; 42] = [
     OperateOp::Umulh,
 ];
 
+/// Wire values of the ISA forms (also what [`translator_digest`] hashes).
+const FORMS: [IsaForm; 3] = [IsaForm::Basic, IsaForm::Modified, IsaForm::Straightened];
+
 const MEM_WIDTHS: [MemWidth; 4] = [MemWidth::U8, MemWidth::U16, MemWidth::I32, MemWidth::U64];
 
 const COND_KINDS: [CondKind; 8] = [
@@ -707,10 +703,15 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             put_asrc(p, &src);
         }
         IInst::Halt => wire::put_u8(p, 19),
+        IInst::Alpha(inst) => {
+            wire::put_u8(p, 20);
+            let word = alpha_isa::encode(inst).expect("a carried Alpha instruction encodes");
+            wire::put_u32(p, word);
+        }
     }
 }
 
-fn take_iinst(c: &mut Cursor<'_>) -> Result<IInst, SnapshotError> {
+fn take_iinst(c: &mut Cursor<'_>, form: IsaForm) -> Result<IInst, SnapshotError> {
     Ok(match c.take_u8()? {
         0 => IInst::Op {
             op: take_indexed(c, &OPERATE_OPS)?,
@@ -802,6 +803,15 @@ fn take_iinst(c: &mut Cursor<'_>) -> Result<IInst, SnapshotError> {
             src: take_asrc(c)?,
         },
         19 => IInst::Halt,
+        20 => {
+            // Only the non-control instructions the straightened form
+            // carries decode, and only in an artifact of that form.
+            let inst = alpha_isa::decode(c.take_u32()?).map(IInst::Alpha);
+            match inst {
+                Some(i) if i.validate(form).is_ok() => i,
+                _ => return Err(bad_tag(20)),
+            }
+        }
         tag => return Err(bad_tag(tag)),
     })
 }

@@ -24,7 +24,10 @@ use crate::error::VmError;
 use crate::fragment::{
     FragmentId, IMeta, RecoveryEntry, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
 };
-use alpha_isa::{AlignPolicy, CpuState, JumpKind, Memory, OperateOp, Reg, Trap};
+use crate::translate::mem_width;
+use alpha_isa::{
+    AlignPolicy, CpuState, Inst, JumpKind, MemOp, Memory, Operand, OperateOp, PalFunc, Reg, Trap,
+};
 use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, MemWidth};
 use ildp_uarch::{DynInst, InstClass};
 
@@ -207,14 +210,8 @@ const DISPATCH_TABLE_BASE: u64 = 0xE000_0000;
 /// Emits the trace records of one `n`-instruction shared-dispatch
 /// execution for `vtarget`: a short dependence chain that hashes the
 /// V-PC, probes the translation table (two loads), compares, then jumps
-/// indirect to `target_iaddr` (back into the dispatcher on a miss). The
-/// engine and the straightened system dispatch through the same code.
-pub(crate) fn trace_dispatch<S: TraceSink>(
-    vtarget: u64,
-    target_iaddr: Option<u64>,
-    n: u32,
-    sink: &mut S,
-) {
+/// indirect to `target_iaddr` (back into the dispatcher on a miss).
+fn trace_dispatch<S: TraceSink>(vtarget: u64, target_iaddr: Option<u64>, n: u32, sink: &mut S) {
     let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
     let probe = DISPATCH_TABLE_BASE + (hash & 0xfff) * 16;
     for k in 0..n {
@@ -485,50 +482,7 @@ pub(crate) fn lower(inst: &IInst, link: Option<FragmentId>, fallthrough: u64) ->
             lhs,
             rhs,
             dst,
-        } => {
-            let (a, ka) = operand(lhs, acc);
-            let (b, kb) = operand(rhs, acc);
-            let (acc, dst) = (acc_slot(acc), dst_slot(dst));
-            if op.is_cmov() {
-                return Op::Cmov {
-                    op,
-                    acc,
-                    dst,
-                    a,
-                    ka,
-                    b,
-                    kb,
-                };
-            }
-            match (lhs, rhs) {
-                (ASrc::Imm(x), ASrc::Imm(y)) => Op::Const {
-                    acc,
-                    dst,
-                    value: op.eval(imm(x), imm(y)),
-                },
-                (_, ASrc::Imm(y)) if op == OperateOp::Addq => Op::AddImm {
-                    acc,
-                    dst,
-                    a,
-                    imm: y.into(),
-                },
-                (_, ASrc::Imm(y)) if op == OperateOp::Subq => Op::AddImm {
-                    acc,
-                    dst,
-                    a,
-                    imm: -i32::from(y),
-                },
-                _ => Op::Alu {
-                    op,
-                    acc,
-                    dst,
-                    a,
-                    ka,
-                    b,
-                    kb,
-                },
-            }
-        }
+        } => lower_operate(op, (acc_slot(acc), dst_slot(dst)), lhs, rhs, acc),
         IInst::AddHigh {
             acc,
             src,
@@ -674,6 +628,124 @@ pub(crate) fn lower(inst: &IInst, link: Option<FragmentId>, fallthrough: u64) ->
             Op::PutChar { src, k }
         }
         IInst::Halt => Op::Halt,
+        IInst::Alpha(inst) => lower_alpha(inst),
+    }
+}
+
+/// Lowers `acc, dst <- op(lhs, rhs)` onto the result slots `(acc, dst)`;
+/// `acc` resolves [`ASrc::Acc`] operands.
+fn lower_operate(op: OperateOp, (acc_s, dst): (Slot, Slot), lhs: ASrc, rhs: ASrc, acc: Acc) -> Op {
+    let imm = |v: i16| v as i64 as u64;
+    let (a, ka) = operand(lhs, acc);
+    let (b, kb) = operand(rhs, acc);
+    let acc = acc_s;
+    if op.is_cmov() {
+        return Op::Cmov {
+            op,
+            acc,
+            dst,
+            a,
+            ka,
+            b,
+            kb,
+        };
+    }
+    match (lhs, rhs) {
+        (ASrc::Imm(x), ASrc::Imm(y)) => Op::Const {
+            acc,
+            dst,
+            value: op.eval(imm(x), imm(y)),
+        },
+        (_, ASrc::Imm(y)) if op == OperateOp::Addq => Op::AddImm {
+            acc,
+            dst,
+            a,
+            imm: y.into(),
+        },
+        (_, ASrc::Imm(y)) if op == OperateOp::Subq => Op::AddImm {
+            acc,
+            dst,
+            a,
+            imm: -i32::from(y),
+        },
+        _ => Op::Alu {
+            op,
+            acc,
+            dst,
+            a,
+            ka,
+            b,
+            kb,
+        },
+    }
+}
+
+/// Lowers a non-control Alpha instruction carried by the straightened
+/// form. Results go to GPR slots only (accumulator slot [`SINK`]), except
+/// a cmov's: its accumulator slot is its destination register, which
+/// keeps its old value when the move is not taken.
+fn lower_alpha(inst: Inst) -> Op {
+    match inst {
+        Inst::Operate { op, ra, rb, rc } => {
+            let rhs = match rb {
+                Operand::Reg(r) => ASrc::Gpr(r),
+                Operand::Lit(v) => ASrc::Imm(v.into()),
+            };
+            let slots = if op.is_cmov() {
+                (write_slot(rc), SINK)
+            } else {
+                (SINK, write_slot(rc))
+            };
+            lower_operate(op, slots, ASrc::Gpr(ra), rhs, Acc::new(0))
+        }
+        Inst::Mem { op, ra, rb, disp } => {
+            let (dst, addr, disp) = (write_slot(ra), read_slot(rb), i32::from(disp));
+            match op {
+                MemOp::Lda => Op::AddImm {
+                    acc: SINK,
+                    dst,
+                    a: addr,
+                    imm: disp,
+                },
+                MemOp::Ldah => Op::AddImm {
+                    acc: SINK,
+                    dst,
+                    a: addr,
+                    imm: disp << 16,
+                },
+                _ if op.is_load() => Op::Load {
+                    width: mem_width(op),
+                    acc: SINK,
+                    dst,
+                    addr,
+                    disp,
+                },
+                _ => Op::Store {
+                    width: mem_width(op),
+                    addr,
+                    disp,
+                    value: read_slot(ra),
+                    kv: 0,
+                },
+            }
+        }
+        Inst::CallPal { func } => match func {
+            PalFunc::Halt => Op::Halt,
+            PalFunc::GenTrap => Op::GenTrap,
+            PalFunc::PutChar => Op::PutChar {
+                src: read_slot(Reg::A0),
+                k: 0,
+            },
+            // Architecturally a NOP.
+            PalFunc::Other(_) => Op::Const {
+                acc: SINK,
+                dst: SINK,
+                value: 0,
+            },
+        },
+        Inst::Branch { .. } | Inst::Jump { .. } | Inst::Unimplemented { .. } => {
+            unreachable!("the straightened form carries no {inst:?}")
+        }
     }
 }
 

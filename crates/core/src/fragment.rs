@@ -11,7 +11,7 @@
 use crate::classify::UsageCat;
 use crate::engine::{lower, Op, Retired};
 use alpha_isa::{PageHasher, Reg};
-use ildp_isa::{Acc, IInst, ITarget, IsaForm};
+use ildp_isa::{ASrc, Acc, IInst, ITarget, IsaForm};
 use ildp_uarch::{DynInst, InstClass};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -465,7 +465,12 @@ impl TranslationCache {
             iaddrs.push(addr);
             addr += inst.size_bytes(form) as u64;
         }
-        self.next_iaddr = (addr + 7) & !7;
+        // The straightened form lays its fragments out 16 bytes apart;
+        // the accumulator forms align each to 8 bytes.
+        self.next_iaddr = match form {
+            IsaForm::Straightened => addr + 16,
+            IsaForm::Basic | IsaForm::Modified => (addr + 7) & !7,
+        };
 
         let links = vec![None; insts.len()];
         // Exit V-targets must be captured before `resolve_new_fragment`
@@ -880,13 +885,43 @@ fn build_template(inst: &IInst, pc: u64, next_pc: u64, meta: &IMeta, form: IsaFo
         }
         _ => {}
     }
+    if form == IsaForm::Straightened {
+        straightened_names(&mut d, inst);
+    }
     d
+}
+
+/// Scratch value names (outside the architected 0..32 space) of the
+/// straightened form's software-prediction sequence: the embedded target
+/// and the compare result.
+const SCRATCH_EMBED: u8 = 100;
+const SCRATCH_CMP: u8 = 101;
+
+/// Renames a template for the straightened form, which has no
+/// accumulators: a carried Alpha instruction takes its native class and
+/// operands, and the software-prediction sequence's accumulator becomes
+/// the scratch values it holds.
+fn straightened_names(d: &mut DynInst, inst: &IInst) {
+    d.acc = None;
+    d.acc_read = false;
+    d.acc_write = false;
+    match *inst {
+        IInst::Alpha(a) => crate::vm::alpha_view(d, a),
+        IInst::LoadEmbeddedTarget { .. } => d.dst = Some(SCRATCH_EMBED),
+        IInst::Op { .. } => {
+            d.srcs = [Some(SCRATCH_EMBED), d.srcs[0], None];
+            d.dst = Some(SCRATCH_CMP);
+        }
+        IInst::CondBranch { src: ASrc::Acc, .. }
+        | IInst::CallTranslatorIfCond { src: ASrc::Acc, .. } => d.srcs[0] = Some(SCRATCH_CMP),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ildp_isa::{ASrc, CondKind};
+    use ildp_isa::CondKind;
 
     fn mk_insts(exit_vtarget: u64) -> (Vec<IInst>, Vec<IMeta>) {
         let insts = vec![

@@ -22,10 +22,13 @@
 //! 6. the [`Vm`] orchestrates mode switching and collects the paper's
 //!    statistics (Table 2, Figures 4–9).
 //!
-//! The crate also contains the *code-straightening-only* translator
-//! ([`StraightenedVm`]) used by the paper to isolate chaining effects on a
-//! conventional superscalar (Figures 4–6), and the [`oracle`] every tier
-//! is judged by: a reference interpreter and one end-state check.
+//! The same pipeline runs the paper's *code-straightening-only*
+//! configuration, used to isolate chaining effects on a conventional
+//! superscalar (Figures 4–6): [`Translator`] with
+//! [`IsaForm::Straightened`](ildp_isa::IsaForm::Straightened) carries the
+//! non-control Alpha instructions 1:1 between the same chaining code. The
+//! crate also holds the [`oracle`] every tier is judged by: a reference
+//! interpreter and one end-state check.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +44,6 @@ mod pipeline;
 mod profile;
 mod replay;
 mod snapshot;
-mod straighten;
 mod strands;
 mod superblock;
 mod translate;
@@ -69,12 +71,11 @@ pub use pipeline::{
     TranslateResponse, INJECTED_PANIC_MARKER,
 };
 pub use profile::{
-    collect_superblock, collect_superblock_with_output, interp_block, Candidates, CodeIndex,
-    CollectionTrap, InterpEvent, ProfileConfig,
+    collect_superblock, collect_superblock_with_output, interp_block, Candidates, CollectionTrap,
+    InterpEvent, ProfileConfig,
 };
 pub use replay::{ReplayEvent, ReplayLog, Sabotage, REPLAY_MAGIC, REPLAY_VERSION};
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use straighten::{StraightenStats, StraightenedVm};
 pub use strands::{plan, Role, TranslationPlan};
 pub use superblock::{
     decompose, decompose_with, merge_region, CollectedFlow, Node, NodeInput, NodeOp, SbEnd, SbInst,

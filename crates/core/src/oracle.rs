@@ -19,7 +19,6 @@
 
 use crate::error::VmError;
 use crate::snapshot::Snapshot;
-use crate::straighten::StraightenedVm;
 use crate::vm::{Vm, VmExit};
 use alpha_isa::{step, AlignPolicy, Control, CpuState, DecodeCache, Memory, Program, Trap};
 use std::fmt;
@@ -95,18 +94,6 @@ pub struct EndState {
 impl EndState {
     /// The end state `vm` reached when `run` returned `exit`.
     pub fn of(vm: &Vm<'_>, exit: &VmExit) -> EndState {
-        EndState::from_parts(
-            vm.cpu(),
-            vm.memory(),
-            vm.output(),
-            vm.v_instructions(),
-            exit,
-        )
-    }
-
-    /// The end state the code-straightening system reached when `run`
-    /// returned `exit`.
-    pub fn of_straightened(vm: &StraightenedVm, exit: &VmExit) -> EndState {
         EndState::from_parts(
             vm.cpu(),
             vm.memory(),

@@ -19,7 +19,6 @@ use alpha_isa::{
     step, AlignPolicy, BranchOp, Control, CpuState, DecodeCache, Inst, Memory, Program, Trap,
 };
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
 
 /// Profiling configuration (paper §4.1: threshold 50, maximum superblock
 /// size 200).
@@ -141,43 +140,6 @@ pub enum InterpEvent {
     },
 }
 
-/// What [`interp_block`] needs to know about translated code: where
-/// fragments start (a block ends there so the caller can enter one), and
-/// which stores hit translated source code.
-pub trait CodeIndex {
-    /// Whether a fragment is installed at V-address `vaddr`.
-    fn has_fragment(&self, vaddr: u64) -> bool;
-    /// Whether a store of `len` bytes at `addr` wrote into a guest page
-    /// that translated code was formed from.
-    fn smc_hit(&self, addr: u64, len: u64) -> bool;
-}
-
-impl CodeIndex for TranslationCache {
-    #[inline]
-    fn has_fragment(&self, vaddr: u64) -> bool {
-        self.lookup(vaddr).is_some()
-    }
-
-    #[inline]
-    fn smc_hit(&self, addr: u64, len: u64) -> bool {
-        TranslationCache::smc_hit(self, addr, len)
-    }
-}
-
-/// A plain entry-address map of fragments that are never invalidated by
-/// guest stores (the straightened VM's): no store is an SMC hit.
-impl<V, S: BuildHasher> CodeIndex for HashMap<u64, V, S> {
-    #[inline]
-    fn has_fragment(&self, vaddr: u64) -> bool {
-        self.contains_key(&vaddr)
-    }
-
-    #[inline]
-    fn smc_hit(&self, _addr: u64, _len: u64) -> bool {
-        false
-    }
-}
-
 /// Interprets one block: instructions run in a tight loop until a taken
 /// control transfer, a PC with an installed fragment, a hot candidate, a
 /// halt, a trap, an SMC store, or `*interpreted` reaching `limit`.
@@ -196,8 +158,12 @@ impl<V, S: BuildHasher> CodeIndex for HashMap<u64, V, S> {
 /// model and the VM's retired count). Stores into pages holding
 /// translated source code are reported as [`InterpEvent::SmcStore`] so
 /// the VM can invalidate before the stale fragments run again.
+///
+/// `#[inline]`: the VM's run loop, in another codegen unit, calls this
+/// once per interpreted block.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn interp_block<C: CodeIndex>(
+pub fn interp_block(
     cpu: &mut CpuState,
     mem: &mut Memory,
     decoded: &DecodeCache,
@@ -206,7 +172,7 @@ pub fn interp_block<C: CodeIndex>(
     interpreted: &mut u64,
     limit: u64,
     output: &mut Vec<u8>,
-    code: &C,
+    cache: &TranslationCache,
 ) -> InterpEvent {
     loop {
         if *interpreted >= limit {
@@ -238,7 +204,7 @@ pub fn interp_block<C: CodeIndex>(
             // Stores never transfer control on Alpha, so reporting the SMC
             // hit instead of the (Sequential) control outcome loses
             // nothing.
-            if acc.is_store && code.smc_hit(acc.addr, acc.bytes as u64) {
+            if acc.is_store && cache.smc_hit(acc.addr, acc.bytes as u64) {
                 return InterpEvent::SmcStore {
                     addr: acc.addr,
                     len: acc.bytes as u64,
@@ -268,7 +234,7 @@ pub fn interp_block<C: CodeIndex>(
                 };
             }
             Control::NotTaken | Control::Sequential => {
-                if code.has_fragment(cpu.pc) {
+                if cache.lookup(cpu.pc).is_some() {
                     return InterpEvent::BlockEnd;
                 }
             }
@@ -422,6 +388,7 @@ pub fn collect_superblock_with_output(
 mod tests {
     use super::*;
     use alpha_isa::{Assembler, Reg};
+    use ildp_isa::IsaForm;
 
     fn countdown_program() -> Program {
         let mut asm = Assembler::new(0x1000);
@@ -519,7 +486,10 @@ mod tests {
         let program = countdown_program();
         let decoded = DecodeCache::new(&program);
         let (mut cpu, mut mem) = program.load();
-        let code: HashMap<u64, ()> = [(0x1008, ())].into_iter().collect();
+        let mut code = TranslationCache::new();
+        let halt = vec![ildp_isa::IInst::Halt];
+        let meta = vec![crate::fragment::IMeta::chain(0x1008)];
+        code.install(0x1008, IsaForm::Modified, halt, meta, 1, HashMap::new());
         let mut interp = 0u64;
         let event = interp_block(
             &mut cpu,

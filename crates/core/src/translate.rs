@@ -14,12 +14,16 @@
 //! * fragment chaining code per the [`ChainPolicy`]: patchable
 //!   `call-translator` exits, the 3-instruction software jump prediction
 //!   sequence, dual-address-RAS pushes and the return/dispatch pair.
+//!
+//! The **straightened** form (paper §4.1) skips the analysis: it carries
+//! each non-control Alpha instruction unchanged, drops the straightened-away
+//! direct branches and emits the same chaining code.
 
 use crate::classify::{analyze, CategoryCounts, ValueId};
 use crate::fragment::{IMeta, RecoveryEntry, DISPATCH_IADDR};
 use crate::strands::{plan, Role, TranslationPlan};
 use crate::superblock::{decompose_with, CollectedFlow, Node, NodeOp, SbEnd, Superblock};
-use alpha_isa::{JumpKind, MemOp, OperateOp, PalFunc, Reg};
+use alpha_isa::{BranchOp, Inst, JumpKind, MemOp, OperateOp, PalFunc, Reg};
 use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, IsaForm, MemWidth};
 use std::collections::HashMap;
 
@@ -184,6 +188,9 @@ impl Translator {
     /// Panics on an empty superblock (the profiler never produces one).
     pub fn translate(&self, sb: &Superblock) -> TranslatedCode {
         assert!(!sb.is_empty(), "cannot translate an empty superblock");
+        if self.form == IsaForm::Straightened {
+            return self.straighten(sb);
+        }
         let nodes = decompose_with(sb, self.fuse_memory);
         let df = analyze(&nodes);
         let plan = plan(&nodes, &df, self.acc_count, self.form == IsaForm::Basic);
@@ -232,6 +239,166 @@ impl Translator {
                 plan,
                 inst_node,
             },
+        }
+    }
+
+    /// Emits the straightened form: each non-control Alpha instruction
+    /// carried unchanged, straightened-away direct branches removed, and
+    /// the accumulator forms' chaining code, with accumulator 0 holding the
+    /// software-prediction compare. No analysis runs, so the trace is
+    /// empty.
+    fn straighten(&self, sb: &Superblock) -> TranslatedCode {
+        let mut insts = Vec::with_capacity(sb.insts.len() + 8);
+        let mut meta = Vec::with_capacity(sb.insts.len() + 8);
+        let mut stats = TranslateStats::default();
+        let mut credited = 0u32;
+        let acc = Acc::new(0);
+        for (k, si) in sb.insts.iter().enumerate() {
+            // Every slot carries its originating V-address; `vcount`
+            // credits the retirement of this instruction and of any
+            // straightened-away branches before it.
+            let mut push = |inst: IInst, vcount: u16, is_chain: bool| {
+                stats.chain_insts += u32::from(is_chain);
+                insts.push(inst);
+                meta.push(IMeta {
+                    vaddr: si.vaddr,
+                    vcount,
+                    category: None,
+                    is_chain,
+                });
+            };
+            let through = k as u32 + 1;
+            let mut credit = || {
+                let c = through.saturating_sub(credited);
+                credited = through;
+                c as u16
+            };
+            let exit_if = |op: BranchOp, ra: Reg, vtarget: u64| IInst::CallTranslatorIfCond {
+                cond: CondKind::from_branch_op(op),
+                acc,
+                src: ASrc::Gpr(ra),
+                vtarget,
+            };
+            let ras_push = |vret: u64| IInst::PushDualRas {
+                vret,
+                iret: ITarget::Addr(DISPATCH_IADDR),
+            };
+            match (si.flow, si.inst) {
+                (CollectedFlow::Sequential, inst) => push(IInst::Alpha(inst), credit(), false),
+                (CollectedFlow::Direct { links, .. }, Inst::Branch { ra, .. }) => {
+                    if links {
+                        let vaddr = si.vaddr + 4;
+                        push(IInst::SaveVReturn { dst: ra, vaddr }, credit(), false);
+                        if self.chain.uses_dual_ras() {
+                            push(ras_push(vaddr), 0, true);
+                        }
+                    }
+                    // Non-linking direct branches are removed outright.
+                }
+                (CollectedFlow::CondNotTaken { taken_target }, Inst::Branch { op, ra, .. }) => {
+                    push(exit_if(op, ra, taken_target), credit(), false);
+                }
+                (
+                    CollectedFlow::CondTaken {
+                        taken_target,
+                        fallthrough,
+                    },
+                    Inst::Branch { op, ra, .. },
+                ) => {
+                    let c = credit();
+                    let is_last = k == sb.insts.len() - 1;
+                    if is_last && matches!(sb.end, SbEnd::BackwardTakenBranch { .. }) {
+                        push(exit_if(op, ra, taken_target), c, false);
+                        push(
+                            IInst::CallTranslator {
+                                vtarget: fallthrough,
+                            },
+                            0,
+                            true,
+                        );
+                    } else {
+                        // Reversed so the followed path falls through.
+                        push(exit_if(op.inverse(), ra, fallthrough), c, false);
+                    }
+                }
+                (CollectedFlow::Indirect { kind, target }, Inst::Jump { ra, rb, .. }) => {
+                    assert!(
+                        ra.is_zero() || ra != rb,
+                        "straightened chaining does not support a linking \
+                         jump through its own link register"
+                    );
+                    let vret = si.vaddr + 4;
+                    if !ra.is_zero() {
+                        push(
+                            IInst::SaveVReturn {
+                                dst: ra,
+                                vaddr: vret,
+                            },
+                            0,
+                            false,
+                        );
+                        if self.chain.uses_dual_ras() {
+                            push(ras_push(vret), 0, true);
+                        }
+                    }
+                    let src = ASrc::Gpr(rb);
+                    let c = credit();
+                    match (kind, self.chain) {
+                        (JumpKind::Ret, ChainPolicy::SwPredDualRas) => {
+                            push(
+                                IInst::IndirectJump {
+                                    kind,
+                                    acc,
+                                    addr: src,
+                                },
+                                c,
+                                false,
+                            );
+                            push(IInst::Dispatch { acc, src }, 0, true);
+                        }
+                        (_, ChainPolicy::NoPred) => push(IInst::Dispatch { acc, src }, c, false),
+                        _ => {
+                            push(IInst::LoadEmbeddedTarget { acc, vaddr: target }, c, true);
+                            let cmp = IInst::Op {
+                                op: OperateOp::Cmpeq,
+                                acc,
+                                lhs: ASrc::Acc,
+                                rhs: src,
+                                dst: None,
+                            };
+                            push(cmp, 0, true);
+                            let hit = IInst::CallTranslatorIfCond {
+                                cond: CondKind::Ne,
+                                acc,
+                                src: ASrc::Acc,
+                                vtarget: target,
+                            };
+                            push(hit, 0, true);
+                            push(IInst::Dispatch { acc, src }, 0, true);
+                        }
+                    }
+                }
+                (flow, inst) => panic!("{inst:?} collected with flow {flow:?}"),
+            }
+        }
+        if let SbEnd::Cycle { next } | SbEnd::MaxSize { next } = sb.end {
+            // Trailing straightened-away branches have no later slot to
+            // credit them; they retire on the way to this exit.
+            stats.chain_insts += 1;
+            insts.push(IInst::CallTranslator { vtarget: next });
+            meta.push(IMeta {
+                vcount: (sb.insts.len() as u32).saturating_sub(credited) as u16,
+                ..IMeta::chain(sb.insts.last().map_or(sb.start, |si| si.vaddr))
+            });
+        }
+        TranslatedCode {
+            vstart: sb.start,
+            insts,
+            meta,
+            recovery: HashMap::new(),
+            src_inst_count: sb.len() as u32,
+            stats,
+            trace: TranslationTrace::default(),
         }
     }
 }
@@ -422,16 +589,6 @@ impl Emitter<'_> {
         }
     }
 
-    fn mem_width(op: MemOp) -> MemWidth {
-        match op {
-            MemOp::Ldbu | MemOp::Stb => MemWidth::U8,
-            MemOp::Ldwu | MemOp::Stw => MemWidth::U16,
-            MemOp::Ldl | MemOp::Stl => MemWidth::I32,
-            MemOp::Ldq | MemOp::Stq => MemWidth::U64,
-            MemOp::Lda | MemOp::Ldah => unreachable!("address arithmetic is not memory"),
-        }
-    }
-
     fn emit_node(&mut self, i: usize) {
         self.emit_pre_copy(i);
         let node = &self.nodes[i];
@@ -481,7 +638,7 @@ impl Emitter<'_> {
             }
             NodeOp::Load(op) => {
                 let inst = IInst::Load {
-                    width: Self::mem_width(op),
+                    width: mem_width(op),
                     acc,
                     addr: self.role_src(i, 0),
                     disp: node.imm,
@@ -494,7 +651,7 @@ impl Emitter<'_> {
             }
             NodeOp::Store(op) => {
                 let inst = IInst::Store {
-                    width: Self::mem_width(op),
+                    width: mem_width(op),
                     acc,
                     addr: self.role_src(i, 0),
                     disp: node.imm,
@@ -697,6 +854,17 @@ impl Emitter<'_> {
                 self.push_chain(IInst::Dispatch { acc, src }, node.vaddr);
             }
         }
+    }
+}
+
+/// The access width of an Alpha load or store.
+pub(crate) fn mem_width(op: MemOp) -> MemWidth {
+    match op {
+        MemOp::Ldbu | MemOp::Stb => MemWidth::U8,
+        MemOp::Ldwu | MemOp::Stw => MemWidth::U16,
+        MemOp::Ldl | MemOp::Stl => MemWidth::I32,
+        MemOp::Ldq | MemOp::Stq => MemWidth::U64,
+        MemOp::Lda | MemOp::Ldah => unreachable!("address arithmetic is not memory"),
     }
 }
 
@@ -906,6 +1074,35 @@ mod tests {
         let out = Translator::default().translate(&fig2_superblock());
         let total: u32 = out.meta.iter().map(|m| m.vcount as u32).sum();
         assert_eq!(total, out.src_inst_count);
+    }
+
+    #[test]
+    fn straightened_form_carries_alpha_one_for_one() {
+        let tr = Translator {
+            form: IsaForm::Straightened,
+            ..Translator::default()
+        };
+        let sb = fig2_superblock();
+        let out = tr.translate(&sb);
+        // The nine body instructions unchanged, then the two-way ending.
+        assert_eq!(out.insts.len(), 11);
+        for (inst, si) in out.insts.iter().zip(&sb.insts[..9]) {
+            assert_eq!(*inst, IInst::Alpha(si.inst));
+        }
+        assert!(matches!(
+            out.insts[9],
+            IInst::CallTranslatorIfCond {
+                cond: CondKind::Ne,
+                src: ASrc::Gpr(_),
+                ..
+            }
+        ));
+        assert!(matches!(out.insts[10], IInst::CallTranslator { .. }));
+        let total: u32 = out.meta.iter().map(|m| m.vcount as u32).sum();
+        assert_eq!(total, out.src_inst_count);
+        for inst in &out.insts {
+            inst.validate(IsaForm::Straightened).unwrap();
+        }
     }
 
     #[test]

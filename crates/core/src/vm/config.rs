@@ -89,11 +89,6 @@ pub struct VmConfig {
     /// clock-evicts cold fragments ([`VmStats::evictions`]). `None` keeps
     /// the unbounded cache the paper assumes.
     pub cache_budget: Option<u64>,
-    /// Optional per-dispatch watchdog fuel in V-ISA instructions: an
-    /// engine dispatch retiring more is preempted at the next fragment
-    /// boundary and its entry region demoted. `None` disables the
-    /// watchdog.
-    pub fuel: Option<u64>,
     /// Degradation-ladder depth: how many demotions a region takes before
     /// it is blacklisted to interpret-only. Level 0 translates with the
     /// configured translator, levels ≥ 1 without the optional
@@ -149,7 +144,6 @@ impl Default for VmConfig {
             validator: None,
             on_violation: OnViolation::default(),
             cache_budget: None,
-            fuel: None,
             max_demotions: 2,
             async_translate: true,
             translate_timeout: Duration::from_secs(10),

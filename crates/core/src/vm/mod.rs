@@ -23,11 +23,11 @@ mod run;
 pub use config::{
     FlushPolicy, InstallReview, InstallValidator, OnViolation, VmConfig, VmExit, VmStats,
 };
-pub(crate) use run::alpha_record;
+pub(crate) use run::alpha_view;
 pub use run::trace_original;
 
 use crate::artifact::{ArtifactKey, FragmentStore};
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::error::SnapshotError;
 use crate::fragment::{FragmentId, TranslationCache};
 use crate::pipeline::{TranslatePool, TranslateResponse};
@@ -144,12 +144,6 @@ impl<'p> Vm<'p> {
     /// Creates a VM with the program loaded and the PC at its entry.
     pub fn new(config: VmConfig, program: &'p Program) -> Vm<'p> {
         let (cpu, mem) = program.load();
-        // The VmConfig-level fuel knob flows into the engine config; an
-        // explicit EngineConfig::fuel wins if both are set.
-        let engine_config = EngineConfig {
-            fuel: config.engine.fuel.or(config.fuel),
-            ..config.engine
-        };
         let (reply_tx, reply_rx) = channel();
         let pool = config
             .async_translate
@@ -162,7 +156,7 @@ impl<'p> Vm<'p> {
             mem,
             candidates: Candidates::new(),
             cache: TranslationCache::new(),
-            engine: Engine::new(engine_config),
+            engine: Engine::new(config.engine),
             stats: VmStats::default(),
             recent_fragments: Vec::new(),
             window_epoch: 0,

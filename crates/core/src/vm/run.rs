@@ -5,9 +5,7 @@
 use super::{Vm, VmExit};
 use crate::engine::{FragExit, TraceSink};
 use crate::profile::{interp_block, InterpEvent};
-use alpha_isa::{
-    step, AlignPolicy, BranchOp, Control, DecodeCache, Inst, JumpKind, Outcome, Program,
-};
+use alpha_isa::{step, AlignPolicy, BranchOp, Control, DecodeCache, Inst, JumpKind, Program};
 use ildp_uarch::{DynInst, InstClass};
 
 impl Vm<'_> {
@@ -179,7 +177,8 @@ pub fn trace_original<S: TraceSink>(program: &Program, budget: u64, sink: &mut S
         count += 1;
         let mut d = DynInst::alu(pc, 4);
         d.next_pc = outcome.next_pc;
-        alpha_record(&mut d, inst, &outcome);
+        alpha_view(&mut d, inst);
+        d.mem_addr = outcome.mem.map(|m| m.addr);
         d.taken = outcome.control.is_taken();
         if let Control::Indirect { target, .. } = outcome.control {
             d.v_target = target;
@@ -191,11 +190,11 @@ pub fn trace_original<S: TraceSink>(program: &Program, budget: u64, sink: &mut S
     }
 }
 
-/// Fills in the native-Alpha view of an instruction that `step` retired:
-/// its class, operand registers and data address. Shared by the
-/// original-program trace and the straightened system, which executes
-/// non-control Alpha instructions natively.
-pub(crate) fn alpha_record(d: &mut DynInst, inst: Inst, outcome: &Outcome) {
+/// Fills in the native-Alpha view of an instruction: its class and
+/// operand registers. Shared by the original-program trace and the
+/// straightened form's trace templates, which carry non-control Alpha
+/// instructions unchanged.
+pub(crate) fn alpha_view(d: &mut DynInst, inst: Inst) {
     d.class = match inst {
         Inst::Operate { op, .. } if op.is_multiply() => InstClass::IntMul,
         Inst::Operate { .. } => InstClass::IntAlu,
@@ -224,5 +223,4 @@ pub(crate) fn alpha_record(d: &mut DynInst, inst: Inst, outcome: &Outcome) {
     }
     d.srcs = srcs;
     d.dst = inst.dest().map(|r| r.number());
-    d.mem_addr = outcome.mem.map(|m| m.addr);
 }

@@ -4,7 +4,9 @@
 //! **basic** and **modified** forms are represented by one instruction type:
 //! the modified form is the basic form plus an optional architected
 //! destination GPR ([`IInst::Op::dst`] etc.), exactly as in the paper's
-//! Figure 2(c)/(d).
+//! Figure 2(c)/(d). The straightened form ([`IsaForm::Straightened`])
+//! shares the chaining instructions and carries non-control Alpha
+//! instructions unchanged in [`IInst::Alpha`].
 //!
 //! Structural rules enforced by [`IInst::validate`]:
 //!
@@ -15,7 +17,7 @@
 //!   arithmetic is done by separate instructions ("decomposed" memory ops).
 
 use crate::{Acc, IsaForm};
-use alpha_isa::{JumpKind, OperateOp, Reg};
+use alpha_isa::{Inst, JumpKind, OperateOp, PalFunc, Reg};
 use std::fmt;
 
 /// A value source operand: the instruction's own accumulator, one GPR, or a
@@ -376,6 +378,12 @@ pub enum IInst {
     },
     /// Halt the machine (translation of `CALL_PAL halt`).
     Halt,
+    /// A non-control Alpha instruction carried unchanged: the body of the
+    /// straightened form's fragments. Its operands are the Alpha
+    /// instruction's own ([`Inst::sources`], [`Inst::dest`]); the
+    /// accumulator-ISA accessors (`acc`, `gpr_reads`, `gpr_write`) see
+    /// none.
+    Alpha(Inst),
 }
 
 /// A structural-validity error for an I-ISA instruction.
@@ -388,6 +396,9 @@ pub enum IInstError {
     /// A store may not reference the accumulator through both operands
     /// while also naming a GPR (would need two read ports).
     MalformedStore,
+    /// Alpha instructions are carried only by the straightened form, and
+    /// only non-control ones.
+    MisplacedAlpha,
 }
 
 impl fmt::Display for IInstError {
@@ -400,6 +411,10 @@ impl fmt::Display for IInstError {
                 write!(f, "basic-form instruction names a destination GPR")
             }
             IInstError::MalformedStore => write!(f, "store operand combination not encodable"),
+            IInstError::MisplacedAlpha => write!(
+                f,
+                "Alpha instruction outside the straightened form, or a control transfer"
+            ),
         }
     }
 }
@@ -528,10 +543,11 @@ impl IInst {
 
     /// Whether this instruction may raise a precise trap (PEI).
     pub fn is_pei(&self) -> bool {
-        matches!(
-            self,
-            IInst::Load { .. } | IInst::Store { .. } | IInst::GenTrap
-        )
+        match self {
+            IInst::Load { .. } | IInst::Store { .. } | IInst::GenTrap => true,
+            IInst::Alpha(a) => a.is_pei(),
+            _ => false,
+        }
     }
 
     /// Whether this is any control-transfer instruction.
@@ -545,6 +561,16 @@ impl IInst {
                 | IInst::CallTranslator { .. }
                 | IInst::Dispatch { .. }
                 | IInst::Halt
+        ) || self.is_alpha_halt()
+    }
+
+    /// Whether this carries Alpha's `CALL_PAL halt`.
+    fn is_alpha_halt(&self) -> bool {
+        matches!(
+            self,
+            IInst::Alpha(Inst::CallPal {
+                func: PalFunc::Halt
+            })
         )
     }
 
@@ -577,7 +603,7 @@ impl IInst {
                 | IInst::CallTranslator { .. }
                 | IInst::Dispatch { .. }
                 | IInst::Halt
-        )
+        ) || self.is_alpha_halt()
     }
 
     /// The embedded V-ISA target of a patchable translator-exit
@@ -606,6 +632,16 @@ impl IInst {
     ///
     /// Returns an [`IInstError`] describing the violated constraint.
     pub fn validate(&self, form: IsaForm) -> Result<(), IInstError> {
+        if let IInst::Alpha(a) = self {
+            let carried = !matches!(
+                a,
+                Inst::Branch { .. } | Inst::Jump { .. } | Inst::Unimplemented { .. }
+            );
+            return match form {
+                IsaForm::Straightened if carried => Ok(()),
+                _ => Err(IInstError::MisplacedAlpha),
+            };
+        }
         let mut gprs = self.gpr_reads().iter().flatten().count();
         // The cmov select's old-destination read is an implicit merging
         // read of the destination register, not a source-operand field
@@ -633,7 +669,9 @@ impl IInst {
                     return Err(IInstError::TooManyGprs);
                 }
             }
-            IsaForm::Modified => {
+            // The straightened form's chaining instructions follow the
+            // modified form's rules.
+            IsaForm::Modified | IsaForm::Straightened => {
                 // Source operands still allow only one GPR; the second GPR
                 // name is the destination.
                 if gprs > 1 {
@@ -658,8 +696,12 @@ impl IInst {
     /// immediates, branch displacements or (in the modified ISA) an extra
     /// destination-GPR specifier take 32 bits; instructions embedding a
     /// V-ISA address take 64 bits (32-bit opcode word + 32-bit address
-    /// word, addresses being code-segment-relative).
+    /// word, addresses being code-segment-relative). Every instruction of
+    /// the straightened form, like Alpha's, takes 32 bits.
     pub fn size_bytes(&self, form: IsaForm) -> u32 {
+        if form == IsaForm::Straightened {
+            return 4;
+        }
         let imm_fits_short = |s: &ASrc| match s {
             ASrc::Imm(v) => (-128..=127).contains(v),
             _ => true,
@@ -700,6 +742,7 @@ impl IInst {
             | IInst::CallTranslatorIfCond { .. }
             | IInst::CallTranslator { .. } => 8,
             IInst::GenTrap | IInst::PutChar { .. } | IInst::Halt => 2,
+            IInst::Alpha(_) => 4,
         }
     }
 }
@@ -854,6 +897,7 @@ impl fmt::Display for IInst {
                 write!(f, "putchar {s}")
             }
             IInst::Halt => write!(f, "halt"),
+            IInst::Alpha(a) => write!(f, "{a}"),
         }
     }
 }
@@ -1022,6 +1066,35 @@ mod tests {
             dst: None,
         };
         assert_eq!(basic.to_string(), "A0 <- mem[r16]");
+    }
+
+    #[test]
+    fn alpha_instructions_belong_to_the_straightened_form() {
+        let add = IInst::Alpha(Inst::Operate {
+            op: OperateOp::Addq,
+            ra: r(1),
+            rb: alpha_isa::Operand::Lit(4),
+            rc: r(2),
+        });
+        assert_eq!(add.validate(IsaForm::Straightened), Ok(()));
+        assert_eq!(
+            add.validate(IsaForm::Modified),
+            Err(IInstError::MisplacedAlpha)
+        );
+        let br = IInst::Alpha(Inst::Branch {
+            op: alpha_isa::BranchOp::Br,
+            ra: Reg::ZERO,
+            disp: 1,
+        });
+        assert_eq!(
+            br.validate(IsaForm::Straightened),
+            Err(IInstError::MisplacedAlpha)
+        );
+        let halt = IInst::Alpha(Inst::CallPal {
+            func: PalFunc::Halt,
+        });
+        assert!(halt.validate(IsaForm::Straightened).is_ok() && halt.is_terminal());
+        assert_eq!(IInst::GenTrap.size_bytes(IsaForm::Straightened), 4);
     }
 
     #[test]

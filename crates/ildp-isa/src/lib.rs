@@ -12,6 +12,11 @@
 //!   destination GPR, making architected state implicit and eliminating
 //!   almost all copies (the accumulators become strand identifiers).
 //!
+//! A third form, [`IsaForm::Straightened`], is not an accumulator ISA at
+//! all: the paper's code-straightening-only configuration (§4.1), whose
+//! fragments carry the non-control Alpha instructions unchanged
+//! ([`IInst::Alpha`]) between the same chaining instructions.
+//!
 //! This crate defines the instruction set ([`IInst`]), operand model
 //! ([`ASrc`]), accumulator identifiers ([`Acc`]), structural validation and
 //! the 16/32/64-bit encoded-size model used for the paper's static code
@@ -59,14 +64,20 @@ pub enum IsaForm {
     /// specifiers, strand identifiers, trivial precise-trap recovery.
     #[default]
     Modified,
+    /// Code straightening only (paper §4.1, Figures 4–6): non-control Alpha
+    /// instructions one-for-one ([`IInst::Alpha`]), no accumulators, with
+    /// the same superblocks and chaining code as the accumulator forms.
+    Straightened,
 }
 
 impl IsaForm {
-    /// Short label used in reports ("B" / "M", as in the paper's Table 2).
+    /// Short label used in reports ("B" / "M", as in the paper's Table 2;
+    /// "S" for the straightened form).
     pub const fn label(self) -> &'static str {
         match self {
             IsaForm::Basic => "B",
             IsaForm::Modified => "M",
+            IsaForm::Straightened => "S",
         }
     }
 }
@@ -79,6 +90,7 @@ mod tests {
     fn form_labels() {
         assert_eq!(IsaForm::Basic.label(), "B");
         assert_eq!(IsaForm::Modified.label(), "M");
+        assert_eq!(IsaForm::Straightened.label(), "S");
         assert_eq!(IsaForm::default(), IsaForm::Modified);
     }
 }

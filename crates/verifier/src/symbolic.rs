@@ -15,9 +15,10 @@
 //! * `E05` — identical output-port effects;
 //! * `E06` — at every potentially-trapping instruction, the recoverable
 //!   precise state equals the Alpha state at that point;
-//! * `E07` — the pre-install fragment contains an already-resolved
-//!   branch (nothing to prove against; install-time patching is pass 3's
-//!   domain).
+//! * `E07` — the fragment is not pre-install accumulator-ISA code: it
+//!   contains an already-resolved branch (nothing to prove against;
+//!   install-time patching is pass 3's domain) or a carried Alpha
+//!   instruction (the straightened form, which no pass covers).
 //!
 //! Both walks intern every expression into one hash-consing [`Arena`]
 //! per check, through normalizing smart constructors (constant folding,
@@ -651,12 +652,12 @@ fn walk_fragment(
             IInst::CallTranslator { vtarget } => {
                 fx.exit(k, ExitKind::Always { target: vtarget }, None, &regs);
             }
-            IInst::CondBranch { .. } | IInst::Branch { .. } => {
+            IInst::CondBranch { .. } | IInst::Branch { .. } | IInst::Alpha(_) => {
                 out.push(Violation::new(
                     "E07",
                     code.vstart,
                     Some(k),
-                    "only unresolved (patchable) exits in pre-install code".to_string(),
+                    "accumulator-ISA code with only unresolved (patchable) exits".to_string(),
                     format!("{:?}", insts[k]),
                 ));
                 return None;

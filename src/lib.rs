@@ -8,11 +8,12 @@
 //! * [`alpha`] — the Alpha V-ISA: machine-word encode/decode, assembler,
 //!   memory, functional semantics with precise traps.
 //! * [`isa`] — the accumulator-oriented I-ISA (basic and modified forms)
-//!   with the co-designed VM's special instructions.
+//!   with the co-designed VM's special instructions, and the straightened
+//!   form carrying Alpha instructions 1:1.
 //! * [`core_vm`] — the dynamic binary translator and VM: profiling,
 //!   superblock collection, strand translation, fragment chaining, the
-//!   translated-code engine, precise-trap recovery, and the
-//!   code-straightening-only system.
+//!   translated-code engine and precise-trap recovery, for the accumulator
+//!   forms and the code-straightening-only form alike.
 //! * [`uarch`] — trace-driven timing models: the reference out-of-order
 //!   superscalar and the distributed ILDP machine.
 //! * [`workloads`] — the synthetic SPEC CPU2000 INT stand-in suite.

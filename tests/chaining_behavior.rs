@@ -1,10 +1,13 @@
 //! Integration tests of fragment-chaining mechanics (paper §3.2): patch
 //! application, dual-RAS hit rates, dispatch frequencies, and the oracle
-//! (console output and trap ends included) across the chaining policies.
+//! (console output and trap ends included) across the chaining policies —
+//! in the accumulator forms and in the code-straightening-only form
+//! (§4.1), whose executed-instruction counts order the policies as
+//! Figure 5 does.
 
 use alpha_isa::{Assembler, Program, Reg};
 use ildp_core::oracle::{reference, End, EndState};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
 
 /// Panics with the first difference unless `actual` ended exactly like
 /// `expected`.
@@ -165,16 +168,11 @@ fn straightened_and_original_agree_on_checksum() {
         ChainPolicy::SwPred,
         ChainPolicy::SwPredDualRas,
     ] {
-        let mut vm = StraightenedVm::new(
-            chain,
-            ProfileConfig {
-                threshold: 5,
-                ..ProfileConfig::default()
-            },
-            &program,
-        );
+        let mut config = vm_config(chain);
+        config.translator.form = IsaForm::Straightened;
+        let mut vm = Vm::new(config, &program);
         let exit = vm.run(100_000, &mut NullSink);
-        let actual = EndState::of_straightened(&vm, &exit);
+        let actual = EndState::of(&vm, &exit);
         assert_passes(&expected, &actual, &format!("{chain:?}"));
     }
 }
@@ -205,8 +203,110 @@ fn jump_through_zero_register_does_not_panic_the_translator() {
         ChainPolicy::SwPred,
         ChainPolicy::SwPredDualRas,
     ] {
-        let mut vm = Vm::new(vm_config(chain), &program);
-        let exit = vm.run(10_000, &mut NullSink);
-        assert_passes(&expected, &EndState::of(&vm, &exit), &format!("{chain:?}"));
+        for form in [IsaForm::Modified, IsaForm::Straightened] {
+            let mut config = vm_config(chain);
+            config.translator.form = form;
+            let mut vm = Vm::new(config, &program);
+            let exit = vm.run(10_000, &mut NullSink);
+            let what = format!("{form:?}, {chain:?}");
+            assert_passes(&expected, &EndState::of(&vm, &exit), &what);
+        }
     }
+}
+
+/// The code-straightening-only configuration under `chain`, translating
+/// synchronously at the default threshold.
+fn straightened(chain: ChainPolicy) -> VmConfig {
+    VmConfig {
+        translator: Translator {
+            form: IsaForm::Straightened,
+            chain,
+            ..Translator::default()
+        },
+        async_translate: false,
+        ..VmConfig::default()
+    }
+}
+
+/// A loop calling a tiny function and returning: chaining, the dual RAS
+/// and dispatch all run.
+fn call_loop_program() -> Program {
+    let mut asm = Assembler::new(0x1_0000);
+    let func = asm.label("func");
+    asm.lda_imm(Reg::A0, 300);
+    asm.clr(Reg::V0);
+    let top = asm.here("top");
+    asm.bsr(func);
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.halt();
+    asm.bind(func);
+    asm.addq(Reg::V0, Reg::A0, Reg::V0);
+    asm.ret();
+    asm.finish().unwrap()
+}
+
+/// Straightened code executes the 20-instruction dispatch per return
+/// under `no_pred`; software prediction avoids most of them and the dual
+/// RAS the compare sequence too (Figure 5's ordering).
+#[test]
+fn straightened_chaining_policies_order_executed_instructions() {
+    let program = call_loop_program();
+    let expected = reference(&program, 100_000).unwrap();
+    let run = |chain| {
+        let mut vm = Vm::new(straightened(chain), &program);
+        let exit = vm.run(1_000_000, &mut NullSink);
+        assert_passes(&expected, &EndState::of(&vm, &exit), &format!("{chain:?}"));
+        let s = vm.stats().clone();
+        assert!(
+            s.fragments > 0 && s.engine.v_insts > 500,
+            "{chain:?}: {s:?}"
+        );
+        s
+    };
+    let no_pred = run(ChainPolicy::NoPred);
+    let sw = run(ChainPolicy::SwPred);
+    let ras = run(ChainPolicy::SwPredDualRas);
+    let (n, s, r) = (
+        no_pred.dynamic_expansion(),
+        sw.dynamic_expansion(),
+        ras.dynamic_expansion(),
+    );
+    assert!(n > s && s > r, "no_pred {n} > sw_pred {s} > ras {r} fails");
+    assert!(
+        ras.engine.ras_hits > 200,
+        "the RAS must predict the returns"
+    );
+}
+
+/// A loop body split by an unconditional branch: straightened code drops
+/// the `br`, so each hot iteration executes 4 instructions for its 5
+/// retired V-instructions (plus cold-start noise).
+#[test]
+fn straightening_removes_unconditional_branches() {
+    let mut asm = Assembler::new(0x2_0000);
+    asm.lda_imm(Reg::A0, 500);
+    let top = asm.here("top");
+    let over = asm.label("over");
+    asm.addq_imm(Reg::V0, 1, Reg::V0);
+    asm.br(over);
+    // (dead gap)
+    asm.addq_imm(Reg::V0, 7, Reg::V0);
+    asm.bind(over);
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.halt();
+    let program = asm.finish().unwrap();
+
+    let expected = reference(&program, 100_000).unwrap();
+    let mut vm = Vm::new(straightened(ChainPolicy::SwPredDualRas), &program);
+    let exit = vm.run(100_000, &mut NullSink);
+    assert_passes(&expected, &EndState::of(&vm, &exit), "straightened");
+    let hot_ratio = vm.stats().dynamic_expansion();
+    assert!(
+        hot_ratio < 1.05,
+        "straightened loop should not expand: {hot_ratio} (executed {} / v {})",
+        vm.stats().engine.executed,
+        vm.stats().engine.v_insts
+    );
 }

@@ -1,13 +1,13 @@
 //! The fundamental DBT correctness invariant, across the whole suite:
 //! translated execution must pass the oracle against pure interpretation
 //! — for both I-ISA forms, every chaining policy, and the
-//! code-straightening-only system, including a run that ends in a trap,
+//! code-straightening-only form, including a run that ends in a trap,
 //! one whose loop carries a NOP, and straightened runs paused at a
 //! budget and resumed.
 
 use alpha_isa::{Assembler, Program, Reg};
 use ildp_core::oracle::{reference, EndState, RefInterp};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, StraightenedVm, Translator, Vm, VmConfig};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
 use ildp_isa::IsaForm;
 use spec_workloads::{by_name, suite};
 
@@ -145,18 +145,8 @@ const CHAINS: [ChainPolicy; 3] = [
     ChainPolicy::SwPredDualRas,
 ];
 
-/// A low threshold so even short test runs spend most instructions in
-/// straightened code.
-fn straightened_profile() -> ProfileConfig {
-    ProfileConfig {
-        threshold: 10,
-        ..ProfileConfig::default()
-    }
-}
-
 #[test]
 fn straightened_code_matches_interpreter() {
-    let profile = straightened_profile();
     // Traps in straightened code, and in the iteration whose execution
     // collects the superblock.
     let trapping = [
@@ -166,10 +156,10 @@ fn straightened_code_matches_interpreter() {
     for (name, program, budget) in programs().into_iter().chain(trapping) {
         let expected = expected(&name, &program, budget);
         for chain in CHAINS {
-            let mut vm = StraightenedVm::new(chain, profile, &program);
+            let mut vm = Vm::new(vm_config(IsaForm::Straightened, chain), &program);
             let exit = vm.run(budget * 2, &mut NullSink);
             let what = format!("{name} straightened ({chain:?})");
-            assert_passes(&expected, &EndState::of_straightened(&vm, &exit), &what);
+            assert_passes(&expected, &EndState::of(&vm, &exit), &what);
         }
     }
 }
@@ -184,14 +174,14 @@ fn straightened_budget_pauses_are_resumable() {
     for chain in CHAINS {
         for budget in (1_000..=20_000).step_by(997) {
             let what = format!("gzip straightened ({chain:?}) paused at budget {budget}");
-            let mut vm = StraightenedVm::new(chain, straightened_profile(), &w.program);
+            let mut vm = Vm::new(vm_config(IsaForm::Straightened, chain), &w.program);
             let exit = vm.run(budget, &mut NullSink);
-            let paused = EndState::of_straightened(&vm, &exit);
+            let paused = EndState::of(&vm, &exit);
             let mut reference = RefInterp::from_start(&w.program);
             reference.catch_up(&paused);
             assert_passes(&reference.state(), &paused, &what);
             let exit = vm.run(w.budget * 2, &mut NullSink);
-            assert_passes(&expected, &EndState::of_straightened(&vm, &exit), &what);
+            assert_passes(&expected, &EndState::of(&vm, &exit), &what);
         }
     }
 }

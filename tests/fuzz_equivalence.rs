@@ -1,7 +1,8 @@
 //! Property-based DBT correctness: generate random (halting) Alpha
 //! programs and verify that translated execution passes the oracle
 //! against pure interpretation — registers, memory, console output,
-//! retired count and how the run ended — for both I-ISA forms.
+//! retired count and how the run ended — for both I-ISA forms and the
+//! code-straightening-only form.
 //!
 //! Program shape: a counted outer loop whose body is a random mix of ALU
 //! operations, loads/stores into a private arena, conditional skips and
@@ -254,6 +255,16 @@ proptest! {
         eight in any::<bool>(),
     ) {
         check(&ops, iters, IsaForm::Basic, ChainPolicy::NoPred, accs(eight));
+    }
+
+    #[test]
+    fn random_programs_translate_exactly_straightened(
+        ops in prop::collection::vec(body_op(), 4..40),
+        iters in 20i16..60,
+        chain in 0usize..3,
+    ) {
+        let chain = [ChainPolicy::NoPred, ChainPolicy::SwPred, ChainPolicy::SwPredDualRas][chain];
+        check(&ops, iters, IsaForm::Straightened, chain, 4);
     }
 
     #[test]

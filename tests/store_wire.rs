@@ -5,9 +5,10 @@
 //! silently install an artifact whose bytes differ from what was saved.
 
 use ildp_core::{
-    ChainPolicy, FragmentArtifact, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit,
+    wire, ChainPolicy, FragmentArtifact, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit,
+    ARTIFACT_MAGIC,
 };
-use ildp_isa::IsaForm;
+use ildp_isa::{IInst, IsaForm};
 use proptest::prelude::*;
 use spec_workloads::{by_name, NAMES};
 use std::collections::HashMap;
@@ -84,16 +85,68 @@ fn exhaustive_single_byte_flip_sweep() {
     }
 }
 
+/// The artifact's form byte is strict: a payload resealed with an
+/// undefined form value (so its checksum holds) is refused rather than
+/// read as some form.
+#[test]
+fn undefined_form_byte_is_refused() {
+    let store = populate(0, IsaForm::Modified, ChainPolicy::SwPredDualRas);
+    let (key, bytes) = store.raw_entries().swap_remove(0);
+    let (version, payload) = wire::open(ARTIFACT_MAGIC, &bytes).unwrap();
+    // The embedded key (16 bytes) and the entry address (8) precede it.
+    const FORM_AT: usize = 24;
+    let mut payload = payload.to_vec();
+    assert_eq!(payload[FORM_AT], 1, "the modified form's byte");
+    let reseal = |p: &[u8]| wire::seal(ARTIFACT_MAGIC, version, p);
+    assert_eq!(
+        FragmentArtifact::from_bytes(&reseal(&payload)).unwrap().0,
+        key
+    );
+    payload[FORM_AT] = 7;
+    assert!(FragmentArtifact::from_bytes(&reseal(&payload)).is_err());
+}
+
+/// Carried Alpha instructions decode only under the straightened form: a
+/// straightened payload resealed as basic or modified is refused.
+#[test]
+fn alpha_instructions_outside_the_straightened_form_are_refused() {
+    let store = populate(0, IsaForm::Straightened, ChainPolicy::SwPredDualRas);
+    let (key, bytes) = store
+        .raw_entries()
+        .into_iter()
+        .find(|(_, b)| {
+            let art = FragmentArtifact::from_bytes(b).unwrap().1;
+            art.insts.iter().any(|i| matches!(i, IInst::Alpha(_)))
+        })
+        .expect("a straightened fragment carries Alpha instructions");
+    let (version, payload) = wire::open(ARTIFACT_MAGIC, &bytes).unwrap();
+    const FORM_AT: usize = 24;
+    let mut payload = payload.to_vec();
+    assert_eq!(payload[FORM_AT], 2, "the straightened form's byte");
+    let reseal = |p: &[u8]| wire::seal(ARTIFACT_MAGIC, version, p);
+    assert_eq!(
+        FragmentArtifact::from_bytes(&reseal(&payload)).unwrap().0,
+        key
+    );
+    for other in [0, 1] {
+        payload[FORM_AT] = other;
+        assert!(
+            FragmentArtifact::from_bytes(&reseal(&payload)).is_err(),
+            "Alpha instructions decoded under form byte {other}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn store_roundtrip_is_byte_faithful(
         widx in 0usize..NAMES.len(),
-        modified in any::<bool>(),
+        form_idx in 0usize..3,
         chain_idx in 0usize..3,
     ) {
-        let form = if modified { IsaForm::Modified } else { IsaForm::Basic };
+        let form = [IsaForm::Basic, IsaForm::Modified, IsaForm::Straightened][form_idx];
         let chain =
             [ChainPolicy::NoPred, ChainPolicy::SwPred, ChainPolicy::SwPredDualRas][chain_idx];
         let store = populate(widx, form, chain);

@@ -1,13 +1,17 @@
-//! Translation-identity guard: the I-ISA the translator emits for every
-//! fragment of the suite at scale 1 — both ISA forms, all three chaining
-//! policies — hashes to a pinned digest. A translator change meant to be
-//! a pure speed-up (a faster classifier, planner or emitter) must leave
-//! this digest unchanged; a deliberate change to the emitted code updates
-//! the pin in the same commit and says why.
+//! Translation-identity guards over the suite at scale 1 and all three
+//! chaining policies. The I-ISA the translator emits for every fragment
+//! in both accumulator forms hashes to one pinned digest; the trace and
+//! run counters of the code-straightening-only configuration (Figs. 4–6)
+//! hash to another. A change meant to be a pure speed-up (a faster
+//! classifier, planner, emitter or engine) must leave both unchanged; a
+//! deliberate change to the emitted code or trace updates the pin in the
+//! same commit and says why.
 
 use std::sync::Mutex;
 
-use ildp_core::{wire, ChainPolicy, InstallReview, NullSink, Translator, Vm, VmConfig, VmExit};
+use ildp_core::{
+    wire, ChainPolicy, EngineConfig, InstallReview, NullSink, Translator, Vm, VmConfig, VmExit,
+};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
 
@@ -63,5 +67,92 @@ fn suite_translations_match_the_pinned_digest() {
         (digest, fragments),
         (0x74f1_ef05_bbf2_5f05, 315),
         "emitted I-ISA changed: digest {digest:#018x} over {fragments} translations"
+    );
+}
+
+/// FNV-1a over a trace: every field of each retired record that the
+/// superscalar model and its front end read, then the run counters.
+struct TraceDigest(u64);
+
+impl TraceDigest {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn opt(&mut self, v: Option<u64>) {
+        self.word(u64::from(v.is_some()));
+        self.word(v.unwrap_or(0));
+    }
+}
+
+impl ildp_core::TraceSink for TraceDigest {
+    fn retire(&mut self, d: &ildp_uarch::DynInst) {
+        self.word(d.pc);
+        self.word(u64::from(d.size));
+        self.word(d.class as u64);
+        for s in d.srcs {
+            self.opt(s.map(u64::from));
+        }
+        self.opt(d.dst.map(u64::from));
+        self.opt(d.mem_addr);
+        self.word(d.next_pc);
+        self.word(u64::from(d.taken));
+        self.word(d.v_target);
+        self.opt(d.ras_pair.map(|(v, _)| v));
+        self.opt(d.ras_pair.map(|(_, i)| i));
+        self.word(u64::from(d.vcount));
+    }
+}
+
+/// The code-straightening configuration (Figs. 4–6) retires the same
+/// trace and counts the same run statistics as when this pin was taken:
+/// every workload of the scale-1 suite under each chaining policy.
+#[test]
+fn straightened_traces_match_the_pinned_digest() {
+    let mut digest = TraceDigest(0xcbf2_9ce4_8422_2325);
+    for chain in [
+        ChainPolicy::NoPred,
+        ChainPolicy::SwPred,
+        ChainPolicy::SwPredDualRas,
+    ] {
+        for w in suite(1) {
+            let config = VmConfig {
+                translator: Translator {
+                    form: IsaForm::Straightened,
+                    chain,
+                    ..Translator::default()
+                },
+                engine: EngineConfig {
+                    region_trigger: None,
+                    ..EngineConfig::default()
+                },
+                async_translate: false,
+                ..VmConfig::default()
+            };
+            let mut vm = Vm::new(config, &w.program);
+            let exit = vm.run(w.budget * 2, &mut digest);
+            assert_eq!(exit, VmExit::Halted, "{} ({chain:?})", w.name);
+            let s = vm.stats();
+            for v in [
+                s.fragments,
+                s.interpreted,
+                s.engine.executed,
+                s.engine.chain_executed,
+                s.engine.v_insts,
+                s.engine.dispatches,
+                s.engine.ras_hits,
+                s.engine.ras_misses,
+            ] {
+                digest.word(v);
+            }
+        }
+    }
+    assert_eq!(
+        digest.0, 0xa9ab_cdcf_3088_d28f,
+        "straightened trace changed: digest {:#018x}",
+        digest.0
     );
 }

@@ -6,7 +6,8 @@
 //! code. In every case the DBT must pass the oracle against pure
 //! interpretation: the same faulting V-PC, trap condition, precise
 //! registers, memory, output and retired count — under both I-ISA
-//! forms, three body shapes chosen to stress different value
+//! forms and the straightened form, three body shapes chosen to stress
+//! different value
 //! categories, reduced accumulator counts (which force premature strand
 //! terminations), synchronous and background installs, and a trap in
 //! the very iteration that collects the superblock.
@@ -139,6 +140,15 @@ fn traps_recover_exactly_in_modified_form() {
 }
 
 #[test]
+fn traps_recover_exactly_in_straightened_form() {
+    for variant in 0..3u8 {
+        for trap_at in [0i16, 1, 7, 40, 100] {
+            check_trap(trap_at, variant, IsaForm::Straightened, 4);
+        }
+    }
+}
+
+#[test]
 fn traps_recover_under_accumulator_pressure() {
     // Two accumulators force premature strand terminations; recovery must
     // still be exact.
@@ -175,6 +185,8 @@ fn unaligned_load_loop(trap_at: u8) -> Program {
     asm.finish().unwrap()
 }
 
+const FORMS: [IsaForm; 3] = [IsaForm::Basic, IsaForm::Modified, IsaForm::Straightened];
+
 fn unaligned_config(form: IsaForm, threshold: u32, async_translate: bool) -> VmConfig {
     VmConfig {
         translator: Translator {
@@ -198,7 +210,7 @@ fn unaligned_traps_recover_in_all_workload_like_shapes() {
     // the fragment installed inline or by the background pool: the
     // faulting load must not count as retired either way.
     let program = unaligned_load_loop(77);
-    for form in [IsaForm::Basic, IsaForm::Modified] {
+    for form in FORMS {
         for async_translate in [false, true] {
             let config = unaligned_config(form, 3, async_translate);
             let what = format!("{form:?}, async {async_translate}");
@@ -216,7 +228,7 @@ fn a_trap_during_superblock_collection_keeps_what_ran() {
     // Threshold 10: iteration 10 is the one the profiler collects, so the
     // trap interrupts collection after part of the body has executed.
     let program = unaligned_load_loop(10);
-    for form in [IsaForm::Basic, IsaForm::Modified] {
+    for form in FORMS {
         let config = unaligned_config(form, 10, false);
         assert_traps_like_interpreter(&program, config, &format!("{form:?}"));
     }
