@@ -47,8 +47,9 @@ use std::fmt;
 /// Magic number of the `.repro` bundle wire format (`"ILPB"`).
 pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
-/// Current `.repro` bundle format version.
-pub const REPRO_VERSION: u32 = 1;
+/// Current `.repro` bundle format version. Version 2 seals with the
+/// word-wise [`wire::checksum`].
+pub const REPRO_VERSION: u32 = 2;
 
 /// XORs `rule.imm_xor` into the first immediate operand at or after
 /// `rule.slot` (wrapping) of a fragment's code — the modelled translator

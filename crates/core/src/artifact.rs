@@ -26,7 +26,7 @@
 //! installed and never a crash, no matter what happened to the file:
 //!
 //! * **Per-artifact seals.** Every entry is independently enveloped
-//!   (magic, version, FNV-1a trailer) *and embeds its own
+//!   (magic, version, [`wire::checksum`] trailer) *and embeds its own
 //!   [`ArtifactKey`]*, binding payload to index slot. A flipped bit
 //!   costs one artifact (quarantined at first lookup); a key↔payload
 //!   swap — even one that re-seals the container — fails the embedded
@@ -74,17 +74,19 @@ pub const ARTIFACT_MAGIC: u32 = 0x4650_4C49;
 
 /// Current fragment-artifact format version. Version 2 embeds the
 /// [`ArtifactKey`] in the sealed payload, binding each entry to its
-/// index slot; version 3 drops the oracle-boundary category counts.
-/// Any other version is rejected as version skew.
-pub const ARTIFACT_VERSION: u32 = 3;
+/// index slot; version 3 drops the oracle-boundary category counts;
+/// version 4 seals with the word-wise [`wire::checksum`]. Any other
+/// version is rejected as version skew.
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// Magic number of a serialized fragment store (`"ILPW"`).
 pub const STORE_MAGIC: u32 = 0x5750_4C49;
 
 /// Current fragment-store format version. Version 2 entries carry
-/// embedded keys (see [`ARTIFACT_VERSION`]); an unknown version opens as
-/// a clean empty store rather than an error.
-pub const STORE_VERSION: u32 = 2;
+/// embedded keys (see [`ARTIFACT_VERSION`]); version 3 containers and
+/// entries seal with the word-wise [`wire::checksum`]. An unknown
+/// version opens as a clean empty store rather than an error.
+pub const STORE_VERSION: u32 = 3;
 
 /// Identity of a reusable translation: what was translated (the guest
 /// bytes and dynamic path of the collected superblock) and how (the
@@ -93,9 +95,9 @@ pub const STORE_VERSION: u32 = 2;
 /// other.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArtifactKey {
-    /// FNV-1a digest of the collected superblock: entry address, each
-    /// instruction's V-address and raw code word, its collected control
-    /// flow, and the ending condition.
+    /// Digest of the collected superblock ([`superblock_digest`]): entry
+    /// address, each instruction's V-address and raw code word, its
+    /// collected control flow, and the ending condition.
     pub code_digest: u64,
     /// FNV-1a digest of the [`Translator`] configuration (ISA form,
     /// chaining policy, accumulator count, memory fusion).
@@ -108,64 +110,64 @@ pub struct ArtifactKey {
 /// fetched them, so they are in range for any collectable block); the
 /// collected flow is folded in because the same static code region can
 /// be collected along different dynamic paths, which translate
-/// differently.
+/// differently. Fields go straight into a [`wire::Mixer`], one word per
+/// step: a code word shares its step with the flow tag and link bits.
 pub fn superblock_digest(program: &Program, sb: &Superblock) -> u64 {
-    let mut buf = Vec::with_capacity(16 + sb.len() * 24);
-    wire::put_u64(&mut buf, sb.start);
     let code = program.code();
     let base = program.code_base();
+    let mut m = wire::Mixer::default();
+    m.word(sb.start);
+    m.word(sb.insts.len() as u64);
     for inst in &sb.insts {
-        wire::put_u64(&mut buf, inst.vaddr);
+        m.word(inst.vaddr);
         let idx = inst.vaddr.wrapping_sub(base) / 4;
-        let raw = code.get(idx as usize).copied().unwrap_or(0);
-        wire::put_u32(&mut buf, raw);
+        let raw = u64::from(code.get(idx as usize).copied().unwrap_or(0));
+        let tagged = |tag: u64, bits: u64| raw | tag << 32 | bits << 40;
         match inst.flow {
-            CollectedFlow::Sequential => wire::put_u8(&mut buf, 0),
+            CollectedFlow::Sequential => m.word(tagged(0, 0)),
             CollectedFlow::CondNotTaken { taken_target } => {
-                wire::put_u8(&mut buf, 1);
-                wire::put_u64(&mut buf, taken_target);
+                m.word(tagged(1, 0));
+                m.word(taken_target);
             }
             CollectedFlow::CondTaken {
                 taken_target,
                 fallthrough,
             } => {
-                wire::put_u8(&mut buf, 2);
-                wire::put_u64(&mut buf, taken_target);
-                wire::put_u64(&mut buf, fallthrough);
+                m.word(tagged(2, 0));
+                m.word(taken_target);
+                m.word(fallthrough);
             }
             CollectedFlow::Direct { target, links } => {
-                wire::put_u8(&mut buf, 3);
-                wire::put_u64(&mut buf, target);
-                wire::put_u8(&mut buf, links as u8);
+                m.word(tagged(3, links as u64));
+                m.word(target);
             }
             CollectedFlow::Indirect { kind, target } => {
-                wire::put_u8(&mut buf, 4);
-                wire::put_u8(&mut buf, kind.code() as u8);
-                wire::put_u64(&mut buf, target);
+                m.word(tagged(4, kind.code() as u64));
+                m.word(target);
             }
         }
     }
     match sb.end {
-        SbEnd::IndirectJump => wire::put_u8(&mut buf, 0),
+        SbEnd::IndirectJump => m.word(0),
         SbEnd::BackwardTakenBranch {
             target,
             fallthrough,
         } => {
-            wire::put_u8(&mut buf, 1);
-            wire::put_u64(&mut buf, target);
-            wire::put_u64(&mut buf, fallthrough);
+            m.word(1);
+            m.word(target);
+            m.word(fallthrough);
         }
         SbEnd::Cycle { next } => {
-            wire::put_u8(&mut buf, 2);
-            wire::put_u64(&mut buf, next);
+            m.word(2);
+            m.word(next);
         }
         SbEnd::MaxSize { next } => {
-            wire::put_u8(&mut buf, 3);
-            wire::put_u64(&mut buf, next);
+            m.word(3);
+            m.word(next);
         }
-        SbEnd::Halt => wire::put_u8(&mut buf, 4),
+        SbEnd::Halt => m.word(4),
     }
-    wire::fnv1a(&buf)
+    m.finish()
 }
 
 /// Digest of a translator configuration.
@@ -175,12 +177,7 @@ pub fn translator_digest(t: &Translator) -> u64 {
         ChainPolicy::SwPred => 1,
         ChainPolicy::SwPredDualRas => 2,
     };
-    let buf = [
-        enum_index(&FORMS, &t.form),
-        chain,
-        t.acc_count as u8,
-        t.fuse_memory as u8,
-    ];
+    let buf = [t.form as u8, chain, t.acc_count as u8, t.fuse_memory as u8];
     wire::fnv1a(&buf)
 }
 
@@ -250,11 +247,20 @@ impl FragmentArtifact {
     /// the key check at decode even though each payload is internally
     /// consistent.
     pub fn to_bytes(&self, key: ArtifactKey) -> Vec<u8> {
-        let mut p = Vec::new();
+        // Sized for the common case: an instruction averages under 8
+        // bytes (at most 18), a metadata row is 12, a recovery slot 8
+        // plus 2 per entry, the fixed fields under 64 plus the counts.
+        let recovery: usize = self.recovery.values().map(|e| 8 + 2 * e.len()).sum();
+        let size = 64
+            + 8 * self.categories.0.len()
+            + 8 * self.insts.len()
+            + 12 * self.meta.len()
+            + recovery;
+        let mut p = wire::begin(ARTIFACT_MAGIC, ARTIFACT_VERSION, size);
         wire::put_u64(&mut p, key.code_digest);
         wire::put_u64(&mut p, key.config_digest);
         wire::put_u64(&mut p, self.vstart);
-        wire::put_u8(&mut p, enum_index(&FORMS, &self.form));
+        wire::put_u8(&mut p, self.form as u8);
         wire::put_u32(&mut p, self.src_inst_count);
         wire::put_u32(&mut p, self.insts.len() as u32);
         for inst in &self.insts {
@@ -262,13 +268,12 @@ impl FragmentArtifact {
         }
         wire::put_u32(&mut p, self.meta.len() as u32);
         for m in &self.meta {
-            wire::put_u64(&mut p, m.vaddr);
-            wire::put_u16(&mut p, m.vcount);
-            match m.category {
-                Some(cat) => wire::put_u8(&mut p, 1 + cat as u8),
-                None => wire::put_u8(&mut p, 0),
-            }
-            wire::put_u8(&mut p, m.is_chain as u8);
+            let mut row = [0u8; 12];
+            row[..8].copy_from_slice(&m.vaddr.to_le_bytes());
+            row[8..10].copy_from_slice(&m.vcount.to_le_bytes());
+            row[10] = m.category.map_or(0, |cat| 1 + cat as u8);
+            row[11] = m.is_chain as u8;
+            p.extend_from_slice(&row);
         }
         let mut slots: Vec<u32> = self.recovery.keys().copied().collect();
         slots.sort_unstable();
@@ -288,7 +293,13 @@ impl FragmentArtifact {
         for v in self.categories.0 {
             wire::put_u64(&mut p, v);
         }
-        wire::seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, &p)
+        // A stored entry lives as long as its store: a buffer that had
+        // to grow past the estimate is trimmed.
+        let mut bytes = wire::end(p);
+        if bytes.capacity() > bytes.len() + bytes.len() / 8 {
+            bytes.shrink_to_fit();
+        }
+        bytes
     }
 
     /// Deserializes an artifact written by
@@ -301,56 +312,61 @@ impl FragmentArtifact {
         if version != ARTIFACT_VERSION {
             return Err(SnapshotError::BadVersion { version });
         }
-        let mut c = Cursor::new(payload);
+        let mut r = Reader::new(payload);
         let embedded = ArtifactKey {
-            code_digest: c.take_u64()?,
-            config_digest: c.take_u64()?,
+            code_digest: r.u64(),
+            config_digest: r.u64(),
         };
-        let vstart = c.take_u64()?;
-        let form = take_indexed(&mut c, &FORMS)?;
-        let src_inst_count = c.take_u32()?;
-        let n = c.take_u32()? as usize;
-        let mut insts = Vec::with_capacity(n.min(1 << 16));
+        let vstart = r.u64();
+        let form = r.indexed(&FORMS);
+        let src_inst_count = r.u32();
+        let n = r.count(1);
+        let mut insts = Vec::with_capacity(n);
         for _ in 0..n {
-            insts.push(take_iinst(&mut c, form)?);
+            insts.push(r.iinst(form));
         }
-        let n = c.take_u32()? as usize;
-        let mut meta = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let vaddr = c.take_u64()?;
-            let vcount = c.take_u16()?;
-            let category = match c.take_u8()? {
+        // Metadata rows are fixed-size: one bounds check for all of them.
+        let n = r.count(12);
+        let mut meta = Vec::with_capacity(n);
+        for row in r.take(12 * n).chunks_exact(12) {
+            let category = match row[10] {
                 0 => None,
-                i => Some(*UsageCat::ALL.get(i as usize - 1).ok_or(bad_tag(i))?),
+                i => match UsageCat::ALL.get(i as usize - 1) {
+                    Some(&cat) => Some(cat),
+                    None => {
+                        r.fail(bad_tag(i));
+                        None
+                    }
+                },
             };
-            let is_chain = c.take_u8()? != 0;
             meta.push(IMeta {
-                vaddr,
-                vcount,
+                vaddr: u64::from_le_bytes(row[..8].try_into().expect("an 8-byte field")),
+                vcount: u16::from_le_bytes([row[8], row[9]]),
                 category,
-                is_chain,
+                is_chain: row[11] != 0,
             });
         }
-        let n = c.take_u32()? as usize;
-        let mut recovery = HashMap::new();
+        let n = r.count(8);
+        let mut recovery = HashMap::with_capacity(n);
         for _ in 0..n {
-            let slot = c.take_u32()?;
-            let m = c.take_u32()? as usize;
-            let mut entries = Vec::with_capacity(m.min(64));
+            let slot = r.u32();
+            let m = r.count(2);
+            let mut entries = Vec::with_capacity(m);
             for _ in 0..m {
-                let reg = take_reg(&mut c)?;
-                let acc = take_acc(&mut c)?;
+                let reg = r.reg();
+                let acc = r.acc();
                 entries.push(RecoveryEntry { reg, acc });
             }
             recovery.insert(slot, entries);
         }
-        let copies = c.take_u32()?;
-        let strands = c.take_u32()?;
-        let terminations = c.take_u32()?;
+        let copies = r.u32();
+        let strands = r.u32();
+        let terminations = r.u32();
         let mut categories = CategoryCounts::default();
         for v in categories.0.iter_mut() {
-            *v = c.take_u64()?;
+            *v = r.u64();
         }
+        r.finish()?;
         Ok((
             embedded,
             FragmentArtifact {
@@ -421,31 +437,6 @@ fn put_asrc(p: &mut Vec<u8>, s: &ASrc) {
     }
 }
 
-fn take_asrc(c: &mut Cursor<'_>) -> Result<ASrc, SnapshotError> {
-    Ok(match c.take_u8()? {
-        0 => ASrc::Acc,
-        1 => ASrc::Gpr(take_reg(c)?),
-        2 => ASrc::Imm(c.take_u16()? as i16),
-        tag => return Err(bad_tag(tag)),
-    })
-}
-
-fn take_reg(c: &mut Cursor<'_>) -> Result<Reg, SnapshotError> {
-    let n = c.take_u8()?;
-    if n >= 32 {
-        return Err(bad_tag(n));
-    }
-    Ok(Reg::new(n))
-}
-
-fn take_acc(c: &mut Cursor<'_>) -> Result<Acc, SnapshotError> {
-    let n = c.take_u8()?;
-    if n as usize >= Acc::MAX_ACCUMULATORS {
-        return Err(bad_tag(n));
-    }
-    Ok(Acc::new(n))
-}
-
 fn put_opt_reg(p: &mut Vec<u8>, r: &Option<Reg>) {
     match r {
         Some(r) => {
@@ -454,13 +445,6 @@ fn put_opt_reg(p: &mut Vec<u8>, r: &Option<Reg>) {
         }
         None => wire::put_u8(p, 0),
     }
-}
-
-fn take_opt_reg(c: &mut Cursor<'_>) -> Result<Option<Reg>, SnapshotError> {
-    Ok(match c.take_u8()? {
-        0 => None,
-        _ => Some(take_reg(c)?),
-    })
 }
 
 fn put_itarget(p: &mut Vec<u8>, t: &ITarget) {
@@ -476,16 +460,11 @@ fn put_itarget(p: &mut Vec<u8>, t: &ITarget) {
     }
 }
 
-fn take_itarget(c: &mut Cursor<'_>) -> Result<ITarget, SnapshotError> {
-    Ok(match c.take_u8()? {
-        0 => ITarget::Local(c.take_u32()?),
-        1 => ITarget::Addr(c.take_u64()?),
-        tag => return Err(bad_tag(tag)),
-    })
-}
+// The decode tables below list each enum in declaration order: a value
+// encodes as its discriminant (`v as u8`) and decodes as an index
+// (`tables_follow_declaration_order` pins both).
 
-/// Every `OperateOp`, in declaration order (the wire encoding is the
-/// index into this table).
+/// Every `OperateOp`.
 const OPERATE_OPS: [OperateOp; 42] = [
     OperateOp::Addl,
     OperateOp::Addq,
@@ -531,7 +510,8 @@ const OPERATE_OPS: [OperateOp; 42] = [
     OperateOp::Umulh,
 ];
 
-/// Wire values of the ISA forms (also what [`translator_digest`] hashes).
+/// The ISA forms (their wire values are also what [`translator_digest`]
+/// hashes).
 const FORMS: [IsaForm; 3] = [IsaForm::Basic, IsaForm::Modified, IsaForm::Straightened];
 
 const MEM_WIDTHS: [MemWidth; 4] = [MemWidth::U8, MemWidth::U16, MemWidth::I32, MemWidth::U64];
@@ -547,18 +527,6 @@ const COND_KINDS: [CondKind; 8] = [
     CondKind::Lbs,
 ];
 
-fn enum_index<T: PartialEq>(table: &[T], v: &T) -> u8 {
-    table
-        .iter()
-        .position(|t| t == v)
-        .expect("value present in its own enum table") as u8
-}
-
-fn take_indexed<T: Copy>(c: &mut Cursor<'_>, table: &[T]) -> Result<T, SnapshotError> {
-    let i = c.take_u8()?;
-    table.get(i as usize).copied().ok_or(bad_tag(i))
-}
-
 fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
     match *inst {
         IInst::Op {
@@ -569,7 +537,7 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             dst,
         } => {
             wire::put_u8(p, 0);
-            wire::put_u8(p, enum_index(&OPERATE_OPS, &op));
+            wire::put_u8(p, op as u8);
             wire::put_u8(p, acc.number());
             put_asrc(p, &lhs);
             put_asrc(p, &rhs);
@@ -583,7 +551,7 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             dst,
         } => {
             wire::put_u8(p, 1);
-            wire::put_u8(p, enum_index(&MEM_WIDTHS, &width));
+            wire::put_u8(p, width as u8);
             wire::put_u8(p, acc.number());
             put_asrc(p, &addr);
             wire::put_u16(p, disp as u16);
@@ -597,7 +565,7 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             value,
         } => {
             wire::put_u8(p, 2);
-            wire::put_u8(p, enum_index(&MEM_WIDTHS, &width));
+            wire::put_u8(p, width as u8);
             wire::put_u8(p, acc.number());
             put_asrc(p, &addr);
             wire::put_u16(p, disp as u16);
@@ -646,7 +614,7 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             target,
         } => {
             wire::put_u8(p, 8);
-            wire::put_u8(p, enum_index(&COND_KINDS, &cond));
+            wire::put_u8(p, cond as u8);
             wire::put_u8(p, acc.number());
             put_asrc(p, &src);
             put_itarget(p, &target);
@@ -687,7 +655,7 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
             vtarget,
         } => {
             wire::put_u8(p, 15);
-            wire::put_u8(p, enum_index(&COND_KINDS, &cond));
+            wire::put_u8(p, cond as u8);
             wire::put_u8(p, acc.number());
             put_asrc(p, &src);
             wire::put_u64(p, vtarget);
@@ -711,109 +679,253 @@ fn put_iinst(p: &mut Vec<u8>, inst: &IInst) {
     }
 }
 
-fn take_iinst(c: &mut Cursor<'_>, form: IsaForm) -> Result<IInst, SnapshotError> {
-    Ok(match c.take_u8()? {
-        0 => IInst::Op {
-            op: take_indexed(c, &OPERATE_OPS)?,
-            acc: take_acc(c)?,
-            lhs: take_asrc(c)?,
-            rhs: take_asrc(c)?,
-            dst: take_opt_reg(c)?,
-        },
-        1 => IInst::Load {
-            width: take_indexed(c, &MEM_WIDTHS)?,
-            acc: take_acc(c)?,
-            addr: take_asrc(c)?,
-            disp: c.take_u16()? as i16,
-            dst: take_opt_reg(c)?,
-        },
-        2 => IInst::Store {
-            width: take_indexed(c, &MEM_WIDTHS)?,
-            acc: take_acc(c)?,
-            addr: take_asrc(c)?,
-            disp: c.take_u16()? as i16,
-            value: take_asrc(c)?,
-        },
-        3 => IInst::AddHigh {
-            acc: take_acc(c)?,
-            src: take_asrc(c)?,
-            imm: c.take_u16()? as i16,
-            dst: take_opt_reg(c)?,
-        },
-        4 => IInst::CmovSelect {
-            lbs: c.take_u8()? != 0,
-            acc: take_acc(c)?,
-            value: take_asrc(c)?,
-            old: take_reg(c)?,
-            dst: take_opt_reg(c)?,
-        },
-        5 => IInst::Dispatch {
-            acc: take_acc(c)?,
-            src: take_asrc(c)?,
-        },
-        6 => IInst::CopyToGpr {
-            acc: take_acc(c)?,
-            dst: take_reg(c)?,
-        },
-        7 => IInst::CopyFromGpr {
-            acc: take_acc(c)?,
-            src: take_reg(c)?,
-        },
-        8 => IInst::CondBranch {
-            cond: take_indexed(c, &COND_KINDS)?,
-            acc: take_acc(c)?,
-            src: take_asrc(c)?,
-            target: take_itarget(c)?,
-        },
-        9 => IInst::Branch {
-            target: take_itarget(c)?,
-        },
-        10 => IInst::IndirectJump {
-            kind: JumpKind::from_code(c.take_u8()? as u32),
-            acc: take_acc(c)?,
-            addr: take_asrc(c)?,
-        },
-        11 => IInst::SetVpcBase {
-            vaddr: c.take_u64()?,
-        },
-        12 => IInst::LoadEmbeddedTarget {
-            acc: take_acc(c)?,
-            vaddr: c.take_u64()?,
-        },
-        13 => IInst::SaveVReturn {
-            dst: take_reg(c)?,
-            vaddr: c.take_u64()?,
-        },
-        14 => IInst::PushDualRas {
-            vret: c.take_u64()?,
-            iret: take_itarget(c)?,
-        },
-        15 => IInst::CallTranslatorIfCond {
-            cond: take_indexed(c, &COND_KINDS)?,
-            acc: take_acc(c)?,
-            src: take_asrc(c)?,
-            vtarget: c.take_u64()?,
-        },
-        16 => IInst::CallTranslator {
-            vtarget: c.take_u64()?,
-        },
-        17 => IInst::GenTrap,
-        18 => IInst::PutChar {
-            acc: take_acc(c)?,
-            src: take_asrc(c)?,
-        },
-        19 => IInst::Halt,
-        20 => {
-            // Only the non-control instructions the straightened form
-            // carries decode, and only in an artifact of that form.
-            let inst = alpha_isa::decode(c.take_u32()?).map(IInst::Alpha);
-            match inst {
-                Some(i) if i.validate(form).is_ok() => i,
-                _ => return Err(bad_tag(20)),
+/// A flat reader over an opened artifact payload. Every read is
+/// bounds-checked, but a failed read yields a placeholder and records
+/// the first error instead of returning a `Result`, so decoding branches
+/// once, at the end ([`Reader::finish`]). After a failure every further
+/// read fails too, and the first error is the one reported.
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+    error: Option<SnapshotError>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader {
+            data,
+            pos: 0,
+            error: None,
+        }
+    }
+
+    /// Records `e` (unless an earlier error stands) and consumes the rest
+    /// of the payload; the caller returns a placeholder.
+    #[cold]
+    fn fail(&mut self, e: SnapshotError) {
+        self.error.get_or_insert(e);
+        self.pos = self.data.len();
+    }
+
+    /// The next `len` bytes (empty after a failure).
+    #[inline]
+    fn take(&mut self, len: usize) -> &'a [u8] {
+        match self.data.get(self.pos..self.pos + len) {
+            Some(b) => {
+                self.pos += len;
+                b
+            }
+            None => {
+                self.fail(SnapshotError::Truncated);
+                &[]
             }
         }
-        tag => return Err(bad_tag(tag)),
-    })
+    }
+
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().unwrap_or([0; N])
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.array::<1>()[0]
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.array())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.array())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.array())
+    }
+
+    /// Reads an entry count whose entries take at least `min_bytes` each.
+    /// A count the rest of the payload cannot hold is truncation, so every
+    /// vector is allocated at its exact size and no loop outruns the data.
+    fn count(&mut self, min_bytes: usize) -> usize {
+        let n = self.u32() as usize;
+        if n.saturating_mul(min_bytes) > self.data.len() - self.pos {
+            self.fail(SnapshotError::Truncated);
+            return 0;
+        }
+        n
+    }
+
+    fn indexed<T: Copy>(&mut self, table: &[T]) -> T {
+        let i = self.u8();
+        match table.get(i as usize) {
+            Some(&t) => t,
+            None => {
+                self.fail(bad_tag(i));
+                table[0]
+            }
+        }
+    }
+
+    fn reg(&mut self) -> Reg {
+        let n = self.u8();
+        if n >= 32 {
+            self.fail(bad_tag(n));
+            return Reg::new(0);
+        }
+        Reg::new(n)
+    }
+
+    fn acc(&mut self) -> Acc {
+        let n = self.u8();
+        if n as usize >= Acc::MAX_ACCUMULATORS {
+            self.fail(bad_tag(n));
+            return Acc::new(0);
+        }
+        Acc::new(n)
+    }
+
+    fn opt_reg(&mut self) -> Option<Reg> {
+        match self.u8() {
+            0 => None,
+            _ => Some(self.reg()),
+        }
+    }
+
+    fn asrc(&mut self) -> ASrc {
+        match self.u8() {
+            0 => ASrc::Acc,
+            1 => ASrc::Gpr(self.reg()),
+            2 => ASrc::Imm(self.u16() as i16),
+            tag => {
+                self.fail(bad_tag(tag));
+                ASrc::Acc
+            }
+        }
+    }
+
+    fn itarget(&mut self) -> ITarget {
+        match self.u8() {
+            0 => ITarget::Local(self.u32()),
+            1 => ITarget::Addr(self.u64()),
+            tag => {
+                self.fail(bad_tag(tag));
+                ITarget::Local(0)
+            }
+        }
+    }
+
+    fn iinst(&mut self, form: IsaForm) -> IInst {
+        match self.u8() {
+            0 => IInst::Op {
+                op: self.indexed(&OPERATE_OPS),
+                acc: self.acc(),
+                lhs: self.asrc(),
+                rhs: self.asrc(),
+                dst: self.opt_reg(),
+            },
+            1 => IInst::Load {
+                width: self.indexed(&MEM_WIDTHS),
+                acc: self.acc(),
+                addr: self.asrc(),
+                disp: self.u16() as i16,
+                dst: self.opt_reg(),
+            },
+            2 => IInst::Store {
+                width: self.indexed(&MEM_WIDTHS),
+                acc: self.acc(),
+                addr: self.asrc(),
+                disp: self.u16() as i16,
+                value: self.asrc(),
+            },
+            3 => IInst::AddHigh {
+                acc: self.acc(),
+                src: self.asrc(),
+                imm: self.u16() as i16,
+                dst: self.opt_reg(),
+            },
+            4 => IInst::CmovSelect {
+                lbs: self.u8() != 0,
+                acc: self.acc(),
+                value: self.asrc(),
+                old: self.reg(),
+                dst: self.opt_reg(),
+            },
+            5 => IInst::Dispatch {
+                acc: self.acc(),
+                src: self.asrc(),
+            },
+            6 => IInst::CopyToGpr {
+                acc: self.acc(),
+                dst: self.reg(),
+            },
+            7 => IInst::CopyFromGpr {
+                acc: self.acc(),
+                src: self.reg(),
+            },
+            8 => IInst::CondBranch {
+                cond: self.indexed(&COND_KINDS),
+                acc: self.acc(),
+                src: self.asrc(),
+                target: self.itarget(),
+            },
+            9 => IInst::Branch {
+                target: self.itarget(),
+            },
+            10 => IInst::IndirectJump {
+                kind: JumpKind::from_code(self.u8() as u32),
+                acc: self.acc(),
+                addr: self.asrc(),
+            },
+            11 => IInst::SetVpcBase { vaddr: self.u64() },
+            12 => IInst::LoadEmbeddedTarget {
+                acc: self.acc(),
+                vaddr: self.u64(),
+            },
+            13 => IInst::SaveVReturn {
+                dst: self.reg(),
+                vaddr: self.u64(),
+            },
+            14 => IInst::PushDualRas {
+                vret: self.u64(),
+                iret: self.itarget(),
+            },
+            15 => IInst::CallTranslatorIfCond {
+                cond: self.indexed(&COND_KINDS),
+                acc: self.acc(),
+                src: self.asrc(),
+                vtarget: self.u64(),
+            },
+            16 => IInst::CallTranslator {
+                vtarget: self.u64(),
+            },
+            17 => IInst::GenTrap,
+            18 => IInst::PutChar {
+                acc: self.acc(),
+                src: self.asrc(),
+            },
+            19 => IInst::Halt,
+            20 => {
+                // Only the non-control instructions the straightened form
+                // carries decode, and only in an artifact of that form.
+                let inst = alpha_isa::decode(self.u32()).map(IInst::Alpha);
+                match inst {
+                    Some(i) if i.validate(form).is_ok() => i,
+                    _ => {
+                        self.fail(bad_tag(20));
+                        IInst::Halt
+                    }
+                }
+            }
+            tag => {
+                self.fail(bad_tag(tag));
+                IInst::Halt
+            }
+        }
+    }
+
+    /// The first error, if any read failed.
+    fn finish(self) -> Result<(), SnapshotError> {
+        self.error.map_or(Ok(()), Err)
+    }
 }
 
 /// Aggregate counters of a [`FragmentStore`].
@@ -1620,6 +1732,19 @@ mod tests {
         assert!(store.content().tombstones.contains(&ka));
         store.put(ka, &art);
         assert!(!store.content().tombstones.contains(&ka));
+    }
+
+    #[test]
+    fn tables_follow_declaration_order() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(table: &[T], code: impl Fn(T) -> u8) {
+            for (i, &v) in table.iter().enumerate() {
+                assert_eq!(code(v) as usize, i, "{v:?} encodes off its table slot");
+            }
+        }
+        check(&OPERATE_OPS, |v| v as u8);
+        check(&FORMS, |v| v as u8);
+        check(&MEM_WIDTHS, |v| v as u8);
+        check(&COND_KINDS, |v| v as u8);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! benchmarks arising (as in the paper) from each benchmark's emitted/
 //! source expansion ratio and fragment sizes.
 
+use ildp_isa::IsaForm;
+
 /// Per-phase instruction cost constants.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -44,10 +46,16 @@ impl Default for CostModel {
 impl CostModel {
     /// DBT instructions charged for translating one superblock of
     /// `src_insts` source instructions into `emitted_insts` I-ISA
-    /// instructions.
-    pub fn fragment_cost(&self, src_insts: u64, emitted_insts: u64) -> u64 {
-        let subtotal = self.classify_per_src * src_insts
-            + self.strands_per_src * src_insts
+    /// instructions of `form`. The straightened form runs no
+    /// classification and forms no strands, so it is charged emission,
+    /// installation and the structure-copy share only.
+    pub fn fragment_cost(&self, form: IsaForm, src_insts: u64, emitted_insts: u64) -> u64 {
+        let analysed = match form {
+            IsaForm::Straightened => 0,
+            IsaForm::Basic | IsaForm::Modified => src_insts,
+        };
+        let subtotal = self.classify_per_src * analysed
+            + self.strands_per_src * analysed
             + self.emit_per_inst * emitted_insts
             + self.install_per_fragment;
         subtotal + subtotal * self.struct_copy_pct / 100
@@ -68,7 +76,7 @@ mod tests {
     fn typical_fragment_lands_near_paper_average() {
         let m = CostModel::default();
         // A typical hot superblock: ~25 source instructions expanding ~1.4x.
-        let cost = m.fragment_cost(25, 35);
+        let cost = m.fragment_cost(IsaForm::Modified, 25, 35);
         let per_src = cost as f64 / 25.0;
         assert!(
             (800.0..1500.0).contains(&per_src),
@@ -79,12 +87,12 @@ mod tests {
     #[test]
     fn struct_copy_share_is_about_twenty_percent_of_total() {
         let m = CostModel::default();
-        let total = m.fragment_cost(100, 140) as f64;
+        let total = m.fragment_cost(IsaForm::Modified, 100, 140) as f64;
         let without = CostModel {
             struct_copy_pct: 0,
             ..m
         }
-        .fragment_cost(100, 140) as f64;
+        .fragment_cost(IsaForm::Modified, 100, 140) as f64;
         let share = (total - without) / total;
         assert!((0.15..0.25).contains(&share), "copy share {share}");
     }
@@ -92,6 +100,27 @@ mod tests {
     #[test]
     fn cost_scales_with_expansion() {
         let m = CostModel::default();
-        assert!(m.fragment_cost(50, 100) > m.fragment_cost(50, 60));
+        assert!(
+            m.fragment_cost(IsaForm::Modified, 50, 100)
+                > m.fragment_cost(IsaForm::Modified, 50, 60)
+        );
+    }
+
+    #[test]
+    fn straightened_form_is_charged_only_what_it_runs() {
+        let m = CostModel::default();
+        let emit_install = m.emit_per_inst * 30 + m.install_per_fragment;
+        assert_eq!(
+            m.fragment_cost(IsaForm::Straightened, 25, 30),
+            emit_install + emit_install * m.struct_copy_pct / 100
+        );
+        assert_eq!(
+            m.fragment_cost(IsaForm::Basic, 25, 30),
+            m.fragment_cost(IsaForm::Modified, 25, 30)
+        );
+        assert!(
+            m.fragment_cost(IsaForm::Straightened, 25, 30)
+                < m.fragment_cost(IsaForm::Modified, 25, 30)
+        );
     }
 }

@@ -768,15 +768,21 @@ impl Retired {
         let mut table = Vec::with_capacity(insts.len() + 1);
         table.push(row);
         for (inst, m) in insts.iter().zip(meta) {
-            row.v_insts += u32::from(m.vcount);
-            row.chain += u32::from(m.is_chain);
-            row.copies += u32::from(inst.is_copy());
-            if let Some(cat) = m.category {
-                row.categories[cat.index()] += 1;
-            }
+            row.add(inst, m);
             table.push(row);
         }
         table
+    }
+
+    /// Advances a prefix row past one instruction.
+    #[inline]
+    pub(crate) fn add(&mut self, inst: &IInst, m: &IMeta) {
+        self.v_insts += u32::from(m.vcount);
+        self.chain += u32::from(m.is_chain);
+        self.copies += u32::from(inst.is_copy());
+        if let Some(cat) = m.category {
+            self.categories[cat.index()] += 1;
+        }
     }
 }
 

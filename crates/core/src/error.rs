@@ -105,7 +105,7 @@ impl std::error::Error for TranslateError {}
 /// Why a serialized snapshot / replay artifact could not be loaded or
 /// applied. Every wire format in the workspace (snapshots, replay logs,
 /// `.repro` bundles) shares the same envelope — magic, version, payload,
-/// FNV-1a checksum trailer — and surfaces its failures through this type.
+/// word-wise checksum trailer — and surfaces its failures through this type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotError {
     /// The stream does not begin with the expected magic number (wrong

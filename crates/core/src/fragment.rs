@@ -171,7 +171,8 @@ impl Fragment {
     }
 
     /// Re-derives the op stream, the retirement table and (once built)
-    /// the trace templates from the current code.
+    /// the trace templates from the current code — the edit path's
+    /// whole-fragment refresh; install derives the same in its one walk.
     fn relower(&mut self) {
         self.ops = (0..self.insts.len()).map(|k| self.lowered(k)).collect();
         self.retired = Retired::table(&self.insts, &self.meta);
@@ -211,18 +212,27 @@ impl Fragment {
 pub struct TranslationCache {
     slots: Vec<Option<Fragment>>,
     by_vstart: HashMap<u64, FragmentId, AddrHasher>,
-    by_istart: HashMap<u64, FragmentId>,
+    /// One bit per code word, hashed on `vaddr >> 2`
+    /// ([`ENTRY_FILTER_BITS`] bits): set for every installed entry
+    /// V-address, cleared only by [`flush`](TranslationCache::flush). A
+    /// clear bit proves there is no fragment, so the interpreter's
+    /// per-instruction [`lookup`](TranslationCache::lookup) skips the
+    /// hash probe; a set bit (a live entry, an invalidated one, or a
+    /// collision) confirms through `by_vstart`. Empty until the first
+    /// install.
+    entry_filter: Vec<u64>,
+    by_istart: HashMap<u64, FragmentId, AddrHasher>,
     /// V-target → sites awaiting a fragment at that address.
-    pending: HashMap<u64, Vec<(FragmentId, u32)>>,
+    pending: HashMap<u64, Vec<(FragmentId, u32)>, AddrHasher>,
     /// Reverse direct-link map: target fragment → the (fragment, slot)
     /// sites whose direct link names it. Consulted on invalidation so every
     /// incoming branch and dual-RAS push is un-patched back to a
     /// `call-translator` / dispatch exit. Entries are validated lazily
     /// against the live link table, so stale records are harmless.
-    incoming: HashMap<FragmentId, Vec<(FragmentId, u32)>>,
+    incoming: HashMap<FragmentId, Vec<(FragmentId, u32)>, AddrHasher>,
     /// Guest page → fragments translated from code on that page (the SMC
     /// reverse map).
-    src_pages: HashMap<u64, Vec<FragmentId>>,
+    src_pages: HashMap<u64, Vec<FragmentId>, AddrHasher>,
     /// Byte range [watch_lo, watch_hi) covering every watched guest page —
     /// a store outside it cannot hit translated source code, so the hot
     /// path pays one compare instead of a hash probe. Conservative: never
@@ -267,6 +277,16 @@ pub const DISPATCH_COST_INSTS: u32 = 20;
 /// matching the memory model's page size).
 pub const SMC_PAGE_SHIFT: u64 = 12;
 
+/// Size in bits of the cache's fragment-entry filter (8 KiB).
+const ENTRY_FILTER_BITS: usize = 1 << 16;
+
+/// The entry-filter word and bit of V-address `vaddr`.
+#[inline]
+fn filter_bit(vaddr: u64) -> (usize, u64) {
+    let bit = (vaddr >> 2) as usize & (ENTRY_FILTER_BITS - 1);
+    (bit / 64, 1 << (bit % 64))
+}
+
 impl TranslationCache {
     /// Creates an empty cache.
     pub fn new() -> TranslationCache {
@@ -287,8 +307,13 @@ impl TranslationCache {
     }
 
     /// The fragment translated from V-address `vaddr`, if any.
+    #[inline]
     pub fn lookup(&self, vaddr: u64) -> Option<FragmentId> {
-        self.by_vstart.get(&vaddr).copied()
+        let (word, bit) = filter_bit(vaddr);
+        match self.entry_filter.get(word) {
+            Some(w) if w & bit != 0 => self.by_vstart.get(&vaddr).copied(),
+            _ => None,
+        }
     }
 
     /// The fragment whose I-ISA entry point is `iaddr`.
@@ -405,6 +430,7 @@ impl TranslationCache {
     pub fn flush(&mut self) {
         self.slots.clear();
         self.by_vstart.clear();
+        self.entry_filter.fill(0);
         self.by_istart.clear();
         self.pending.clear();
         self.incoming.clear();
@@ -459,12 +485,40 @@ impl TranslationCache {
         );
         let id = FragmentId(self.slots.len() as u32);
         let istart = self.next_iaddr;
-        let mut iaddrs = Vec::with_capacity(insts.len());
+        // One walk derives everything the engine and the maps need: the
+        // I-addresses, the ops (every link unresolved until
+        // `resolve_new_fragment`), the retirement table, the exit
+        // V-targets and the source pages.
+        let n = insts.len();
+        let mut iaddrs = Vec::with_capacity(n);
+        let mut ops = Vec::with_capacity(n);
+        let mut exit_varms = Vec::with_capacity(n);
+        let mut retired = Vec::with_capacity(n + 1);
+        let mut row = Retired::default();
+        retired.push(row);
+        let mut src_pages: Vec<u64> = Vec::new();
         let mut addr = istart;
-        for inst in &insts {
+        for (inst, m) in insts.iter().zip(&meta) {
             iaddrs.push(addr);
             addr += inst.size_bytes(form) as u64;
+            ops.push(lower(inst, None, addr));
+            row.add(inst, m);
+            retired.push(row);
+            // Captured before `resolve_new_fragment` patches any of this
+            // fragment's own exits into direct branches.
+            exit_varms.push(match *inst {
+                IInst::PushDualRas { vret, .. } => Some(vret),
+                _ => inst.patch_vtarget(),
+            });
+            // Guest pages holding the source superblock, for the SMC map.
+            let page = m.vaddr >> SMC_PAGE_SHIFT;
+            if src_pages.last() != Some(&page) {
+                src_pages.push(page);
+            }
         }
+        src_pages.sort_unstable();
+        src_pages.dedup();
+        let bytes = addr - istart;
         // The straightened form lays its fragments out 16 bytes apart;
         // the accumulator forms align each to 8 bytes.
         self.next_iaddr = match form {
@@ -472,45 +526,7 @@ impl TranslationCache {
             IsaForm::Basic | IsaForm::Modified => (addr + 7) & !7,
         };
 
-        let links = vec![None; insts.len()];
-        // Exit V-targets must be captured before `resolve_new_fragment`
-        // patches any of this fragment's own exits into direct branches.
-        let exit_varms = insts
-            .iter()
-            .map(|inst| match *inst {
-                IInst::PushDualRas { vret, .. } => Some(vret),
-                _ => inst.patch_vtarget(),
-            })
-            .collect();
-
-        // Guest pages holding the source superblock, for the SMC map.
-        let mut src_pages: Vec<u64> = meta.iter().map(|m| m.vaddr >> SMC_PAGE_SHIFT).collect();
-        src_pages.sort_unstable();
-        src_pages.dedup();
-
-        let mut fragment = Fragment {
-            id,
-            vstart,
-            istart,
-            insts,
-            meta,
-            iaddrs,
-            form,
-            src_inst_count,
-            recovery,
-            links,
-            ops: Vec::new(),
-            retired: Vec::new(),
-            templates: Vec::new(),
-            entries: 0,
-            referenced: true,
-            is_region: false,
-            src_pages,
-            exit_varms,
-        };
-        fragment.relower();
-        let bytes = fragment.size_bytes();
-        for &page in &fragment.src_pages {
+        for &page in &src_pages {
             self.src_pages.entry(page).or_default().push(id);
             let lo = page << SMC_PAGE_SHIFT;
             let hi = (page + 1) << SMC_PAGE_SHIFT;
@@ -522,11 +538,35 @@ impl TranslationCache {
                 self.watch_hi = self.watch_hi.max(hi);
             }
         }
+        self.slots.push(Some(Fragment {
+            id,
+            vstart,
+            istart,
+            insts,
+            meta,
+            iaddrs,
+            form,
+            src_inst_count,
+            recovery,
+            links: vec![None; n],
+            ops,
+            retired,
+            templates: Vec::new(),
+            entries: 0,
+            referenced: true,
+            is_region: false,
+            src_pages,
+            exit_varms,
+        }));
         self.installed_bytes += bytes;
         self.cumulative_bytes += bytes;
         self.live += 1;
-        self.slots.push(Some(fragment));
         self.by_vstart.insert(vstart, id);
+        if self.entry_filter.is_empty() {
+            self.entry_filter = vec![0; ENTRY_FILTER_BITS / 64];
+        }
+        let (word, bit) = filter_bit(vstart);
+        self.entry_filter[word] |= bit;
         self.by_istart.insert(istart, id);
 
         // Resolve this fragment's exits against installed fragments.
@@ -914,6 +954,12 @@ fn straightened_names(d: &mut DynInst, inst: &IInst) {
         }
         IInst::CondBranch { src: ASrc::Acc, .. }
         | IInst::CallTranslatorIfCond { src: ASrc::Acc, .. } => d.srcs[0] = Some(SCRATCH_CMP),
+        // A jump through its own link register: the captured old target.
+        IInst::CopyFromGpr { .. } => d.dst = Some(SCRATCH_EMBED),
+        IInst::Dispatch { src: ASrc::Acc, .. }
+        | IInst::IndirectJump {
+            addr: ASrc::Acc, ..
+        } => d.srcs[0] = Some(SCRATCH_EMBED),
         _ => {}
     }
 }

@@ -29,8 +29,9 @@ use crate::wire::{self, Cursor};
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
 /// Current replay-log format version. Logs are produced and consumed by
-/// the same build, so any other version is refused.
-pub const REPLAY_VERSION: u32 = 4;
+/// the same build, so any other version is refused. Version 5 seals with
+/// the word-wise [`wire::checksum`].
+pub const REPLAY_VERSION: u32 = 5;
 
 /// One externally-applied stimulus, in application order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -496,11 +497,11 @@ mod tests {
         let bytes = sample().to_bytes();
         // Rewrite the version field and re-seal so only the version check
         // can fail: newer and older versions alike are refused.
-        for version in [0x7f, 3] {
+        for version in [0x7f, 4] {
             let mut bytes = bytes.clone();
             bytes[4] = version;
             let body_len = bytes.len() - 8;
-            let checksum = wire::fnv1a(&bytes[..body_len]);
+            let checksum = wire::checksum(&bytes[..body_len]);
             bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
             assert_eq!(
                 ReplayLog::from_bytes(&bytes),

@@ -15,7 +15,7 @@
 //! promptly instead of re-heating from zero.
 //!
 //! The wire format is the common [`wire`] envelope (magic, version,
-//! FNV-1a checksum trailer); a program digest guards against restoring
+//! checksum trailer); a program digest guards against restoring
 //! onto the wrong guest.
 
 use crate::classify::CategoryCounts;
@@ -29,8 +29,9 @@ use alpha_isa::{Memory, Program};
 pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 
 /// Current snapshot format version. Snapshots are produced and consumed
-/// by the same build, so any other version is refused.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// by the same build, so any other version is refused. Version 6 seals
+/// with the word-wise [`wire::checksum`].
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Identity digest of a guest program: FNV-1a over the code base, entry
 /// PC, initial SP and every code word. Data segments are excluded on
@@ -421,11 +422,11 @@ mod tests {
         let bytes = sample().to_bytes();
         // Rewrite the version field and re-seal so only the version check
         // can fail: newer and older versions alike are refused.
-        for version in [0x7f, 4] {
+        for version in [0x7f, 5] {
             let mut bytes = bytes.clone();
             bytes[4] = version;
             let body_len = bytes.len() - 8;
-            let checksum = wire::fnv1a(&bytes[..body_len]);
+            let checksum = wire::checksum(&bytes[..body_len]);
             bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
             assert_eq!(
                 Snapshot::from_bytes(&bytes),

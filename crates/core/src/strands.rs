@@ -239,9 +239,14 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) -> Formation
             NodeOp::IndirectJump(_) => {
                 // Chaining code (software jump prediction, dual-RAS return
                 // checks, dispatch) reads the target from a GPR; force it
-                // global.
+                // global. The exception is a temp: the old target of a
+                // jump through its own link register, captured before the
+                // link write. It has no register to spill to and stays in
+                // its accumulator.
                 for slot in 0..3 {
-                    to_gpr(slot, &mut locals, &mut global_regs);
+                    if locals[slot].is_some_and(|id| df.value(id).reg.is_some()) {
+                        to_gpr(slot, &mut locals, &mut global_regs);
+                    }
                 }
             }
             NodeOp::CmovSelect(_) => {

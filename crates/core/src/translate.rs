@@ -322,12 +322,16 @@ impl Translator {
                     }
                 }
                 (CollectedFlow::Indirect { kind, target }, Inst::Jump { ra, rb, .. }) => {
-                    assert!(
-                        ra.is_zero() || ra != rb,
-                        "straightened chaining does not support a linking \
-                         jump through its own link register"
-                    );
                     let vret = si.vaddr + 4;
+                    // A jump through its own link register reads the old
+                    // target into the accumulator before the link write,
+                    // and dispatches from there.
+                    let src = if !ra.is_zero() && ra == rb {
+                        push(IInst::CopyFromGpr { acc, src: rb }, 0, true);
+                        ASrc::Acc
+                    } else {
+                        ASrc::Gpr(rb)
+                    };
                     if !ra.is_zero() {
                         push(
                             IInst::SaveVReturn {
@@ -341,7 +345,6 @@ impl Translator {
                             push(ras_push(vret), 0, true);
                         }
                     }
-                    let src = ASrc::Gpr(rb);
                     let c = credit();
                     match (kind, self.chain) {
                         (JumpKind::Ret, ChainPolicy::SwPredDualRas) => {
@@ -356,7 +359,9 @@ impl Translator {
                             );
                             push(IInst::Dispatch { acc, src }, 0, true);
                         }
-                        (_, ChainPolicy::NoPred) => push(IInst::Dispatch { acc, src }, c, false),
+                        (_, chain) if chain == ChainPolicy::NoPred || src == ASrc::Acc => {
+                            push(IInst::Dispatch { acc, src }, c, false)
+                        }
                         _ => {
                             push(IInst::LoadEmbeddedTarget { acc, vaddr: target }, c, true);
                             let cmp = IInst::Op {
@@ -786,19 +791,20 @@ impl Emitter<'_> {
 
     fn emit_indirect(&mut self, i: usize, kind: JumpKind, meta: IMeta) {
         let node = &self.nodes[i];
-        let src = self.role_src(i, 0);
         // Planning forces local jump targets global, so `src` is a GPR —
         // or, degenerately, an immediate when the guest jumps through R31
-        // (the chaining code handles either operand kind).
-        debug_assert!(
-            !matches!(src, ASrc::Acc),
-            "indirect-jump operands are forced global by planning"
-        );
+        // (the chaining code handles either operand kind). A jump through
+        // its own link register reads the old target from the
+        // accumulator it was captured in.
+        let src = self.role_src(i, 0);
         let observed = match node_flow(self.sb, node) {
             CollectedFlow::Indirect { target, .. } => target,
             flow => panic!("indirect jump with flow {flow:?}"),
         };
-        let acc = Acc::new(0); // block ends; any accumulator is free for chaining
+        let acc = match src {
+            ASrc::Acc => self.node_acc(i),
+            _ => Acc::new(0), // block ends; any accumulator is free for chaining
+        };
         match (kind, self.tr.chain) {
             (JumpKind::Ret, ChainPolicy::SwPredDualRas) => {
                 // The return itself (dual-RAS predicted, non-atomic
@@ -815,8 +821,10 @@ impl Emitter<'_> {
                 );
                 self.push_chain(IInst::Dispatch { acc, src }, node.vaddr);
             }
-            (_, ChainPolicy::NoPred) => {
-                // Straight to the shared dispatch code.
+            (_, chain) if chain == ChainPolicy::NoPred || src == ASrc::Acc => {
+                // Straight to the shared dispatch code. Software prediction
+                // compares against a GPR, so a target held in an
+                // accumulator dispatches too.
                 self.push(IInst::Dispatch { acc, src }, meta);
             }
             _ => {

@@ -328,10 +328,11 @@ impl Vm<'_> {
         self.stats.terminations += code.stats.terminations as u64;
         self.stats.static_categories.merge(&code.stats.categories);
         if fresh {
-            self.stats.translation_overhead += self
-                .config
-                .cost
-                .fragment_cost(code.src_inst_count as u64, code.insts.len() as u64);
+            self.stats.translation_overhead += self.config.cost.fragment_cost(
+                form,
+                code.src_inst_count as u64,
+                code.insts.len() as u64,
+            );
         }
         if let Some(key) = key {
             if let Some(store) = self.store.as_ref().filter(|_| fresh) {

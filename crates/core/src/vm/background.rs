@@ -159,9 +159,14 @@ impl Vm<'_> {
         // the *first* safe point reaching its anchor: an install recorded
         // at the second visit would replay at the first, before the
         // promotion that saw the cache without it.
+        // With nothing in flight, every queued reply is stale and
+        // `handle_response` would discard it: the channel is left alone.
         if self.drained_at != Some(now) {
             self.drained_at = Some(now);
-            while let Ok(resp) = self.reply_rx.try_recv() {
+            while !self.in_flight.is_empty() {
+                let Ok(resp) = self.reply_rx.try_recv() else {
+                    break;
+                };
                 self.handle_response(resp);
             }
         }

@@ -4,7 +4,7 @@
 //! The build environment is offline (no serde), so every persisted
 //! artifact uses the same tiny scheme: little-endian fixed-width
 //! integers, `u32`-length-prefixed byte strings, and a common envelope —
-//! `magic`, `version`, payload, trailing FNV-1a checksum over everything
+//! `magic`, `version`, payload, trailing [`checksum`] over everything
 //! before the trailer. Readers are bounds-checked and fail with
 //! [`SnapshotError`] instead of panicking, so a corrupted artifact
 //! reports *how* it is corrupt.
@@ -48,7 +48,8 @@ pub fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// FNV-1a over `bytes` — the checksum every envelope trailer carries.
+/// FNV-1a over `bytes`, one byte per step. The envelopes seal with the
+/// faster [`checksum`]; this stays for digests that are pinned to it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -58,14 +59,74 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// A word-at-a-time hash state: each step XORs in one 64-bit word,
+/// multiplies by the FNV prime and folds the high bits down. Every step
+/// is a bijection of the state, so two inputs that differ in exactly one
+/// word always hash differently.
+#[derive(Clone, Copy, Debug)]
+pub struct Mixer(u64);
+
+impl Default for Mixer {
+    fn default() -> Mixer {
+        Mixer(FNV_OFFSET)
+    }
+}
+
+impl Mixer {
+    /// Mixes in one word.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        let h = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+        self.0 = h ^ (h >> 29);
+    }
+
+    /// The hash of everything mixed in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// The envelope checksum: `bytes` as little-endian 8-byte words, the
+/// tail bytes one per step, then the length.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut m = Mixer::default();
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        m.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+    }
+    for &b in tail {
+        m.word(b as u64);
+    }
+    m.word(bytes.len() as u64);
+    m.finish()
+}
+
 /// Wraps a payload in the common envelope: `magic`, `version`, payload,
-/// FNV-1a trailer over all preceding bytes.
+/// [`checksum`] trailer over all preceding bytes.
 pub fn seal(magic: u32, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
+    let mut out = begin(magic, version, payload.len());
+    out.extend_from_slice(payload);
+    end(out)
+}
+
+/// Starts an envelope in place, with room for `payload_len` payload
+/// bytes: the writer appends its payload straight after the header and
+/// completes the envelope with [`end`], with no copy of the payload.
+pub fn begin(magic: u32, version: u32, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload_len + 16);
     put_u32(&mut out, magic);
     put_u32(&mut out, version);
-    out.extend_from_slice(payload);
-    let checksum = fnv1a(&out);
+    out
+}
+
+/// Completes an envelope started by [`begin`]: appends the [`checksum`]
+/// trailer over everything written so far.
+pub fn end(mut out: Vec<u8>) -> Vec<u8> {
+    let checksum = checksum(&out);
     put_u64(&mut out, checksum);
     out
 }
@@ -87,7 +148,7 @@ pub fn open(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8]), SnapshotError> {
     }
     let body = &bytes[..bytes.len() - 8];
     let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let checksum = fnv1a(body);
+    let checksum = checksum(body);
     if checksum != trailer {
         return Err(SnapshotError::ChecksumMismatch {
             expected: trailer,
@@ -118,7 +179,7 @@ pub fn open_lenient(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8], bool), Snap
     }
     let body = &bytes[..bytes.len() - 8];
     let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let seal_ok = fnv1a(body) == trailer;
+    let seal_ok = checksum(body) == trailer;
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
     Ok((version, &body[8..], seal_ok))
 }
@@ -240,6 +301,27 @@ mod tests {
             open_lenient(0xABCD, &sealed[..12]),
             Err(SnapshotError::Truncated)
         );
+    }
+
+    #[test]
+    fn checksum_separates_word_changes_order_and_length() {
+        let base: Vec<u8> = (0..61u8).collect();
+        let h = checksum(&base);
+        // Any change confined to one aligned word, the tail included.
+        for at in 0..base.len() {
+            for delta in [1u8, 0x80, 0xff] {
+                let mut m = base.clone();
+                m[at] ^= delta;
+                assert_ne!(checksum(&m), h, "byte {at} ^ {delta:#x}");
+            }
+        }
+        let mut swapped = base.clone();
+        swapped[..16].rotate_left(8);
+        assert_ne!(checksum(&swapped), h);
+        assert_ne!(checksum(&base[..60]), h);
+        let mut padded = base.clone();
+        padded.push(0);
+        assert_ne!(checksum(&padded), h);
     }
 
     #[test]

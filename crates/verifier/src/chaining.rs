@@ -5,6 +5,7 @@
 //!
 //! * `C01` — the fragment opens with exactly one `set-vpc-base` naming
 //!   its own entry V-address (which must match the source superblock);
+//!   a straightened-form fragment, Alpha code laid out 1:1, carries none;
 //! * `C02` — every embedded-target load starts the paper's exact
 //!   software-prediction sequence (compare, predicted-target branch,
 //!   dispatch fallback), only under a predicting chain policy;
@@ -25,7 +26,7 @@ use alpha_isa::{JumpKind, OperateOp};
 use ildp_core::{
     Fragment, Superblock, TranslatedCode, TranslationCache, Translator, DISPATCH_IADDR,
 };
-use ildp_isa::{ASrc, CondKind, IInst, ITarget};
+use ildp_isa::{ASrc, CondKind, IInst, ITarget, IsaForm};
 
 /// Checks the emitted (pre-install, unpatched) fragment structure.
 pub(crate) fn check_static(
@@ -47,24 +48,34 @@ pub(crate) fn check_static(
             format!("{vstart:#x}"),
         ));
     }
-    match insts.first() {
-        Some(IInst::SetVpcBase { vaddr }) if *vaddr == vstart => {}
-        other => out.push(Violation::new(
-            "C01",
-            vstart,
-            Some(0),
-            format!("SetVpcBase {{ vaddr: {vstart:#x} }}"),
-            format!("{other:?}"),
-        )),
+    // The straightened form is Alpha code laid out 1:1: it has no V-PC
+    // base to set, so it carries no SetVpcBase at all.
+    let straightened = tr.form == IsaForm::Straightened;
+    if !straightened {
+        match insts.first() {
+            Some(IInst::SetVpcBase { vaddr }) if *vaddr == vstart => {}
+            other => out.push(Violation::new(
+                "C01",
+                vstart,
+                Some(0),
+                format!("SetVpcBase {{ vaddr: {vstart:#x} }}"),
+                format!("{other:?}"),
+            )),
+        }
     }
-    for (k, inst) in insts.iter().enumerate().skip(1) {
+    for (k, inst) in insts.iter().enumerate().skip(usize::from(!straightened)) {
         if matches!(inst, IInst::SetVpcBase { .. }) {
             out.push(Violation::new(
                 "C01",
                 vstart,
                 Some(k),
-                "a single leading SetVpcBase".to_string(),
-                "second SetVpcBase".to_string(),
+                if straightened {
+                    "no SetVpcBase in the straightened form"
+                } else {
+                    "a single leading SetVpcBase"
+                }
+                .to_string(),
+                format!("SetVpcBase at slot {k}"),
             ));
         }
     }

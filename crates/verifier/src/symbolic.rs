@@ -15,10 +15,14 @@
 //! * `E05` — identical output-port effects;
 //! * `E06` — at every potentially-trapping instruction, the recoverable
 //!   precise state equals the Alpha state at that point;
-//! * `E07` — the fragment is not pre-install accumulator-ISA code: it
-//!   contains an already-resolved branch (nothing to prove against;
-//!   install-time patching is pass 3's domain) or a carried Alpha
-//!   instruction (the straightened form, which no pass covers).
+//! * `E07` — the fragment is not pre-install code: it contains an
+//!   already-resolved branch (nothing to prove against; install-time
+//!   patching is pass 3's domain) or a carried Alpha control transfer
+//!   (the straightened form carries non-control instructions only).
+//!
+//! A straightened-form fragment carries non-control Alpha instructions
+//! unchanged; the fragment walk evaluates each with the source walk's own
+//! per-instruction semantics ([`alpha_step`]).
 //!
 //! Both walks intern every expression into one hash-consing [`Arena`]
 //! per check, through normalizing smart constructors (constant folding,
@@ -329,66 +333,6 @@ fn walk_alpha(sb: &Superblock, ar: &mut Arena) -> Effects {
         let va = si.vaddr;
         let last = idx + 1 == sb.insts.len();
         match si.inst {
-            Inst::Mem { op, ra, rb, disp } => match op {
-                MemOp::Lda => {
-                    let e = ar.add_imm(read(&regs, rb), disp as i64 as u64);
-                    write(&mut regs, ra, e);
-                }
-                MemOp::Ldah => {
-                    let e = ar.add_imm(read(&regs, rb), ((disp as i64) << 16) as u64);
-                    write(&mut regs, ra, e);
-                }
-                _ => {
-                    fx.peis.push(PeiRec { at: 0, regs });
-                    let addr = ar.add_imm(read(&regs, rb), disp as i64 as u64);
-                    let width = width_of(op);
-                    if op.is_load() {
-                        let serial = fx.loads.len() as u32;
-                        fx.loads.push(LoadRec {
-                            at: 0,
-                            width,
-                            addr,
-                            stores_before: fx.stores.len(),
-                        });
-                        let e = ar.intern(Expr::Load {
-                            serial,
-                            width,
-                            addr,
-                        });
-                        write(&mut regs, ra, e);
-                    } else {
-                        fx.stores.push(StoreRec {
-                            at: 0,
-                            width,
-                            addr,
-                            value: read(&regs, ra),
-                        });
-                    }
-                }
-            },
-            Inst::Operate { op, ra, rb, rc } => {
-                let b = match rb {
-                    Operand::Reg(r) => read(&regs, r),
-                    Operand::Lit(v) => ar.cnst(v as u64),
-                };
-                if op.is_cmov() {
-                    // Mirror the front end's test/select decomposition so
-                    // expressions match the fragment structurally.
-                    let (test_op, test_imm, lbs) = cmov_split(op);
-                    let imm = ar.cnst(test_imm as i64 as u64);
-                    let test = ar.op(test_op, read(&regs, ra), imm);
-                    let sel = ar.intern(Expr::Select {
-                        lbs,
-                        test,
-                        value: b,
-                        old: read(&regs, rc),
-                    });
-                    write(&mut regs, rc, sel);
-                } else {
-                    let e = ar.op(op, read(&regs, ra), b);
-                    write(&mut regs, rc, e);
-                }
-            }
             Inst::Branch { op, ra, .. } => {
                 let src = Some(read(&regs, ra));
                 let cond = |op, target| ExitKind::Cond {
@@ -427,14 +371,7 @@ fn walk_alpha(sb: &Superblock, ar: &mut Arena) -> Effects {
                 write(&mut regs, ra, link);
                 fx.exit(0, ExitKind::Indirect, Some(target), &regs);
             }
-            Inst::CallPal { func } => match func {
-                PalFunc::Halt => fx.exit(0, ExitKind::Halt, None, &regs),
-                PalFunc::GenTrap => fx.peis.push(PeiRec { at: 0, regs }),
-                PalFunc::PutChar => fx.outs.push((0, read(&regs, Reg::A0))),
-                PalFunc::Other(_) => {}
-            },
-            // Traps before retiring; never collected into a superblock.
-            Inst::Unimplemented { .. } => {}
+            inst => alpha_step(inst, 0, &mut regs, &mut fx, ar),
         }
     }
     match sb.end {
@@ -444,6 +381,86 @@ fn walk_alpha(sb: &Superblock, ar: &mut Arena) -> Effects {
         _ => {}
     }
     fx
+}
+
+/// Symbolically executes one non-control Alpha instruction at emitted
+/// slot `at` (0 on the source side). The source walk and the
+/// straightened form's carried instructions share it, so a carried
+/// instruction is proved against the very semantics it was copied from.
+fn alpha_step(inst: Inst, at: usize, regs: &mut Regs, fx: &mut Effects, ar: &mut Arena) {
+    match inst {
+        Inst::Mem { op, ra, rb, disp } => match op {
+            MemOp::Lda => {
+                let e = ar.add_imm(read(regs, rb), disp as i64 as u64);
+                write(regs, ra, e);
+            }
+            MemOp::Ldah => {
+                let e = ar.add_imm(read(regs, rb), ((disp as i64) << 16) as u64);
+                write(regs, ra, e);
+            }
+            _ => {
+                fx.peis.push(PeiRec { at, regs: *regs });
+                let addr = ar.add_imm(read(regs, rb), disp as i64 as u64);
+                let width = width_of(op);
+                if op.is_load() {
+                    let serial = fx.loads.len() as u32;
+                    fx.loads.push(LoadRec {
+                        at,
+                        width,
+                        addr,
+                        stores_before: fx.stores.len(),
+                    });
+                    let e = ar.intern(Expr::Load {
+                        serial,
+                        width,
+                        addr,
+                    });
+                    write(regs, ra, e);
+                } else {
+                    fx.stores.push(StoreRec {
+                        at,
+                        width,
+                        addr,
+                        value: read(regs, ra),
+                    });
+                }
+            }
+        },
+        Inst::Operate { op, ra, rb, rc } => {
+            let b = match rb {
+                Operand::Reg(r) => read(regs, r),
+                Operand::Lit(v) => ar.cnst(v as u64),
+            };
+            if op.is_cmov() {
+                // Mirror the front end's test/select decomposition so
+                // expressions match the fragment structurally.
+                let (test_op, test_imm, lbs) = cmov_split(op);
+                let imm = ar.cnst(test_imm as i64 as u64);
+                let test = ar.op(test_op, read(regs, ra), imm);
+                let sel = ar.intern(Expr::Select {
+                    lbs,
+                    test,
+                    value: b,
+                    old: read(regs, rc),
+                });
+                write(regs, rc, sel);
+            } else {
+                let e = ar.op(op, read(regs, ra), b);
+                write(regs, rc, e);
+            }
+        }
+        Inst::CallPal { func } => match func {
+            PalFunc::Halt => fx.exit(at, ExitKind::Halt, None, regs),
+            PalFunc::GenTrap => fx.peis.push(PeiRec { at, regs: *regs }),
+            PalFunc::PutChar => fx.outs.push((at, read(regs, Reg::A0))),
+            PalFunc::Other(_) => {}
+        },
+        // Traps before retiring; never collected into a superblock.
+        Inst::Unimplemented { .. } => {}
+        Inst::Branch { .. } | Inst::Jump { .. } => {
+            unreachable!("control transfers are walked by their callers")
+        }
+    }
 }
 
 /// Symbolically executes the emitted fragment, mirroring the engine's
@@ -651,6 +668,9 @@ fn walk_fragment(
             }
             IInst::CallTranslator { vtarget } => {
                 fx.exit(k, ExitKind::Always { target: vtarget }, None, &regs);
+            }
+            IInst::Alpha(inst) if !matches!(inst, Inst::Branch { .. } | Inst::Jump { .. }) => {
+                alpha_step(inst, k, &mut regs, &mut fx, ar)
             }
             IInst::CondBranch { .. } | IInst::Branch { .. } | IInst::Alpha(_) => {
                 out.push(Violation::new(

@@ -214,6 +214,48 @@ fn jump_through_zero_register_does_not_panic_the_translator() {
     }
 }
 
+#[test]
+fn linking_jump_through_its_own_link_register_translates() {
+    // `jsr ra, (ra)` reads its target from the register it links: the
+    // translation must read the old value before the link write, as the
+    // interpreter does.
+    let mut asm = Assembler::new(0x1_0000);
+    let f = asm.current_pc();
+    asm.addq_imm(Reg::V0, 1, Reg::V0);
+    asm.ret();
+    asm.entry_here();
+    asm.lda_imm(Reg::A0, 200);
+    let top = asm.here("top");
+    asm.li32(Reg::RA, f as u32);
+    asm.jsr(Reg::RA, Reg::RA);
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.halt();
+    let program = asm.finish().unwrap();
+    let expected = reference(&program, 100_000).unwrap();
+    assert!(matches!(expected.end, End::Halted));
+
+    for chain in [
+        ChainPolicy::NoPred,
+        ChainPolicy::SwPred,
+        ChainPolicy::SwPredDualRas,
+    ] {
+        for form in [IsaForm::Basic, IsaForm::Modified, IsaForm::Straightened] {
+            let mut config = vm_config(chain);
+            config.translator.form = form;
+            config.async_translate = false;
+            // Every translation must also pass the install validator
+            // (a violation panics).
+            config.validator = Some(ildp_verifier::install_validator);
+            let mut vm = Vm::new(config, &program);
+            let exit = vm.run(100_000, &mut NullSink);
+            let what = format!("{form:?}, {chain:?}");
+            assert_passes(&expected, &EndState::of(&vm, &exit), &what);
+            assert!(vm.stats().fragments > 0, "{what}: nothing translated");
+        }
+    }
+}
+
 /// The code-straightening-only configuration under `chain`, translating
 /// synchronously at the default threshold.
 fn straightened(chain: ChainPolicy) -> VmConfig {

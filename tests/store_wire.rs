@@ -1,12 +1,13 @@
 //! Wire-format robustness of the persistent fragment store: roundtrip
-//! fidelity under arbitrary cells, and an exhaustive single-byte-flip
-//! sweep over a serialized image. Every mutation must load equal or be
+//! fidelity under arbitrary cells, an exhaustive single-byte-flip sweep
+//! over a serialized image, and an exhaustive bit-flip, word-swap and
+//! truncation sweep against the word-wise envelope checksum. Every mutation must load equal or be
 //! rejected (error or per-entry quarantine) — never panic, never
 //! silently install an artifact whose bytes differ from what was saved.
 
 use ildp_core::{
-    wire, ChainPolicy, FragmentArtifact, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit,
-    ARTIFACT_MAGIC,
+    wire, ChainPolicy, FragmentArtifact, FragmentStore, NullSink, StoreLookup, Translator, Vm,
+    VmConfig, VmExit, ARTIFACT_MAGIC, STORE_MAGIC, STORE_VERSION,
 };
 use ildp_isa::{IInst, IsaForm};
 use proptest::prelude::*;
@@ -82,6 +83,73 @@ fn exhaustive_single_byte_flip_sweep() {
         // The resilient loader may salvage entries the flip missed, but
         // whatever survives must be byte-identical to what was saved.
         assert_degrades_safely(&mutated, &baseline);
+    }
+}
+
+/// Every single-bit flip, every swap of two distinct aligned 8-byte words
+/// and every truncation of `image`, each with a description.
+fn seal_attacks(image: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let flips = (0..image.len() * 8).map(move |bit| {
+        let mut m = image.to_vec();
+        m[bit / 8] ^= 1 << (bit % 8);
+        (format!("bit flip {bit}"), m)
+    });
+    let words = image.len() / 8;
+    let swaps = (0..words)
+        .flat_map(move |i| (i + 1..words).map(move |j| (i, j)))
+        .filter(move |&(i, j)| image[8 * i..8 * i + 8] != image[8 * j..8 * j + 8])
+        .map(move |(i, j)| {
+            let mut m = image.to_vec();
+            for b in 0..8 {
+                m.swap(8 * i + b, 8 * j + b);
+            }
+            (format!("swap of words {i} and {j}"), m)
+        });
+    let cuts =
+        (0..image.len()).map(move |len| (format!("truncation to {len}"), image[..len].to_vec()));
+    flips.chain(swaps).chain(cuts)
+}
+
+#[test]
+fn word_wise_seal_refuses_flips_swaps_and_truncations() {
+    let store = populate(0, IsaForm::Modified, ChainPolicy::SwPredDualRas);
+    let entries = store.raw_entries();
+    assert!(entries.len() >= 2, "cell translated too few fragments");
+
+    // One real artifact: every attack is a decode error, and served from
+    // a store it is a quarantined miss.
+    let (key, artifact) = &entries[0];
+    for (what, bytes) in seal_attacks(artifact) {
+        assert!(
+            FragmentArtifact::from_bytes(&bytes).is_err(),
+            "artifact {what} decoded"
+        );
+        let mut p = Vec::new();
+        wire::put_u32(&mut p, 1);
+        wire::put_u64(&mut p, key.code_digest);
+        wire::put_u64(&mut p, key.config_digest);
+        wire::put_bytes(&mut p, &bytes);
+        let (served, _) = FragmentStore::open_bytes(&wire::seal(STORE_MAGIC, STORE_VERSION, &p));
+        assert!(
+            matches!(served.lookup(key), StoreLookup::Quarantined(_)),
+            "artifact {what} was not quarantined"
+        );
+    }
+
+    // One two-entry store container: every attack fails the strict load,
+    // and whatever the resilient open salvages is byte-identical.
+    let pair = FragmentStore::new();
+    for (key, bytes) in &entries[..2] {
+        pair.put(*key, &FragmentArtifact::from_bytes(bytes).unwrap().1);
+    }
+    let image = pair.to_bytes();
+    let baseline = baseline_map(&pair);
+    for (what, bytes) in seal_attacks(&image) {
+        assert!(
+            FragmentStore::from_bytes(&bytes).is_err(),
+            "store {what} loaded"
+        );
+        assert_degrades_safely(&bytes, &baseline);
     }
 }
 

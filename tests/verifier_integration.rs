@@ -1,6 +1,7 @@
 //! The translation validator wired into the VM: every fragment installed
 //! while running the full workload suite — under every ISA form and
-//! chaining policy — passes all four static passes, the installed
+//! chaining policy — passes all four static passes (the straightened form
+//! its chaining and symbolic passes), the installed
 //! (patched, linked) fragments audit clean against the cache, the
 //! engine's reject-on-violation mode degrades to interpretation instead
 //! of installing a flagged translation, and record mode installs it and
@@ -65,6 +66,37 @@ fn every_installed_fragment_verifies_clean_across_the_suite() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn straightened_suite_verifies_clean_and_matches_the_oracle() {
+    // The straightened form runs the chaining (C) and symbolic (E)
+    // families; a refused translation would only be counted under
+    // `Reject`, so the count itself is the assertion.
+    for chain in [
+        ChainPolicy::NoPred,
+        ChainPolicy::SwPred,
+        ChainPolicy::SwPredDualRas,
+    ] {
+        for w in suite(1) {
+            let config = VmConfig {
+                on_violation: OnViolation::Reject,
+                async_translate: false,
+                ..vm_config(IsaForm::Straightened, chain)
+            };
+            let budget = w.budget * 2;
+            let expected = reference(&w.program, budget).expect("reference");
+            let mut vm = Vm::new(config, &w.program);
+            let exit = vm.run(budget, &mut NullSink);
+            let what = format!("{} ({chain:?})", w.name);
+            if let Err(e) = expected.check(&EndState::of(&vm, &exit)) {
+                panic!("{what}: {e}");
+            }
+            let stats = vm.stats();
+            assert!(stats.fragments_verified > 0, "{what}: nothing verified");
+            assert_eq!(stats.verify_rejected, 0, "{what}: refused translations");
         }
     }
 }
