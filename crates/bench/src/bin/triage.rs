@@ -4,7 +4,8 @@
 //!
 //! * `triage --chaos workload:form:chain:seed[:dDELAY] [-o out.repro]`
 //!   — records that chaos cell (`:dN` selects the delayed-install
-//!   variant, parking translations N retired instructions); if it
+//!   variant, installing translations N retired instructions after
+//!   submission); if it
 //!   fails, bisects to the first divergent fragment execution and
 //!   (with `-o`) writes the minimized `.repro` bundle.
 //! * `triage --sabotage workload:form:chain:vstart:slot:xor [-o out.repro]`
@@ -89,6 +90,7 @@ fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
         &w.program,
         spec.form,
         spec.chain,
+        spec.delay,
         &log,
         interval,
         spec.workload,
@@ -135,6 +137,7 @@ fn run_sabotage(spec: &str, out: Option<&str>) -> i32 {
         &w.program,
         cell.form,
         cell.chain,
+        None,
         &log,
         interval,
         cell.workload,

@@ -19,15 +19,15 @@
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{
     ChainPolicy, EngineConfig, FragmentId, NullSink, OnViolation, ProfileConfig, ReplayEvent,
-    ReplayLog, Translator, Vm, VmConfig, VmExit, VmStats,
+    ReplayLog, TranslatePool, Translator, Vm, VmConfig, VmExit, VmStats,
 };
 use ildp_isa::{IInst, ITarget, IsaForm};
 use ildp_verifier::verify_installed;
 use spec_workloads::{Workload, XorShift};
 use std::collections::BTreeSet;
 
-/// `stats` with the wall-clock-derived fields zeroed: what a scheduled
-/// replay must reproduce bit for bit.
+/// `stats` with the wall-clock-derived fields zeroed: what two runs of
+/// the same program and configuration must agree on bit for bit.
 pub fn untimed(stats: &VmStats) -> VmStats {
     VmStats {
         verify_nanos: 0,
@@ -36,6 +36,20 @@ pub fn untimed(stats: &VmStats) -> VmStats {
         pool_await_max_nanos: 0,
         pool_respawns: 0,
         ..stats.clone()
+    }
+}
+
+/// `stats` with the wall-clock-derived fields and the pool-fault counters
+/// zeroed: what a faulted pool run shares with a clean one and with a run
+/// without a pool at the same install delay, since every fault falls back
+/// to the same code at the same anchor.
+pub fn unfaulted(stats: &VmStats) -> VmStats {
+    VmStats {
+        pool_timeouts: 0,
+        pool_panics: 0,
+        pool_shed: 0,
+        sync_fallbacks: 0,
+        ..untimed(stats)
     }
 }
 
@@ -59,8 +73,8 @@ pub struct ChaosReport {
     pub code_writes: u64,
     /// Fragments invalidated by the audit-and-heal pass.
     pub healed: u64,
-    /// Parked (delayed-install) translations dropped before their install
-    /// point — the translation that never arrives.
+    /// Parked regions dropped before their count anchor, on the pool or
+    /// back from it — the translation that never arrives.
     pub staged_drops: u64,
     /// Structurally corrupted fragments the audit FAILED to flag. Any
     /// non-zero value is a detector gap.
@@ -240,25 +254,16 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
             None
         }
         ReplayEvent::StagedDrop { fragment_vstart } => {
-            // Kill a parked translation before its install point: the
-            // region must simply keep interpreting (and may re-heat).
+            // Kill a parked region before its anchor: it must simply keep
+            // interpreting (and may re-heat).
             if vm.drop_staged(fragment_vstart) {
                 report.staged_drops += 1;
                 report.injections += 1;
             }
             None
         }
-        // Background install/drop decisions — and the pool-fault events
-        // of a supervised run — are not injections: the VM re-derives
-        // (or, under an install schedule, replays) them itself at their
-        // count anchors.
-        ReplayEvent::BgInstall { .. }
-        | ReplayEvent::BgDrop { .. }
-        | ReplayEvent::PoolTimeout { .. }
-        | ReplayEvent::PoolPanicReply { .. }
-        | ReplayEvent::PoolShed { .. }
-        | ReplayEvent::RegionPromote { .. }
-        | ReplayEvent::RegionDrop { .. } => None,
+        // Region witnesses are not injections: the VM re-derives them.
+        ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. } => None,
     }
 }
 
@@ -266,8 +271,8 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
 /// event. Each structural fault is audited and healed immediately —
 /// injections must not interfere with each other's detectability — and a
 /// structural victim the audit missed is counted as `undetected`.
-/// `delayed` cells add a seventh fault kind: dropping a parked
-/// (delayed-install) translation before it lands.
+/// `delayed` cells add a seventh fault kind: dropping a parked region
+/// before its anchor.
 fn inject_round(
     vm: &mut Vm,
     rng: &mut XorShift,
@@ -332,10 +337,8 @@ fn inject_round(
 /// The VM configuration every chaos cell runs under: install-time
 /// validation with rejection, and a cache budget plus fuel watchdog tight
 /// enough that eviction and preemption actually bind at harness scales
-/// (fragments encode to ~50–100 bytes). Background translation is pinned
-/// off — chaos cells are seeded and wall-clock free; the
-/// background-pipeline timing dimension is exercised deterministically by
-/// the delayed-install cells ([`VmConfig::install_delay`]) instead.
+/// (fragments encode to ~50–100 bytes). Translation is inline; the
+/// delayed cells run the pool route instead ([`chaos_cell_recorded`]).
 pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
     VmConfig {
         translator: Translator {
@@ -358,6 +361,27 @@ pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
         async_translate: false,
         ..VmConfig::default()
     }
+}
+
+/// [`cell_config`] with the install latency of a delayed cell: `delay`
+/// retired instructions between a region's submission and its install.
+pub fn delayed_config(form: IsaForm, chain: ChainPolicy, delay: Option<u64>) -> VmConfig {
+    VmConfig {
+        install_delay: delay,
+        ..cell_config(form, chain)
+    }
+}
+
+/// The VM a chaos cell runs: [`delayed_config`], and for a delayed cell a
+/// private one-worker pool, so parked regions wait on the pool route.
+/// Installs are count-anchored, so the cell retires exactly what a VM
+/// without the pool at the same delay retires — the form triage replays.
+fn cell_vm<'p>(w: &'p Workload, form: IsaForm, chain: ChainPolicy, delay: Option<u64>) -> Vm<'p> {
+    let mut vm = Vm::new(delayed_config(form, chain, delay), &w.program);
+    if delay.is_some() {
+        vm.attach_pool(TranslatePool::new(1));
+    }
+    vm
 }
 
 /// Checks a finished cell run against the pure-interpreter reference
@@ -386,11 +410,11 @@ fn check_outcome(
 /// workload with faults injected at every chunk boundary, compared
 /// against the pure-interpreter reference — while recording the full
 /// nondeterministic envelope. A `delay` makes it a delayed-install cell:
-/// translations park for that many retired instructions before
-/// installing, the injection mix adds staged-translation drops, and every
-/// install/drop decision is recorded as a count-anchored event. Returns
-/// the tally (or a description of the divergence) *and* the [`ReplayLog`]
-/// that reproduces the run exactly, pass or fail.
+/// translations go to a private pool and install that many retired
+/// instructions after their submission, and the injection mix adds
+/// staged-region drops. Returns the tally (or a description of the
+/// divergence) *and* the [`ReplayLog`] that reproduces the run exactly,
+/// pass or fail.
 pub fn chaos_cell_recorded(
     w: &Workload,
     form: IsaForm,
@@ -407,11 +431,7 @@ pub fn chaos_cell_recorded(
         Ok(r) => r,
         Err(e) => return (Err(format!("{}: {e}", w.name)), log),
     };
-    let config = VmConfig {
-        install_delay: delay,
-        ..cell_config(form, chain)
-    };
-    let mut vm = Vm::new(config, &w.program);
+    let mut vm = cell_vm(w, form, chain, delay);
     let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let mut report = ChaosReport::default();
     // Pace the injection boundaries off the reference run's retire count
@@ -422,9 +442,6 @@ pub fn chaos_cell_recorded(
         let target = (reference.retired * c / (chunks + 1)).max(1);
         log.events.push(ReplayEvent::Run { budget: target });
         exit = vm.run(target, &mut NullSink);
-        // Count-anchored install/drop decisions made during this run
-        // chunk ride along in the log, before this boundary's injections.
-        log.events.append(&mut vm.take_bg_events());
         match exit {
             VmExit::Budget => inject_round(
                 &mut vm,
@@ -439,7 +456,6 @@ pub fn chaos_cell_recorded(
     if exit == VmExit::Budget {
         log.events.push(ReplayEvent::Run { budget });
         exit = vm.run(budget, &mut NullSink);
-        log.events.append(&mut vm.take_bg_events());
     }
     let cell = format!("{} {form:?} {} seed {seed}", w.name, chain.label());
     (check_outcome(&vm, exit, &reference, report, &cell), log)
@@ -462,10 +478,9 @@ pub fn chaos_cell(
 /// same outcome *and the same tally* as the recorded run — including
 /// `undetected`, which is recomputed by correlating each structural event
 /// with the [`ReplayEvent::AuditHeal`] that follows it. Delayed-install
-/// cells replay on the same deterministic `delay`, re-deriving the
-/// recorded install/drop decisions at the same count anchors (the logged
-/// [`ReplayEvent::BgInstall`]/[`ReplayEvent::BgDrop`] events are the
-/// recorded ground truth; `StagedDrop` injections replay as events).
+/// cells run on a fresh pool with the same `delay`, so every install
+/// lands at the same count anchor; `StagedDrop` injections replay as
+/// events.
 pub fn chaos_replay(
     w: &Workload,
     form: IsaForm,
@@ -476,11 +491,7 @@ pub fn chaos_replay(
     let budget = w.budget * 2;
     let reference =
         oracle::reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
-    let config = VmConfig {
-        install_delay: delay,
-        ..cell_config(form, chain)
-    };
-    let mut vm = Vm::new(config, &w.program);
+    let mut vm = cell_vm(w, form, chain, delay);
     let mut report = ChaosReport::default();
     let mut exit = VmExit::Budget;
     // The structural victim of the most recent injection, awaiting its
@@ -504,15 +515,6 @@ pub fn chaos_replay(
                     }
                 }
             }
-            // Recorded background decisions: the replaying VM re-derives
-            // them deterministically from the same delay anchors, so they
-            // are informational here — and must not clobber the victim of
-            // a preceding structural injection.
-            ReplayEvent::BgInstall { .. }
-            | ReplayEvent::BgDrop { .. }
-            | ReplayEvent::PoolTimeout { .. }
-            | ReplayEvent::PoolPanicReply { .. }
-            | ReplayEvent::PoolShed { .. } => {}
             _ => pending_victim = apply_event(&mut vm, ev, &mut report),
         }
     }

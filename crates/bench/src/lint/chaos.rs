@@ -5,7 +5,8 @@
 //! and external stores into translated source pages. Every structural
 //! corruption must be flagged by the C01–C07 installed-fragment audit and
 //! healed, and every run must halt interpreter-identical. Delayed-install
-//! cells (one per workload × form) add late and dropped installs.
+//! cells (one per workload × form) send translations to a private pool
+//! that installs them at count anchors, and add dropped installs.
 //!
 //! Cells are named `workload:form:chain:seed[:dDELAY]`. `--repro <spec>`
 //! re-runs one cell and verifies its record→replay; `--seed <n>` runs
@@ -82,11 +83,11 @@ fn sweep(args: &LintArgs) -> LintReport {
         for s in 0..seeds {
             cell_index += 1;
             let seed = args.seed.unwrap_or(cell_index * 1000 + s);
-            // Delayed-install cells park translations for a seed-varied
-            // number of retired instructions before their safe-point
-            // install, and the injection mix adds staged-translation
-            // drops: late, dropped and after-demotion installs must all
-            // contain cleanly.
+            // Delayed-install cells install pool translations a
+            // seed-varied number of retired instructions after their
+            // submission, and the injection mix adds staged-region drops:
+            // late, dropped and after-demotion installs must all contain
+            // cleanly.
             let delay = delayed.then_some(64 + (seed % 7) * 37);
             match chaos_cell_recorded(w, form, chain, seed, delay).0 {
                 Ok(r) => cell_total.merge(&r),

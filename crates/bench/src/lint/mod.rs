@@ -281,9 +281,9 @@ pub struct CellSpec {
     pub chain: ChainPolicy,
     /// Cell seed (chaos, pool).
     pub seed: Option<u64>,
-    /// Deterministic install delay in retired V-ISA instructions
+    /// Install delay in retired V-ISA instructions
     /// ([`ildp_core::VmConfig::install_delay`]); marks a chaos
-    /// delayed-install cell.
+    /// delayed-install cell, which runs the pool route.
     pub delay: Option<u64>,
 }
 

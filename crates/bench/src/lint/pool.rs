@@ -8,7 +8,14 @@
 //! cell must halt interpreter-identical, never block a VM step past
 //! `translate_timeout` (+ slack), account every injected fault in the
 //! pool/VM ledgers, heal the pool back to full worker strength, and
-//! replay bit-identically from its recorded events on a synchronous VM.
+//! retire exactly what a run without a pool at the same install delay
+//! retires.
+//!
+//! The summary's first line (cells, installs, undetected, failures) is a
+//! pure function of the scale and seed. The second holds what is timing
+//! by nature: which requests time out, and under the saturating scenario
+//! which ones are shed (and so which fault-plan entries a worker ever
+//! runs), plus respawns and lock recoveries.
 //!
 //! Cells are named `workload:form:chain:seed`; `--repro <spec>` re-runs
 //! one, and `--seed <n>` sets the sweep seed each cell's seed derives
@@ -62,14 +69,11 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
             Ok(r) => {
                 total.merge(&r);
                 println!(
-                    "{:<10} {:>8} {:<14} {:>4} injected  {:>3} timeouts  \
-                     {:>3} sheds  {:>2} undetected",
+                    "{:<10} {:>8} {:<14} {:>4} installs  {:>2} undetected",
                     w.name,
                     format!("{:?}", spec.form).to_lowercase(),
                     spec.chain.label(),
-                    r.injections,
-                    r.timeouts,
-                    r.sheds,
+                    r.installs,
                     r.undetected,
                 );
                 if r.undetected > 0 {
@@ -104,10 +108,16 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
     }
 
     println!(
-        "\npool: {} cells, {} injections ({} panics, {} kills, \
-         {} drops, {} delays, {} poisons, {} saturations), {} timeouts, \
-         {} sheds, {} sync fallbacks, {} undetected, {} failures",
+        "\npool: {} cells, {} installs, {} undetected, {} failures",
         checks,
+        total.installs,
+        total.undetected,
+        report.failures.len()
+    );
+    println!(
+        "pool (timing-dependent): {} injections ({} panics, {} kills, \
+         {} drops, {} delays, {} poisons, {} saturations), {} timeouts, \
+         {} sheds, {} sync fallbacks, {} respawns, {} lock recoveries",
         total.injections,
         total.panics,
         total.kills,
@@ -118,11 +128,12 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
         total.timeouts,
         total.sheds,
         total.sync_fallbacks,
-        total.undetected,
-        report.failures.len()
+        total.respawns,
+        total.lock_recoveries,
     );
     report
         .extra("checks", checks)
+        .extra("installs", total.installs)
         .extra("injections", total.injections)
         .extra("panics", total.panics)
         .extra("kills", total.kills)

@@ -7,19 +7,19 @@
 //!    against an uninterrupted reference run, with statistics continuing
 //!    cumulatively across the seam.
 //! 2. **record→replay equality**: one recorded chaos cell per workload
-//!    (plus one delayed-install cell) must replay from its envelope to
-//!    the identical tally.
-//! 3. **async record→scheduled replay**: every workload × both ISA forms
-//!    runs with the background translation pipeline enabled; its recorded
-//!    install/drop events drive a synchronous VM through
-//!    [`Vm::set_install_schedule`], which must reach the bit-identical
-//!    architected state, event log, and statistics (wall-clock nanos
-//!    excepted).
-//! 4. **region record→scheduled replay**: the same with region
-//!    re-formation forced hot; the [`ReplayEvent::RegionPromote`] /
-//!    [`ReplayEvent::RegionDrop`] events must survive the `ReplayLog`
-//!    wire format and replay identically. The matrix as a whole must
-//!    record at least one region event.
+//!    (plus one delayed-install cell, which runs the pool route) must
+//!    replay from its envelope to the identical tally.
+//! 3. **pool run = run without a pool**: every workload × both ISA forms
+//!    runs with the background translation pool; a VM without one, its
+//!    translations parked to the same count anchors
+//!    ([`ildp_core::POOL_INSTALL_DELAY`]), must reach the identical
+//!    architected state and statistics (wall-clock nanos excepted).
+//!    Installs are count-anchored, so a pool run reproduces by running
+//!    it again; there is no schedule to record.
+//! 4. **region equality**: the same with region re-formation forced hot;
+//!    the [`ReplayEvent::RegionPromote`](ildp_core::ReplayEvent::RegionPromote) / [`ReplayEvent::RegionDrop`](ildp_core::ReplayEvent::RegionDrop)
+//!    witnesses must match and survive the `ReplayLog` wire format. The
+//!    matrix as a whole must record at least one region event.
 //! 5. **triage bundle roundtrip**: a seeded miscompile must triage to a
 //!    `.repro` bundle that survives its wire format and replays to the
 //!    identical divergence.
@@ -31,7 +31,7 @@ use crate::chaos::{cell_config, chaos_cell_recorded, chaos_replay, untimed};
 use crate::triage::{paced_run_events, triage_run, ReproBundle};
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{
-    ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit,
+    ChainPolicy, NullSink, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit, POOL_INSTALL_DELAY,
 };
 use ildp_isa::IsaForm;
 use spec_workloads::{suite, Workload};
@@ -101,15 +101,13 @@ fn record_replay(w: &Workload, seed: u64, delay: Option<u64>) -> Result<(), Stri
     Ok(())
 }
 
-/// A run recorded with the background pipeline enabled must replay
-/// bit-identically on a synchronous VM driven by the recorded install
-/// schedule: the triage path for truly asynchronous runs. With `region`,
-/// re-formation is forced hot and the recorded
-/// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] events
-/// must also survive the `ReplayLog` wire format; without it, the
-/// statistics must match too (wall-clock nanos excepted). Returns the
-/// number of region events recorded.
-fn schedule_replay(w: &Workload, form: IsaForm, region: bool) -> Result<u64, String> {
+/// A run with the background pool must equal a run without one at the
+/// same install delay: identical end state, region witnesses and
+/// statistics (wall-clock nanos excepted). With `region`, re-formation is
+/// forced hot and the [`ReplayEvent::RegionPromote`](ildp_core::ReplayEvent::RegionPromote) /
+/// [`ReplayEvent::RegionDrop`](ildp_core::ReplayEvent::RegionDrop) witnesses must also survive the
+/// `ReplayLog` wire format. Returns the number of region events recorded.
+fn pool_equality(w: &Workload, form: IsaForm, region: bool) -> Result<u64, String> {
     let cell = format!(
         "{}:{}:{}",
         w.name,
@@ -130,21 +128,34 @@ fn schedule_replay(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Str
         config.engine.region_trigger = Some(64);
     }
     let budget = w.budget * 2;
-    let mut recorded = Vm::new(config, &w.program);
-    let exit = recorded.run(budget, &mut NullSink);
+    let mut pooled = Vm::new(config, &w.program);
+    let exit = pooled.run(budget, &mut NullSink);
     if exit != VmExit::Halted {
-        return Err(format!("{cell}: recorded run exited {exit:?}"));
+        return Err(format!("{cell}: pool run exited {exit:?}"));
     }
-    let events = recorded.take_bg_events();
-    let region_events = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. }
-            )
-        })
-        .count() as u64;
+    let mut parked = Vm::new(
+        VmConfig {
+            async_translate: false,
+            install_delay: Some(POOL_INSTALL_DELAY),
+            ..config
+        },
+        &w.program,
+    );
+    let parked_exit = parked.run(budget, &mut NullSink);
+    EndState::of(&pooled, &exit)
+        .check(&EndState::of(&parked, &parked_exit))
+        .map_err(|e| format!("{cell}: run without a pool: {e}"))?;
+    let events = pooled.take_region_events();
+    if parked.region_events() != events.as_slice() {
+        return Err(format!(
+            "{cell}: region events differ from the run without a pool"
+        ));
+    }
+    if untimed(parked.stats()) != untimed(pooled.stats()) {
+        return Err(format!(
+            "{cell}: statistics differ from the run without a pool"
+        ));
+    }
     if region {
         let log = ReplayLog {
             seed: 0,
@@ -159,33 +170,7 @@ fn schedule_replay(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Str
             ));
         }
     }
-
-    // Scheduled replay: installs are driven by the recording; region
-    // promotion re-fires from the same deterministic entry counts and
-    // must re-emit the identical count-anchored event sequence.
-    let mut replayed = Vm::new(
-        VmConfig {
-            async_translate: false,
-            ..config
-        },
-        &w.program,
-    );
-    replayed.set_install_schedule(&events);
-    let replayed_exit = replayed.run(budget, &mut NullSink);
-    EndState::of(&recorded, &exit)
-        .check(&EndState::of(&replayed, &replayed_exit))
-        .map_err(|e| format!("{cell}: replay: {e}"))?;
-    if replayed.bg_events() != events.as_slice() {
-        return Err(format!(
-            "{cell}: replayed event log differs from the recording"
-        ));
-    }
-    if !region && untimed(replayed.stats()) != untimed(recorded.stats()) {
-        return Err(format!(
-            "{cell}: replayed statistics differ from the recording"
-        ));
-    }
-    Ok(region_events)
+    Ok(events.len() as u64)
 }
 
 /// A seeded miscompile must produce a bundle that replays to the exact
@@ -208,7 +193,7 @@ fn triage_bundle_roundtrip(w: &Workload) -> Result<(), String> {
             }],
             events: paced_run_events(budget, 500),
         };
-        let Some(result) = triage_run(&w.program, form, chain, &log, interval, w.name)
+        let Some(result) = triage_run(&w.program, form, chain, None, &log, interval, w.name)
             .map_err(|e| format!("{}: triage: {e}", w.name))?
         else {
             continue; // dead immediate; try the next fragment
@@ -285,21 +270,21 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
         tally(r, &mut checks, gate, res.map(|()| ok));
         for form in ALL_FORMS {
             let f = form_name(form);
-            let ok = format!("{name:<10} {f:>8} async record/scheduled replay ok");
-            let res = schedule_replay(w, form, false).map(|_| ok);
+            let ok = format!("{name:<10} {f:>8} pool run = run without a pool ok");
+            let res = pool_equality(w, form, false).map(|_| ok);
             tally(r, &mut checks, format!("{name}:{f}:async"), res);
         }
     }
-    // Region record→scheduled replay: every workload × both forms, with
-    // matrix-wide coverage (at least one region event somewhere).
+    // Region equality: every workload × both forms, with matrix-wide
+    // coverage (at least one region event somewhere).
     let mut region_events = 0u64;
     for w in &suite {
         for form in ALL_FORMS {
             let f = form_name(form);
-            let res = schedule_replay(w, form, true).map(|n| {
+            let res = pool_equality(w, form, true).map(|n| {
                 region_events += n;
                 format!(
-                    "{:<10} {f:>8} region record/scheduled replay ok ({n} region events)",
+                    "{:<10} {f:>8} region pool run = run without a pool ok ({n} region events)",
                     w.name
                 )
             });

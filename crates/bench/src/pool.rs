@@ -9,8 +9,8 @@
 //! envelope must hold under every mix:
 //!
 //! - the run halts with the architected state of a pure interpreter —
-//!   faults degrade to synchronous translation or interpretation, never
-//!   to wrong code;
+//!   every fault falls back to inline translation for the same count
+//!   anchor, never to wrong code;
 //! - no single VM step blocks beyond [`VmConfig::translate_timeout`]
 //!   (plus scheduling slack) — measured by
 //!   [`ildp_core::VmStats::pool_await_max_nanos`];
@@ -19,10 +19,10 @@
 //!   every queue saturation appears as a VM-side shed, and a poisoned
 //!   lock is followed by a counted recovery;
 //! - the pool heals back to full worker strength on demand;
-//! - the recorded count-anchored fault events ([`ReplayEvent::PoolTimeout`],
-//!   [`ReplayEvent::PoolPanicReply`], [`ReplayEvent::PoolShed`] plus the
-//!   install/drop events) replay the run bit-identically on a
-//!   synchronous VM.
+//! - the faulted run retires exactly what a run without a pool at the
+//!   same install delay retires: identical end state and identical
+//!   statistics once wall clocks and fault counters are zeroed
+//!   ([`unfaulted`]). Faults move counters, never the trajectory.
 //!
 //! Each cell (workload × form × chain) runs one of three scenarios,
 //! rotated by chain policy so the full sweep covers every fault kind:
@@ -32,16 +32,18 @@
 //! and `saturate_mixed` (a one-slot queue on a single worker plus every
 //! fault kind at rate 2 — backpressure shedding under fire).
 //!
-//! [`ReplayEvent::PoolTimeout`]: ildp_core::ReplayEvent::PoolTimeout
-//! [`ReplayEvent::PoolPanicReply`]: ildp_core::ReplayEvent::PoolPanicReply
-//! [`ReplayEvent::PoolShed`]: ildp_core::ReplayEvent::PoolShed
+//! A timeout does not change the run, so the deadline and the injected
+//! stalls are short: a spurious timeout on a loaded host costs a counter,
+//! not a verdict. Which requests time out, and under
+//! `saturate_mixed` which ones are shed, is timing by nature; the install
+//! trajectory is not.
 
-use crate::chaos::{cell_config, untimed};
+use crate::chaos::{cell_config, unfaulted};
 use crate::lint::cell_spec;
 use ildp_core::oracle::{self, EndState};
 use ildp_core::{
     silence_injected_panics, ChainPolicy, NullSink, PoolFaultKind, PoolFaults, TranslatePool, Vm,
-    VmConfig,
+    VmConfig, POOL_INSTALL_DELAY,
 };
 use ildp_isa::IsaForm;
 use spec_workloads::Workload;
@@ -50,12 +52,16 @@ use std::time::{Duration, Instant};
 
 /// The tight translate deadline every `lint pool` cell runs under: long
 /// enough that an unfaulted reply usually beats it, short enough that
-/// delay/kill/drop faults actually trip it within a harness run.
-pub const POOL_TIMEOUT: Duration = Duration::from_millis(25);
+/// the harness spends little time waiting out kill/drop/delay faults.
+pub const POOL_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// Scheduling slack allowed on top of [`POOL_TIMEOUT`] before a blocked
-/// await counts as a liveness violation (CI machines stall).
-pub const AWAIT_SLACK: Duration = Duration::from_millis(250);
+/// await counts as a liveness violation (loaded hosts stall).
+pub const AWAIT_SLACK: Duration = Duration::from_millis(100);
+
+/// How long a [`PoolFaultKind::Delay`] injection stalls its worker: well
+/// past [`POOL_TIMEOUT`], so the late reply arrives after the VM gave up.
+const INJECTED_DELAY: Duration = Duration::from_millis(2);
 
 /// How long a cell may spend draining the queue and healing the pool
 /// after its run before the harness calls it wedged.
@@ -104,7 +110,7 @@ pub fn scenario_for(chain: ChainPolicy, fault_seed: u64) -> PoolScenario {
                     PoolFaultKind::Delay,
                     PoolFaultKind::PoisonQueue,
                 ],
-                delay: Duration::from_millis(100),
+                delay: INJECTED_DELAY,
             },
             poison_before: true,
         },
@@ -122,7 +128,7 @@ pub fn scenario_for(chain: ChainPolicy, fault_seed: u64) -> PoolScenario {
                     PoolFaultKind::Delay,
                     PoolFaultKind::PoisonQueue,
                 ],
-                delay: Duration::from_millis(100),
+                delay: INJECTED_DELAY,
             },
             poison_before: false,
         },
@@ -156,6 +162,9 @@ pub struct PoolReport {
     pub sync_fallbacks: u64,
     /// Poisoned-lock acquisitions recovered.
     pub lock_recoveries: u64,
+    /// Translations installed at their count anchor — a pure function
+    /// of the workload and configuration, faults or not.
+    pub installs: u64,
     /// Injected faults that escaped the ledgers: queued jobs
     /// unaccounted for after the drain, poisonings never followed by a
     /// recovery, or saturations the VM did not shed. Any non-zero value
@@ -178,6 +187,7 @@ impl PoolReport {
         self.sheds += other.sheds;
         self.sync_fallbacks += other.sync_fallbacks;
         self.lock_recoveries += other.lock_recoveries;
+        self.installs += other.installs;
         self.undetected += other.undetected;
     }
 }
@@ -196,7 +206,8 @@ pub fn fault_seed(sweep_seed: u64, spec: &str) -> u64 {
 
 /// Runs one cell: a workload under seeded pool-fault injection, then
 /// every envelope gate (architected equality, liveness, ledger
-/// accounting, heal, scheduled replay). `Err` carries the first gate
+/// accounting, heal, equality with a run without a pool). `Err` carries
+/// the first gate
 /// violation; `Ok` carries the cell tally (whose `undetected` field the
 /// caller must still gate on zero).
 pub fn pool_cell(
@@ -290,25 +301,22 @@ pub fn pool_cell(
     }
     let ps = pool.stats();
 
-    // Gate 5: the recorded fault/install events replay the run
-    // bit-identically on a synchronous VM — the triage path for a
-    // faulted asynchronous run.
-    let events = vm.take_bg_events();
-    let mut replayed = Vm::new(config, &w.program);
-    replayed.set_install_schedule(&events);
-    let exit = replayed.run(budget, &mut NullSink);
-    reference
-        .check(&EndState::of(&replayed, &exit))
-        .map_err(|e| format!("{cell} [{}]: scheduled replay: {e}", scenario.name))?;
-    if replayed.bg_events() != events.as_slice() {
+    // Gate 5: faults move counters, never the trajectory — the faulted
+    // run equals a run without a pool at the same install delay.
+    let mut parked = Vm::new(
+        VmConfig {
+            install_delay: Some(POOL_INSTALL_DELAY),
+            ..config
+        },
+        &w.program,
+    );
+    let parked_exit = parked.run(budget, &mut NullSink);
+    EndState::of(&parked, &parked_exit)
+        .check(&EndState::of(&vm, &exit))
+        .map_err(|e| format!("{cell} [{}]: run without a pool: {e}", scenario.name))?;
+    if unfaulted(parked.stats()) != unfaulted(&stats) {
         return Err(format!(
-            "{cell} [{}]: replayed event log differs from the recording",
-            scenario.name
-        ));
-    }
-    if untimed(replayed.stats()) != untimed(&stats) {
-        return Err(format!(
-            "{cell} [{}]: replayed statistics differ from the recording",
+            "{cell} [{}]: statistics differ from the run without a pool",
             scenario.name
         ));
     }
@@ -331,6 +339,7 @@ pub fn pool_cell(
         sheds: stats.pool_shed,
         sync_fallbacks: stats.sync_fallbacks,
         lock_recoveries: ps.lock_recoveries,
+        installs: stats.async_installs,
         undetected,
     })
 }
@@ -360,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn one_faulted_cell_contains_and_replays() {
+    fn one_faulted_cell_contains_and_matches_a_run_without_a_pool() {
         let w = &suite(3)[0];
         let report = pool_cell(w, IsaForm::Modified, ChainPolicy::NoPred, 42).expect("cell");
         assert_eq!(report.undetected, 0, "containment gap: {report:?}");

@@ -32,7 +32,7 @@
 //! and compare state, no matter how much of either timeline ran
 //! translated.
 
-use crate::chaos::{apply_event, audit_and_heal, cell_config, ChaosReport};
+use crate::chaos::{apply_event, audit_and_heal, delayed_config, ChaosReport};
 use alpha_isa::Program;
 use ildp_core::oracle::{End, EndState, RefInterp};
 use ildp_core::wire::Cursor;
@@ -47,9 +47,10 @@ use std::fmt;
 /// Magic number of the `.repro` bundle wire format (`"ILPB"`).
 pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
-/// Current `.repro` bundle format version. Version 2 seals with the
-/// word-wise [`wire::checksum`].
-pub const REPRO_VERSION: u32 = 2;
+/// Current `.repro` bundle format version. Version 2 sealed with the
+/// word-wise [`wire::checksum`]; version 3 embeds a version-6
+/// [`ReplayLog`] and records the cell's install delay.
+pub const REPRO_VERSION: u32 = 3;
 
 /// XORs `rule.imm_xor` into the first immediate operand at or after
 /// `rule.slot` (wrapping) of a fragment's code — the modelled translator
@@ -110,25 +111,11 @@ pub struct LogDriver<'a, 'p> {
 }
 
 impl<'a, 'p> LogDriver<'a, 'p> {
-    /// Wraps a VM (fresh or restored) for log-driven execution. When the
-    /// envelope carries background-install events (it was recorded from
-    /// an asynchronous or delayed-install run), the VM is switched to the
-    /// recorded install schedule so translations land at the logged
-    /// count anchors regardless of this build's translation mode.
-    pub fn new(mut vm: Vm<'p>, log: &'a ReplayLog) -> LogDriver<'a, 'p> {
-        let has_bg = log.events.iter().any(|ev| {
-            matches!(
-                ev,
-                ReplayEvent::BgInstall { .. }
-                    | ReplayEvent::BgDrop { .. }
-                    | ReplayEvent::PoolTimeout { .. }
-                    | ReplayEvent::PoolPanicReply { .. }
-                    | ReplayEvent::PoolShed { .. }
-            )
-        });
-        if has_bg {
-            vm.set_install_schedule(&log.events);
-        }
+    /// Wraps a VM (fresh or restored) for log-driven execution. Installs
+    /// are count-anchored, so a VM configured with the recorded cell's
+    /// install delay lands every translation where the recording did,
+    /// with or without a pool.
+    pub fn new(vm: Vm<'p>, log: &'a ReplayLog) -> LogDriver<'a, 'p> {
         let mut d = LogDriver {
             vm,
             log,
@@ -421,17 +408,21 @@ pub struct TriageResult {
 /// Monitors a log-driven run, and on divergence from the reference
 /// bisects checkpoints and localizes the first divergent fragment
 /// execution. Returns `None` when the run matches the reference
-/// end-to-end. `workload` is a provenance label stored in the bundle.
+/// end-to-end. `delay` is the cell's install delay (a delayed chaos cell;
+/// `None` otherwise), and `workload` a provenance label stored in the
+/// bundle.
 pub fn triage_run(
     program: &Program,
     form: IsaForm,
     chain: ChainPolicy,
+    delay: Option<u64>,
     log: &ReplayLog,
     interval: u64,
     workload: &str,
 ) -> Result<Option<TriageResult>, String> {
     // Phase A: monitored run with periodic checkpoints.
-    let vm = Vm::new(cell_config(form, chain), program);
+    let config = delayed_config(form, chain, delay);
+    let vm = Vm::new(config, program);
     let mut driver = LogDriver::new(vm, log);
     let (cps, exit) = driver.run_monitored(interval);
     let actual = EndState::of(&driver.vm, &exit);
@@ -475,7 +466,6 @@ pub fn triage_run(
     // yet reflected in the checkpoint.
     let trimmed = log.trimmed_to(entry.v_insts);
     let max_v = v_final.max(entry.v_insts) * 2 + 10_000;
-    let config = cell_config(form, chain);
     let Some(divergence) = localize(program, config, entry, &trimmed, max_v)? else {
         return Err(
             "final state diverged but lockstep from the last good checkpoint found no \
@@ -486,6 +476,7 @@ pub fn triage_run(
     let bundle = ReproBundle {
         form,
         chain,
+        delay,
         workload: workload.to_string(),
         code_base: program.code_base(),
         entry_pc: program.entry(),
@@ -508,6 +499,8 @@ pub struct ReproBundle {
     pub form: IsaForm,
     /// Chain policy of the failing cell.
     pub chain: ChainPolicy,
+    /// Install delay of the failing cell (a delayed chaos cell).
+    pub delay: Option<u64>,
     /// Workload name, for provenance only.
     pub workload: String,
     /// V-address the code slice loads at.
@@ -538,7 +531,7 @@ impl ReproBundle {
 
     /// The cell configuration the bundle replays under.
     pub fn config(&self) -> VmConfig {
-        cell_config(self.form, self.chain)
+        delayed_config(self.form, self.chain, self.delay)
     }
 
     /// Re-runs the localization procedure the bundle was produced by and
@@ -571,6 +564,8 @@ impl ReproBundle {
                 ChainPolicy::SwPredDualRas => 2,
             },
         );
+        wire::put_u8(&mut p, self.delay.is_some() as u8);
+        wire::put_u64(&mut p, self.delay.unwrap_or(0));
         wire::put_bytes(&mut p, self.workload.as_bytes());
         wire::put_u64(&mut p, self.code_base);
         wire::put_u64(&mut p, self.entry_pc);
@@ -604,6 +599,8 @@ impl ReproBundle {
             2 => ChainPolicy::SwPredDualRas,
             v => return Err(SnapshotError::BadVersion { version: v as u32 }),
         };
+        let delayed = c.take_u8()? != 0;
+        let delay = Some(c.take_u64()?).filter(|_| delayed);
         let workload = String::from_utf8_lossy(c.take_bytes()?).into_owned();
         let code_base = c.take_u64()?;
         let entry_pc = c.take_u64()?;
@@ -619,6 +616,7 @@ impl ReproBundle {
         Ok(ReproBundle {
             form,
             chain,
+            delay,
             workload,
             code_base,
             entry_pc,

@@ -6,7 +6,7 @@
 
 use ildp_bench::chaos::{cell_config, chaos_cell_recorded, chaos_replay};
 use ildp_bench::triage::{paced_run_events, triage_run, ReproBundle};
-use ildp_core::{ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Vm};
+use ildp_core::{wire, ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, SnapshotError, Vm};
 use ildp_isa::IsaForm;
 use spec_workloads::by_name;
 
@@ -22,8 +22,9 @@ fn chaos_replay_reproduces_recorded_report() {
         ),
         ("gcc", IsaForm::Basic, ChainPolicy::SwPred, 42, None),
         ("mcf", IsaForm::Modified, ChainPolicy::NoPred, 9_000, None),
-        // Delayed-install cell: translations park before their safe-point
-        // install, and the injection mix adds staged-translation drops.
+        // Delayed-install cell: translations go to a private pool and
+        // install at their count anchors, and the injection mix adds
+        // staged-region drops.
         (
             "gzip",
             IsaForm::Modified,
@@ -59,6 +60,7 @@ fn clean_run_triages_to_none() {
         &w.program,
         IsaForm::Modified,
         ChainPolicy::SwPredDualRas,
+        None,
         &log,
         500,
         "gzip",
@@ -93,7 +95,7 @@ fn seeded_miscompile_triages_deterministically() {
     let (vstart, result) = vstarts
         .iter()
         .find_map(|&vs| {
-            triage_run(&w.program, form, chain, &log_for(vs), 500, "gzip")
+            triage_run(&w.program, form, chain, None, &log_for(vs), 500, "gzip")
                 .unwrap()
                 .map(|r| (vs, r))
         })
@@ -101,7 +103,7 @@ fn seeded_miscompile_triages_deterministically() {
 
     // The triage verdict must reproduce identically across repeated runs.
     for _ in 0..2 {
-        let again = triage_run(&w.program, form, chain, &log_for(vstart), 500, "gzip")
+        let again = triage_run(&w.program, form, chain, None, &log_for(vstart), 500, "gzip")
             .unwrap()
             .expect("divergence vanished on re-run");
         assert_eq!(
@@ -116,6 +118,17 @@ fn seeded_miscompile_triages_deterministically() {
     let bytes = result.bundle.to_bytes();
     let bundle = ReproBundle::from_bytes(&bytes).expect("bundle wire roundtrip");
     assert_eq!(bundle, result.bundle);
+    // A bundle of the previous version embeds a log whose retired
+    // background-event tags would misread: it is refused as version skew.
+    let mut old = bytes.clone();
+    old[4] = 2;
+    let body_len = old.len() - 8;
+    let checksum = wire::checksum(&old[..body_len]);
+    old[body_len..].copy_from_slice(&checksum.to_le_bytes());
+    assert_eq!(
+        ReproBundle::from_bytes(&old),
+        Err(SnapshotError::BadVersion { version: 2 })
+    );
     for _ in 0..3 {
         let replayed = bundle
             .replay()

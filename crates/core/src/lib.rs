@@ -84,5 +84,5 @@ pub use superblock::{
 pub use translate::{ChainPolicy, TranslateStats, TranslatedCode, TranslationTrace, Translator};
 pub use vm::{
     trace_original, FlushPolicy, InstallReview, InstallValidator, OnViolation, Vm, VmConfig,
-    VmExit, VmStats,
+    VmExit, VmStats, POOL_INSTALL_DELAY,
 };

@@ -13,7 +13,8 @@
 //! [`Translator`] configuration, so a [`TranslateRequest`] carries the
 //! owned superblock to a detached worker, and the finished (translated
 //! and verified) fragment travels back over a per-VM channel to be
-//! installed at the next fragment-boundary safe point. Per-region
+//! installed at its count anchor, a fragment-boundary safe point fixed at
+//! submit time. Per-region
 //! in-flight dedup and the install decision itself (stale-epoch,
 //! demotion and SMC checks) remain on the VM thread — the worker never
 //! touches VM state.
@@ -39,11 +40,12 @@
 //!   [`PoolStats::lock_recoveries`]); a worker that dies holding the
 //!   queue lock cannot take the pool down with it.
 //!
-//! The VM-side half of the envelope (request deadlines, sync fallback,
-//! shed accounting, replayable `PoolTimeout`/`PoolPanicReply`/`PoolShed`
-//! events) lives in `vm/background.rs`; the `lint pool` harness injects
-//! every fault class deterministically via [`PoolFaults`] and gates the
-//! whole envelope.
+//! The VM-side half of the envelope lives in `vm/background.rs`: every
+//! reply is taken at a count anchor, under a deadline, and every fault
+//! (timeout, dropped reply, dead worker, shed, contained panic) falls
+//! back to translating inline for the same anchor, so a fault never
+//! changes what the guest retires. The `lint pool` harness injects every
+//! fault class via [`PoolFaults`] and gates the whole envelope.
 //!
 //! The pool is plain `std::thread` + a condvar'd `VecDeque` (the build
 //! is offline; no runtime deps). Workers are detached and shared

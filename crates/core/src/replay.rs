@@ -29,9 +29,11 @@ use crate::wire::{self, Cursor};
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
 /// Current replay-log format version. Logs are produced and consumed by
-/// the same build, so any other version is refused. Version 5 seals with
-/// the word-wise [`wire::checksum`].
-pub const REPLAY_VERSION: u32 = 5;
+/// the same build, so any other version is refused. Version 5 sealed with
+/// the word-wise [`wire::checksum`]; version 6 dropped the background
+/// install, drop and pool-fault events (tags 8, 9, 11–13), which count
+/// anchors made derivable.
+pub const REPLAY_VERSION: u32 = 6;
 
 /// One externally-applied stimulus, in application order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,62 +88,18 @@ pub enum ReplayEvent {
     /// The C01–C07 installed-fragment audit ran and healed every flagged
     /// fragment by precise invalidation.
     AuditHeal,
-    /// A background translation finished and its fragment was installed
-    /// at the fragment-boundary safe point where `at_v_insts` retired
-    /// instructions had been counted. A replaying VM in scheduled mode
-    /// translates synchronously but defers the install to this anchor.
-    BgInstall {
-        /// Entry V-address of the installed fragment.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the installing safe point.
-        at_v_insts: u64,
-    },
-    /// A background translation finished but its result was discarded at
-    /// the safe point (the region had been demoted, invalidated by SMC,
-    /// rejected by the verifier, or superseded).
-    BgDrop {
-        /// Entry V-address of the dropped fragment.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the discarding safe point.
-        at_v_insts: u64,
-    },
-    /// A staged (completed-but-not-yet-installed) translation was dropped
-    /// by external fault injection before reaching its safe point.
+    /// A region parked until its count anchor was dropped by external
+    /// fault injection before the anchor, whether its code was still on
+    /// the pool or already back.
     StagedDrop {
-        /// Entry V-address of the dropped staged fragment.
+        /// Entry V-address of the dropped region.
         fragment_vstart: u64,
-    },
-    /// A re-heated region's in-flight background translation blew the
-    /// configured `translate_timeout` deadline and the VM translated it
-    /// synchronously instead (the deadline fallback). A replaying VM
-    /// performs the same synchronous resolution at this anchor.
-    PoolTimeout {
-        /// Entry V-address of the timed-out region.
-        fragment_vstart: u64,
-        /// Retired-instruction count when the deadline expired.
-        at_v_insts: u64,
-    },
-    /// A background translation came back as a contained worker panic
-    /// (structured `TranslateError` reply); the region was demoted and
-    /// left to re-heat into a leaner tier.
-    PoolPanicReply {
-        /// Entry V-address of the panicked region.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the safe point that saw the reply.
-        at_v_insts: u64,
-    },
-    /// The pool's bounded submission queue was saturated and the VM shed
-    /// the request to the synchronous translation path (backpressure).
-    PoolShed {
-        /// Entry V-address of the shed region.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the shedding point.
-        at_v_insts: u64,
     },
     /// A hot fragment chain was re-formed into a merged region installed
     /// at its head. Promotion is derived deterministically from cache
-    /// state, so a replaying VM re-derives it at the same anchor; the
-    /// recorded event is the witness the replay harness compares against.
+    /// state, so every run of the same program and configuration
+    /// re-derives it at the same anchor; the recorded event is the witness
+    /// the replay harness compares against.
     RegionPromote {
         /// Entry V-address of the region head.
         fragment_vstart: u64,
@@ -246,19 +204,13 @@ impl ReplayLog {
             .iter()
             .position(|ev| matches!(*ev, ReplayEvent::Run { budget } if budget > v_insts))
             .unwrap_or(self.events.len());
-        // Background install/drop events anchored at or before the
-        // checkpoint are already reflected in the restored cache (or in
-        // its absence: a restored VM simply re-translates), so only the
-        // ones anchored past the checkpoint stay live.
+        // Region events anchored at or before the checkpoint are already
+        // reflected in the restored state, so only the ones anchored past
+        // the checkpoint stay live.
         let events = self.events[start..]
             .iter()
             .filter(|ev| match **ev {
-                ReplayEvent::BgInstall { at_v_insts, .. }
-                | ReplayEvent::BgDrop { at_v_insts, .. }
-                | ReplayEvent::PoolTimeout { at_v_insts, .. }
-                | ReplayEvent::PoolPanicReply { at_v_insts, .. }
-                | ReplayEvent::PoolShed { at_v_insts, .. }
-                | ReplayEvent::RegionPromote { at_v_insts, .. }
+                ReplayEvent::RegionPromote { at_v_insts, .. }
                 | ReplayEvent::RegionDrop { at_v_insts, .. } => at_v_insts > v_insts,
                 _ => true,
             })
@@ -313,49 +265,9 @@ fn put_event(p: &mut Vec<u8>, ev: &ReplayEvent) {
             wire::put_u64(p, len);
         }
         ReplayEvent::AuditHeal => wire::put_u8(p, 7),
-        ReplayEvent::BgInstall {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 8);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::BgDrop {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 9);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
         ReplayEvent::StagedDrop { fragment_vstart } => {
             wire::put_u8(p, 10);
             wire::put_u64(p, fragment_vstart);
-        }
-        ReplayEvent::PoolTimeout {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 11);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::PoolPanicReply {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 12);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::PoolShed {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 13);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
         }
         ReplayEvent::RegionPromote {
             fragment_vstart,
@@ -402,28 +314,8 @@ fn take_event(c: &mut Cursor<'_>) -> Result<ReplayEvent, SnapshotError> {
             len: c.take_u64()?,
         },
         7 => ReplayEvent::AuditHeal,
-        8 => ReplayEvent::BgInstall {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        9 => ReplayEvent::BgDrop {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
         10 => ReplayEvent::StagedDrop {
             fragment_vstart: c.take_u64()?,
-        },
-        11 => ReplayEvent::PoolTimeout {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        12 => ReplayEvent::PoolPanicReply {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        13 => ReplayEvent::PoolShed {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
         },
         14 => ReplayEvent::RegionPromote {
             fragment_vstart: c.take_u64()?,
@@ -433,8 +325,9 @@ fn take_event(c: &mut Cursor<'_>) -> Result<ReplayEvent, SnapshotError> {
             fragment_vstart: c.take_u64()?,
             at_v_insts: c.take_u64()?,
         },
-        // An unknown tag means the artifact is newer than this build —
-        // report it as a version problem, not corruption.
+        // An unknown tag (tags 8, 9 and 11–13 are retired) means the
+        // artifact was written by another build — report it as a version
+        // problem, not corruption.
         tag => {
             return Err(SnapshotError::BadVersion {
                 version: tag as u32,
@@ -496,8 +389,9 @@ mod tests {
     fn future_version_is_refused() {
         let bytes = sample().to_bytes();
         // Rewrite the version field and re-seal so only the version check
-        // can fail: newer and older versions alike are refused.
-        for version in [0x7f, 4] {
+        // can fail: newer and older versions alike are refused, including
+        // version 5, whose retired background-event tags would misread.
+        for version in [0x7f, 5] {
             let mut bytes = bytes.clone();
             bytes[4] = version;
             let body_len = bytes.len() - 8;
@@ -524,25 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn background_events_roundtrip_and_trim_by_anchor() {
+    fn staged_drops_roundtrip_and_survive_trimming() {
         let log = ReplayLog {
             seed: 9,
             sabotage: Vec::new(),
             events: vec![
                 ReplayEvent::Run { budget: 100 },
-                ReplayEvent::BgInstall {
+                ReplayEvent::StagedDrop {
                     fragment_vstart: 0x1_0040,
-                    at_v_insts: 57,
                 },
                 ReplayEvent::Run { budget: 300 },
-                ReplayEvent::BgDrop {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 150,
-                },
-                ReplayEvent::BgInstall {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 260,
-                },
                 ReplayEvent::StagedDrop {
                     fragment_vstart: 0x1_0100,
                 },
@@ -550,60 +435,32 @@ mod tests {
         };
         let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
         assert_eq!(back, log);
-        // A checkpoint at 200 keeps the tail Run, drops the background
-        // events already reflected in it, and keeps the one still due.
+        // A checkpoint at 200 keeps the tail Run and the injection the
+        // pause ending it applies.
         let t = log.trimmed_to(200);
-        assert_eq!(
-            t.events,
-            vec![
-                ReplayEvent::Run { budget: 300 },
-                ReplayEvent::BgInstall {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 260,
-                },
-                ReplayEvent::StagedDrop {
-                    fragment_vstart: 0x1_0100,
-                },
-            ]
-        );
+        assert_eq!(t.events, log.events[2..]);
     }
 
     #[test]
-    fn pool_fault_events_roundtrip_and_trim_by_anchor() {
-        let log = ReplayLog {
-            seed: 17,
-            sabotage: Vec::new(),
-            events: vec![
-                ReplayEvent::Run { budget: 500 },
-                ReplayEvent::PoolShed {
-                    fragment_vstart: 0x1_0040,
-                    at_v_insts: 80,
-                },
-                ReplayEvent::PoolPanicReply {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 150,
-                },
-                ReplayEvent::PoolTimeout {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 320,
-                },
-            ],
-        };
-        let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
-        assert_eq!(back, log);
-        // Pool-fault events trim by their count anchor like the other
-        // background events.
-        let t = log.trimmed_to(200);
-        assert_eq!(
-            t.events,
-            vec![
-                ReplayEvent::Run { budget: 500 },
-                ReplayEvent::PoolTimeout {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 320,
-                },
-            ]
-        );
+    fn retired_background_tags_are_refused_as_version_skew() {
+        // A version-5 payload carrying a tag-8 install event, re-sealed
+        // under the current version: the tag alone must be refused.
+        for tag in [8u8, 9, 11, 12, 13] {
+            let mut p = Vec::new();
+            wire::put_u64(&mut p, 1);
+            wire::put_u32(&mut p, 0);
+            wire::put_u32(&mut p, 1);
+            wire::put_u8(&mut p, tag);
+            wire::put_u64(&mut p, 0x1_0040);
+            wire::put_u64(&mut p, 57);
+            let bytes = wire::seal(REPLAY_MAGIC, REPLAY_VERSION, &p);
+            assert_eq!(
+                ReplayLog::from_bytes(&bytes),
+                Err(SnapshotError::BadVersion {
+                    version: u32::from(tag)
+                })
+            );
+        }
     }
 
     #[test]

@@ -2,32 +2,30 @@
 //! lookup, and [`Vm::admit`], the one install decision every translation
 //! route goes through.
 
-use super::background::Staged;
 use super::{InstallReview, OnViolation, Vm};
 use crate::artifact::{artifact_key, ArtifactKey, FragmentArtifact, FragmentStore, StoreLookup};
 use crate::fragment::FragmentId;
-use crate::pipeline::{translate_job, SubmitOutcome, TranslateOutput, TranslateRequest};
+use crate::pipeline::{translate_job, TranslateOutput};
 use crate::profile::collect_superblock_with_output;
-use crate::replay::ReplayEvent;
 use crate::translate::{TranslatedCode, Translator};
 use ildp_isa::IsaForm;
 
 /// Liveness facts captured when a region's translation leaves the
 /// execution thread; the install decision re-checks them at the safe
 /// point and drops the translation if any moved. The collected
-/// superblock rides along so the deadline fallback can re-translate
-/// synchronously without re-executing the guest path.
-#[derive(Clone, Debug)]
+/// superblock rides along so a pool fault can fall back to translating
+/// it inline without re-executing the guest path.
+#[derive(Debug)]
 pub(super) struct Pending {
     level: u8,
     epoch: u64,
     smc: u32,
-    translator: Translator,
+    pub(super) translator: Translator,
     key: Option<ArtifactKey>,
-    /// Token matching this submission's eventual reply (see
-    /// [`TranslateRequest::token`]); 0 for never-submitted pendings.
+    /// Token matching the pool submission whose reply is due (see
+    /// [`crate::TranslateRequest::token`]); 0 when no reply is awaited.
     pub(super) token: u64,
-    sb: crate::Superblock,
+    pub(super) sb: crate::Superblock,
 }
 
 /// A finished translation awaiting its install decision ([`Vm::admit`]):
@@ -45,13 +43,9 @@ pub(super) enum Route {
     /// Translated synchronously on the execution thread right after
     /// collection.
     Inline,
-    /// A background or parked translation at its safe point.
-    /// `forced_drop` reproduces a recorded drop whose cause was outside
-    /// the staleness checks.
-    SafePoint { forced_drop: bool },
-    /// Translated synchronously as a pool degradation fallback (deadline
-    /// expiry or backpressure shed).
-    Fallback,
+    /// A parked translation at its count anchor, whether the pool, the
+    /// inline fallback or a VM without a pool produced it.
+    Anchored,
 }
 
 impl Vm<'_> {
@@ -60,15 +54,10 @@ impl Vm<'_> {
         if self.cache.lookup(vaddr).is_some() {
             return true;
         }
-        // A finished translation is already parked for this region; keep
-        // interpreting until its install point arrives.
+        // The region re-heated before its anchor: it keeps interpreting
+        // until the parked translation installs.
         if self.staged.iter().any(|s| s.vstart() == vaddr) {
             return false;
-        }
-        // The region re-heated while its translation is in flight: the
-        // slack bound. Block on the pool rather than re-collecting.
-        if self.in_flight.contains_key(&vaddr) {
-            return self.await_in_flight(vaddr);
         }
         let level = self.demotion.get(&vaddr).copied().unwrap_or(0);
         if level >= self.config.max_demotions {
@@ -125,54 +114,9 @@ impl Vm<'_> {
                 return true;
             }
         }
-        if self.schedule.is_some() || self.config.install_delay.is_some() {
-            // A deterministic install point: translate inline now and park
-            // the result until a recorded schedule op (a replay of a
-            // background run) or, without a schedule, the delay anchor
-            // decides it.
-            let anchor = match self.schedule {
-                Some(_) => None,
-                None => self
-                    .config
-                    .install_delay
-                    .map(|delay| self.v_instructions() + delay),
-            };
-            let job = self.translate_here(pending, false);
-            self.staged.push(Staged { anchor, job });
-            self.candidates.reset(vaddr);
+        if let Some(delay) = self.install_latency() {
+            self.park(pending, delay);
             return false;
-        }
-        if let Some(pool) = self.pool.clone() {
-            self.next_token += 1;
-            pending.token = self.next_token;
-            let request = TranslateRequest {
-                vstart: vaddr,
-                token: pending.token,
-                sb: pending.sb.clone(),
-                translator,
-                validator: self.config.validator,
-                reply: self.reply_tx.clone(),
-            };
-            match pool.submit(request) {
-                SubmitOutcome::Queued { respawned } => {
-                    self.stats.pool_respawns += respawned;
-                    self.in_flight.insert(vaddr, pending);
-                    // Reset the counter so the region must re-heat to
-                    // reach the blocking wait above: bounds how far the
-                    // interpreter can run ahead of a pending install.
-                    self.candidates.reset(vaddr);
-                    return false;
-                }
-                SubmitOutcome::Saturated { respawned, .. } => {
-                    // Backpressure: the pool handed the request back; shed
-                    // to the synchronous path rather than queue
-                    // unboundedly.
-                    self.stats.pool_respawns += respawned;
-                    self.pool_fault(vaddr, false);
-                    let job = self.translate_here(pending, true);
-                    return self.admit(job, Route::Fallback);
-                }
-            }
         }
         // Synchronous pipeline: translate and verify on the execution
         // thread — the guest stalls for all of it.
@@ -182,8 +126,8 @@ impl Vm<'_> {
 
     /// Translates and verifies a collected region on the execution
     /// thread. `stall` charges the time as guest-visible stall — every
-    /// inline translation except a parked one, whose latency the install
-    /// point stands in for.
+    /// inline translation except one parked on a VM without a pool,
+    /// whose latency the anchor stands in for.
     pub(super) fn translate_here(&mut self, pending: Pending, stall: bool) -> Finished {
         let (out, wall) = translate_job(&pending.sb, &pending.translator, self.config.validator);
         self.stats.translate_wall_nanos += wall;
@@ -197,11 +141,11 @@ impl Vm<'_> {
     /// to the cache goes through: re-checks the liveness facts captured
     /// when the region was collected, accounts the verifier, applies the
     /// verdict (a refused region descends the degradation ladder) and
-    /// installs. Safe-point outcomes are recorded as count-anchored
-    /// [`ReplayEvent`]s, so a live background run, a delayed install and
-    /// a scheduled replay of either all decide through this code; a
-    /// fallback's fault event is recorded by its caller first. Returns
-    /// whether the region's fragment is installed afterwards.
+    /// installs. Anchored translations count as asynchronous installs or
+    /// drops whichever way their code was produced, so a pool run, its
+    /// faulted twin and a run without a pool at the same delay all decide
+    /// and count alike. Returns whether the region's fragment is installed
+    /// afterwards.
     ///
     /// An inline translation is never stale (its facts are captured
     /// after collection, with nothing in between that could move them),
@@ -209,28 +153,19 @@ impl Vm<'_> {
     pub(super) fn admit(&mut self, job: Finished, route: Route) -> bool {
         let Finished { pending, out } = job;
         let vstart = out.code.vstart;
-        let safe_point = matches!(route, Route::SafePoint { .. });
-        // A safe-point translation was verified wherever it ran and counts
-        // as verified even if it is dropped; the synchronous routes count
-        // verification only for a translation they go on to use.
-        if safe_point {
+        let anchored = route == Route::Anchored;
+        // An anchored translation was verified wherever it ran and counts
+        // as verified even if it is dropped; the inline route counts
+        // verification only for a translation it goes on to use.
+        if anchored {
             self.account_verify(out.verify_nanos);
         }
-        if route == (Route::SafePoint { forced_drop: true }) || self.is_stale(vstart, &pending) {
+        if self.is_stale(vstart, &pending) {
             self.stats.async_dropped += 1;
             self.candidates.reset(vstart);
-            if safe_point {
-                self.bg_events.push(ReplayEvent::BgDrop {
-                    fragment_vstart: vstart,
-                    at_v_insts: self.v_instructions(),
-                });
-            }
             return self.cache.lookup(vstart).is_some();
         }
-        if route == Route::Fallback {
-            self.stats.sync_fallbacks += 1;
-        }
-        if !safe_point {
+        if !anchored {
             self.account_verify(out.verify_nanos);
         }
         if let Err(msg) = out.verdict {
@@ -238,22 +173,14 @@ impl Vm<'_> {
                 // Ladder: retry without the optional optimizations, then
                 // blacklist.
                 self.demote(vstart);
-                if safe_point {
+                if anchored {
                     self.stats.async_dropped += 1;
-                    self.bg_events.push(ReplayEvent::BgDrop {
-                        fragment_vstart: vstart,
-                        at_v_insts: self.v_instructions(),
-                    });
                 }
                 return false;
             }
         }
-        if safe_point {
+        if anchored {
             self.stats.async_installs += 1;
-            self.bg_events.push(ReplayEvent::BgInstall {
-                fragment_vstart: vstart,
-                at_v_insts: self.v_instructions(),
-            });
         }
         self.region_src.insert(vstart, pending.sb);
         self.install(out.code, pending.translator.form, pending.key, true);

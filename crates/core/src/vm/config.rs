@@ -94,18 +94,19 @@ pub struct VmConfig {
     /// configured translator, levels ≥ 1 without the optional
     /// optimizations; `max_demotions` of 0 means interpret everything.
     pub max_demotions: u8,
-    /// Translate hot regions on the shared background worker pool
-    /// (default). Superblock collection stays on the execution thread —
-    /// architected state is identical in either mode — and the finished
-    /// fragment installs at the next fragment-boundary safe point.
-    /// `false` restores the fully synchronous pipeline (translation
-    /// stalls the guest), the mode deterministic-replay harnesses pin.
+    /// Translate hot regions on the process-wide background worker pool
+    /// (default; [`Vm::attach_pool`](crate::Vm::attach_pool) attaches
+    /// another). Superblock collection stays on the execution thread, and
+    /// the finished fragment installs at its count anchor
+    /// ([`VmConfig::install_delay`]), so the run retires exactly what a
+    /// run without a pool at the same delay retires. `false` translates
+    /// inline, stalling the guest, unless `install_delay` is set.
     pub async_translate: bool,
-    /// Per-request deadline for background translation: a blocking wait
-    /// on an in-flight request ([`VmStats::pool_timeouts`]) gives up
-    /// after this long and the VM translates synchronously instead — the
-    /// upper bound on how long any VM step can block on the pool,
-    /// whatever the pool's workers are doing.
+    /// Deadline for taking a pool reply at its anchor: past it
+    /// ([`VmStats::pool_timeouts`]) the VM translates the collected
+    /// superblock itself and installs that at the same anchor. The upper
+    /// bound on how long any VM step can block on the pool, whatever its
+    /// workers are doing; a timeout changes no retired count.
     pub translate_timeout: Duration,
     /// Optional re-verification of warm-start artifacts before install:
     /// when set, every fragment taken from the attached
@@ -117,12 +118,14 @@ pub struct VmConfig {
     /// to translating fresh — the policy for stores whose provenance is
     /// not trusted, e.g. loaded from disk.
     pub store_validator: Option<InstallValidator>,
-    /// Deterministic install delay, in retired V-ISA instructions:
-    /// translations complete immediately (synchronously) but install
-    /// only once the VM has retired this many further instructions —
-    /// a reproducible stand-in for background-translation latency, used
-    /// by the chaos harness's `delayed-install` sabotage cell. Takes
-    /// precedence over `async_translate`.
+    /// The install latency D, in retired V-ISA instructions: a
+    /// translation leaving the inline path installs at the first
+    /// fragment-boundary safe point at or past its submit count plus D.
+    /// On a VM with a pool, `None` means
+    /// [`POOL_INSTALL_DELAY`](crate::POOL_INSTALL_DELAY). On a VM without
+    /// one, `Some(d)` translates inline but parks the code until the same
+    /// anchor, so the run equals a pool run with the same D; `None`
+    /// installs inline. Store hits install inline either way.
     pub install_delay: Option<u64>,
     /// Source-instruction budget for a re-formed region: the promotion
     /// walk ([`EngineConfig::region_trigger`]) stops collecting
@@ -231,8 +234,8 @@ pub struct VmStats {
     /// steady-state fallback only.
     pub warmup_interpreted: u64,
     /// Wall nanoseconds the guest was stalled waiting on translation
-    /// (synchronous translations, plus blocking waits on an in-flight
-    /// background translation of a re-heated region).
+    /// (synchronous translations, inline fallbacks from pool faults, and
+    /// blocking waits for a pool reply at its anchor).
     pub translate_stall_nanos: u64,
     /// Total wall nanoseconds of translation + verification work done on
     /// behalf of this VM, wherever it ran. With background translation
@@ -256,35 +259,36 @@ pub struct VmStats {
     /// [`StoreStats::load_rejects`](crate::StoreStats::load_rejects)),
     /// snapshotted at [`Vm::attach_store`](super::Vm::attach_store) time.
     pub store_load_rejects: u64,
-    /// Background translations installed at a safe point.
+    /// Parked translations installed at their count anchor.
     pub async_installs: u64,
-    /// Background translations dropped at their safe point (stale epoch,
-    /// demoted or blacklisted region, SMC hit, validator rejection, or a
-    /// chaos-injected drop).
+    /// Parked translations dropped at their anchor (stale epoch, demoted
+    /// or blacklisted region, SMC hit, validator rejection) or before it
+    /// (a chaos-injected drop).
     pub async_dropped: u64,
-    /// In-flight background translations that blew the
-    /// [`VmConfig::translate_timeout`] deadline; each fell back to
-    /// synchronous translation on the VM thread.
+    /// Pool replies not in hand by the [`VmConfig::translate_timeout`]
+    /// deadline at their anchor (dead worker, dropped or late reply);
+    /// each fell back to inline translation for the same anchor.
     pub pool_timeouts: u64,
-    /// Background translations that came back as a contained worker
-    /// panic (structured `TranslateError` reply); each demoted the
-    /// region down the degradation ladder.
+    /// Pool replies that came back as a contained worker panic
+    /// (structured `TranslateError` reply); each fell back to inline
+    /// translation for the same anchor. A host fault, not a property of
+    /// the translation: the region is not demoted.
     pub pool_panics: u64,
     /// Dead pool workers respawned by supervision passes this VM's
     /// submissions triggered. Pool-side health accounting only — a
-    /// respawn is architecturally invisible, so replay comparisons zero
+    /// respawn is architecturally invisible, so run comparisons zero
     /// it like the wall-clock counters.
     pub pool_respawns: u64,
     /// Submissions refused by the pool's bounded queue (backpressure);
-    /// each shed to synchronous translation instead of queueing.
+    /// each fell back to inline translation for the same anchor.
     pub pool_shed: u64,
-    /// Translations performed synchronously on the VM thread as a pool
-    /// degradation fallback (timeout or shed) — the count of times the
-    /// failure envelope's "degrade to sync" edge was actually taken.
+    /// Translations performed inline at their anchor because the pool
+    /// faulted (timeout, panic or shed) — the count of times the failure
+    /// envelope's fallback edge was actually taken.
     pub sync_fallbacks: u64,
-    /// Longest single blocking wait on the pool, in wall nanoseconds
-    /// (bounded by [`VmConfig::translate_timeout`] plus one synchronous
-    /// translation). Wall-clock measurement: replay comparisons zero it.
+    /// Longest single blocking wait for a pool reply, in wall nanoseconds
+    /// (bounded by [`VmConfig::translate_timeout`] plus scheduling
+    /// slack). Wall-clock measurement: run comparisons zero it.
     pub pool_await_max_nanos: u64,
     /// Hot fragment chains re-formed into merged regions
     /// ([`EngineConfig::region_trigger`]).

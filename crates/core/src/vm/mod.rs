@@ -10,9 +10,15 @@
 //!
 //! The module splits along the VM's stages: `config` holds the
 //! configuration and statistics types, `admit` the install decision every
-//! translation goes through, `background` the pool, delay and
-//! recorded-schedule install points, `region` profile-guided region
+//! translation goes through, `background` the count-anchored install
+//! point of pool and delayed translations, `region` profile-guided region
 //! re-formation, and `run` the interpret/execute loop.
+//!
+//! Every run is a pure function of the program, the configuration, the
+//! run budgets and whatever an embedder applies between runs: a
+//! translation submitted to the pool installs at a count anchor, not
+//! when its reply happens to arrive, and every pool fault falls back to
+//! the same code at the same anchor (`background`).
 
 mod admit;
 mod background;
@@ -20,6 +26,7 @@ mod config;
 mod region;
 mod run;
 
+pub use background::POOL_INSTALL_DELAY;
 pub use config::{
     FlushPolicy, InstallReview, InstallValidator, OnViolation, VmConfig, VmExit, VmStats,
 };
@@ -35,10 +42,9 @@ use crate::profile::{Candidates, ProfileConfig};
 use crate::replay::ReplayEvent;
 use crate::snapshot::{program_digest, Snapshot};
 use crate::translate::{ChainPolicy, Translator};
-use admit::Pending;
 use alpha_isa::{CpuState, DecodeCache, Memory, Program};
 use background::Staged;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -101,26 +107,15 @@ pub struct Vm<'p> {
     pool: Option<Arc<TranslatePool>>,
     reply_tx: Sender<TranslateResponse>,
     reply_rx: Receiver<TranslateResponse>,
-    /// The retired count at which the reply channel was last drained
-    /// (see [`Vm::service_background`]).
-    drained_at: Option<u64>,
-    /// Regions whose translation is in flight on the pool, keyed by entry
-    /// V-address — the per-region dedup, plus the liveness facts captured
-    /// at submit time that the safe-point install decision re-checks.
-    in_flight: HashMap<u64, Pending>,
     /// Monotonic source of [`crate::TranslateRequest::token`] values for this
     /// VM's submissions.
     next_token: u64,
-    /// Finished translations parked until their install point: a delay
-    /// anchor, or the recorded schedule op that replays their outcome.
+    /// Collected regions parked until their count anchor, in anchor
+    /// order — the per-region dedup of pool and delayed translations.
     staged: Vec<Staged>,
-    /// Recorded install/drop schedule driving a deterministic replay of a
-    /// background-translation run; `Some` switches `translate_at` to
-    /// stage translations instead of submitting them.
-    schedule: Option<VecDeque<ReplayEvent>>,
-    /// Count-anchored install/drop events this run produced, for the
-    /// record side of record/replay.
-    bg_events: Vec<ReplayEvent>,
+    /// Count-anchored region promotion and refusal events this run
+    /// produced: the witness that two runs re-formed the same regions.
+    region_events: Vec<ReplayEvent>,
     /// The shared warm-start fragment store, when attached.
     store: Option<Arc<FragmentStore>>,
     /// Store keys of fragments this VM installed, so SMC invalidation and
@@ -169,12 +164,9 @@ impl<'p> Vm<'p> {
             pool,
             reply_tx,
             reply_rx,
-            drained_at: None,
-            in_flight: HashMap::new(),
             next_token: 0,
             staged: Vec::new(),
-            schedule: None,
-            bg_events: Vec::new(),
+            region_events: Vec::new(),
             store: None,
             store_keys: HashMap::new(),
             region_src: HashMap::new(),
@@ -417,6 +409,17 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// The count-anchored region promotion and refusal events recorded so
+    /// far ([`ReplayEvent::RegionPromote`], [`ReplayEvent::RegionDrop`]).
+    pub fn region_events(&self) -> &[ReplayEvent] {
+        &self.region_events
+    }
+
+    /// Drains the recorded region events (see [`Vm::region_events`]).
+    pub fn take_region_events(&mut self) -> Vec<ReplayEvent> {
+        std::mem::take(&mut self.region_events)
+    }
+
     /// Attaches a shared warm-start fragment store. Must be called before
     /// the run starts translating.
     pub fn attach_store(&mut self, store: Arc<FragmentStore>) {
@@ -428,7 +431,8 @@ impl<'p> Vm<'p> {
     }
 
     /// Attaches a translation pool, enabling background translation even
-    /// if [`VmConfig::async_translate`] was off at construction.
+    /// if [`VmConfig::async_translate`] was off at construction. Must be
+    /// called before the run starts translating.
     pub fn attach_pool(&mut self, pool: Arc<TranslatePool>) {
         self.pool = Some(pool);
     }

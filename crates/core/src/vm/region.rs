@@ -25,10 +25,10 @@ impl Vm<'_> {
     /// so a rejected merge is attempted once.
     ///
     /// Promotion is derived purely from deterministic state (the cache,
-    /// the retained superblocks, the demotion ladder), so a scheduled
-    /// replay re-derives it at the same anchor; the recorded
-    /// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] pair
-    /// is the witness the replay harness compares.
+    /// the retained superblocks, the demotion ladder), so any two runs of
+    /// the same program and configuration promote at the same anchors; the
+    /// recorded [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`]
+    /// pair is the witness the replay harness compares.
     pub(super) fn promote_region(&mut self, head: u64) {
         if self.region_banned.contains(&head) || self.demotion.get(&head).copied().unwrap_or(0) != 0
         {
@@ -168,7 +168,7 @@ impl Vm<'_> {
             };
         if !admitted {
             self.region_banned.insert(head);
-            self.bg_events.push(ReplayEvent::RegionDrop {
+            self.region_events.push(ReplayEvent::RegionDrop {
                 fragment_vstart: head,
                 at_v_insts,
             });
@@ -192,7 +192,7 @@ impl Vm<'_> {
         self.cache.mark_region(id);
         self.stats.regions_formed += 1;
         self.stats.seam_pairs_eliminated += blocks.len() as u64 - 1;
-        self.bg_events.push(ReplayEvent::RegionPromote {
+        self.region_events.push(ReplayEvent::RegionPromote {
             fragment_vstart: head,
             at_v_insts,
         });

@@ -204,14 +204,6 @@ fn delayed_install_parks_translations_until_anchor() {
     assert_oracle(&program, &vm, exit);
     assert!(vm.stats().fragments > 0, "delayed installs must land");
     assert_eq!(vm.stats().async_installs, vm.stats().fragments);
-    // Every install was recorded as a count-anchored event.
-    assert_eq!(
-        vm.bg_events()
-            .iter()
-            .filter(|e| matches!(e, ReplayEvent::BgInstall { .. }))
-            .count() as u64,
-        vm.stats().async_installs
-    );
 }
 
 #[test]
@@ -241,32 +233,6 @@ fn warm_start_reuses_published_fragments() {
         0,
         "warm start must not pay translation overhead"
     );
-}
-
-#[test]
-fn recorded_async_run_replays_bit_identically() {
-    let program = loop_program(800);
-    let mut recorded = Vm::new(VmConfig::default(), &program);
-    let exit = recorded.run(100_000, &mut NullSink);
-    assert_oracle(&program, &recorded, exit);
-    let events = recorded.take_bg_events();
-
-    let mut replayed = Vm::new(sync_config(), &program);
-    replayed.set_install_schedule(&events);
-    let exit = replayed.run(100_000, &mut NullSink);
-    assert_oracle(&program, &replayed, exit);
-    // The replay reproduces the recorded decisions exactly.
-    assert_eq!(replayed.bg_events(), events.as_slice());
-    let mut a = recorded.stats().clone();
-    let mut b = replayed.stats().clone();
-    for s in [&mut a, &mut b] {
-        s.verify_nanos = 0;
-        s.translate_stall_nanos = 0;
-        s.translate_wall_nanos = 0;
-        s.pool_await_max_nanos = 0;
-        s.pool_respawns = 0;
-    }
-    assert_eq!(a, b, "stats must be bit-identical modulo wall clocks");
 }
 
 /// Three loops run one after another, each a straight-line body (one
@@ -418,16 +384,27 @@ fn delayed_installs_land_exactly_on_mid_block_anchors() {
             install_delay: Some(delay),
             ..sync_config()
         };
-        // Stepping one instruction per call reveals every staged
-        // translation and its anchor before the anchor arrives.
+        // Stepping one instruction per call reveals every parked
+        // translation and its anchor before the anchor arrives, and every
+        // install at the count it lands on.
         let mut stepped = Vm::new(config, &program);
         let mut anchors = Vec::new();
+        let mut installs = Vec::new();
         loop {
+            let live = |vm: &Vm| {
+                vm.cache
+                    .fragments()
+                    .map(|f| f.vstart)
+                    .collect::<HashSet<_>>()
+            };
+            let before = live(&stepped);
             let exit = stepped.run(stepped.v_instructions() + 1, &mut NullSink);
+            for &vstart in live(&stepped).difference(&before) {
+                installs.push((vstart, stepped.v_instructions()));
+            }
             for s in &stepped.staged {
-                let anchor = (s.vstart(), s.anchor.expect("delay anchor"));
-                if !anchors.contains(&anchor) {
-                    anchors.push(anchor);
+                if !anchors.contains(&(s.vstart(), s.anchor)) {
+                    anchors.push((s.vstart(), s.anchor));
                 }
             }
             if exit != VmExit::Budget {
@@ -436,29 +413,15 @@ fn delayed_installs_land_exactly_on_mid_block_anchors() {
             }
         }
         assert_eq!(anchors.len(), 3, "one install per loop");
+        assert_eq!(installs, anchors, "delay {delay}");
 
         let mut vm = Vm::new(config, &program);
         let exit = vm.run(u64::MAX, &mut NullSink);
         assert_oracle(&program, &vm, exit);
-        let installs: Vec<(u64, u64)> = vm
-            .bg_events()
-            .iter()
-            .map(|e| match *e {
-                ReplayEvent::BgInstall {
-                    fragment_vstart,
-                    at_v_insts,
-                } => (fragment_vstart, at_v_insts),
-                ref other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(installs, anchors, "delay {delay}");
-        assert_eq!(vm.bg_events(), stepped.bg_events());
-
-        let mut replayed = Vm::new(sync_config(), &program);
-        replayed.set_install_schedule(vm.bg_events());
-        let exit = replayed.run(u64::MAX, &mut NullSink);
-        assert_oracle(&program, &replayed, exit);
-        assert_eq!(replayed.bg_events(), vm.bg_events());
-        assert_eq!(without_clocks(replayed.stats()), without_clocks(vm.stats()));
+        // The unbroken run installs at the same anchors: it interprets
+        // exactly as much. (Budget pauses split fragment executions, so
+        // the engine's executed-instruction count is not compared.)
+        assert_eq!(vm.stats().interpreted, stepped.stats().interpreted);
+        assert_eq!(vm.stats().engine.v_insts, stepped.stats().engine.v_insts);
     }
 }

@@ -2,14 +2,20 @@
 //! workload × ISA form, a VM running with asynchronous translation (the
 //! default), a VM translating synchronously, and the shared-cache
 //! warm-start path must all pass the oracle against the same
-//! pure-interpreter reference. Install *timing* is the only thing the
-//! pipeline is allowed to change.
+//! pure-interpreter reference; and a pool run, faulted or not, must
+//! retire exactly what a run without a pool at the same install delay
+//! retires.
 
+use ildp_bench::chaos::unfaulted;
 use ildp_core::oracle::{reference, EndState};
-use ildp_core::{ChainPolicy, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit};
+use ildp_core::{
+    silence_injected_panics, ChainPolicy, FragmentStore, NullSink, PoolFaultKind, PoolFaults,
+    TranslatePool, Translator, Vm, VmConfig, VmExit, POOL_INSTALL_DELAY,
+};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Panics with the first difference unless `vm`, stopped with `exit`,
 /// ended exactly like `expected`.
@@ -74,45 +80,75 @@ fn warm_start_is_architecturally_invisible() {
     }
 }
 
-/// Region promotion fires at zero-progress engine exits, so the VM can
-/// pass its safe point twice at one retired count. An asynchronous
-/// recording must anchor its installs so that a scheduled replay, which
-/// applies each event at the first safe point reaching its anchor,
-/// re-derives the same promotions. Reply timing varies from run to run,
-/// so the check repeats the recording.
+/// Pool installs are count-anchored: a translation submitted to the
+/// pool installs at the first safe point at or past its submit count
+/// plus the install delay D, and every pool fault falls back to the same
+/// code at the same anchor. So a clean pool run, a run without a pool
+/// parking its translations for D, and a pool run whose every request
+/// panics, loses its reply or is shed all retire identically and count
+/// alike, once wall clocks and fault counters are zeroed — with region
+/// promotion off and forced hot alike.
 #[test]
-fn region_promotion_replays_under_any_reply_timing() {
-    let workloads: Vec<_> = suite(1)
-        .into_iter()
-        .filter(|w| ["bzip2", "vortex"].contains(&w.name))
-        .map(|w| {
-            let expected = reference(&w.program, w.budget * 2).unwrap();
-            (w, expected)
-        })
-        .collect();
-    for round in 0..8 {
-        for (w, expected) in &workloads {
-            for form in [IsaForm::Basic, IsaForm::Modified] {
-                let what = format!("{} ({form:?}) round {round}", w.name);
-                let mut cfg = config(form, true);
-                cfg.engine.region_trigger = Some(64);
-                let budget = w.budget * 2;
-                let mut recorded = Vm::new(cfg, &w.program);
-                let exit = recorded.run(budget, &mut NullSink);
-                assert_matches(expected, &recorded, exit, &format!("{what}: recorded"));
-                let events = recorded.take_bg_events();
-                let mut replayed = Vm::new(
-                    VmConfig {
-                        async_translate: false,
-                        ..cfg
-                    },
-                    &w.program,
-                );
-                replayed.set_install_schedule(&events);
-                let exit = replayed.run(budget, &mut NullSink);
-                assert_matches(expected, &replayed, exit, &format!("{what}: replayed"));
-                assert_eq!(replayed.bg_events(), events.as_slice(), "{what}");
+fn pool_runs_match_synchronous_runs_at_the_same_delay() {
+    silence_injected_panics();
+    let (mut fallbacks, mut regions) = (0, 0);
+    for w in suite(1) {
+        let budget = w.budget * 2;
+        let expected = reference(&w.program, budget).unwrap();
+        for form in [IsaForm::Basic, IsaForm::Modified] {
+            for trigger in [None, Some(64)] {
+                let what = format!("{} ({form:?}, region trigger {trigger:?})", w.name);
+                let mut cfg = config(form, false);
+                cfg.engine.region_trigger = trigger;
+                cfg.translate_timeout = Duration::from_millis(2);
+                let faults = PoolFaults {
+                    seed: 0xFA11,
+                    rate: 1,
+                    kinds: vec![PoolFaultKind::Panic, PoolFaultKind::DropReply],
+                    delay: Duration::ZERO,
+                };
+                let pools = [
+                    ("clean pool", Some(TranslatePool::new(1))),
+                    ("no pool", None::<Arc<TranslatePool>>),
+                    (
+                        "faulted pool",
+                        Some(TranslatePool::with_options(1, 1, Some(faults))),
+                    ),
+                ];
+                let mut runs = Vec::new();
+                for (route, pool) in pools {
+                    let mut vm = match pool {
+                        Some(pool) => {
+                            let mut vm = Vm::new(cfg, &w.program);
+                            vm.attach_pool(pool);
+                            vm
+                        }
+                        None => Vm::new(
+                            VmConfig {
+                                install_delay: Some(POOL_INSTALL_DELAY),
+                                ..cfg
+                            },
+                            &w.program,
+                        ),
+                    };
+                    let exit = vm.run(budget, &mut NullSink);
+                    assert_matches(&expected, &vm, exit.clone(), &format!("{what} {route}"));
+                    if route == "faulted pool" {
+                        fallbacks += vm.stats().sync_fallbacks;
+                    }
+                    regions += vm.stats().regions_formed;
+                    runs.push((route, EndState::of(&vm, &exit), unfaulted(vm.stats())));
+                }
+                let (_, end, stats) = &runs[0];
+                assert!(stats.async_installs > 0, "{what}: nothing went to the pool");
+                for (route, other_end, other_stats) in &runs[1..] {
+                    assert_eq!(other_end, end, "{what}: {route} end state");
+                    assert_eq!(other_stats.engine, stats.engine, "{what}: {route} engine");
+                    assert_eq!(other_stats, stats, "{what}: {route} statistics");
+                }
             }
         }
     }
+    assert!(fallbacks > 0, "the faulted pool never faulted");
+    assert!(regions > 0, "no region was ever promoted");
 }

@@ -1,22 +1,25 @@
 //! Install-route guard: every way a translation reaches the cache — an
-//! inline synchronous translation, a deterministic delayed install, a
-//! staged translation dropped before it lands, a recorded install
-//! schedule replayed on a synchronous VM, and a warm start from the
-//! fragment store — runs over the scale-1 suite in both ISA forms, and
-//! what each run leaves behind hashes to a pinned digest.
+//! inline synchronous translation, a count-anchored delayed install with
+//! and without the background pool, a parked translation dropped before
+//! its anchor, and a warm start from the fragment store — runs over the
+//! scale-1 suite in both ISA forms, and what each run leaves behind
+//! hashes to a pinned digest. A pool run must leave exactly what the run
+//! without a pool at the same delay leaves.
 //!
-//! Folded per run: the VM statistics with their four wall-clock fields
-//! zeroed, the recorded background events, the final registers, the
-//! memory digest, the console output and the retired count. A change to
+//! Folded per run: the VM statistics with their wall-clock fields and
+//! pool respawns zeroed, the recorded region events, the final
+//! registers, the memory digest, the console output and the retired
+//! count. A change to
 //! the VM's install machinery meant to keep behaviour must leave the
 //! digest unchanged; a deliberate change updates the pin in the same
 //! commit and says why.
 
 use std::sync::Arc;
 
+use ildp_bench::chaos::untimed;
 use ildp_core::{
-    wire, ChainPolicy, FragmentStore, NullSink, OnViolation, Translator, Vm, VmConfig, VmExit,
-    VmStats,
+    wire, ChainPolicy, FragmentStore, NullSink, OnViolation, TranslatePool, Translator, Vm,
+    VmConfig, VmExit,
 };
 use ildp_isa::IsaForm;
 use ildp_verifier::{artifact_validator, install_validator};
@@ -47,22 +50,12 @@ fn delayed(form: IsaForm, delay: u64) -> VmConfig {
     }
 }
 
-fn without_clocks(stats: &VmStats) -> VmStats {
-    VmStats {
-        verify_nanos: 0,
-        translate_stall_nanos: 0,
-        translate_wall_nanos: 0,
-        pool_await_max_nanos: 0,
-        ..stats.clone()
-    }
-}
-
 /// Everything one run leaves behind that must not depend on wall time.
 fn outcome(vm: &Vm, exit: &VmExit) -> String {
     format!(
         "{exit:?}|{:?}|{:?}|{:?}|{:#x}|{:?}|{}",
-        without_clocks(vm.stats()),
-        vm.bg_events(),
+        untimed(vm.stats()),
+        vm.region_events(),
         vm.cpu().registers(),
         vm.memory().content_digest(),
         vm.output(),
@@ -81,8 +74,9 @@ fn arch_state(vm: &Vm) -> ([u64; 32], u64, Vec<u8>, u64) {
 }
 
 /// Runs a delay-64 VM in short chunks until a translation is parked,
-/// drops it before it lands, and runs on to the halt (the dropped region
-/// re-heats and translates again). Returns the dropped entry address.
+/// drops it before its anchor, and runs on to the halt (the dropped
+/// region re-heats and translates again). Returns the dropped entry
+/// address.
 fn run_with_staged_drop(vm: &mut Vm, budget: u64) -> (VmExit, Option<u64>) {
     let mut dropped = None;
     loop {
@@ -122,25 +116,34 @@ fn routes(w: &Workload, form: IsaForm, drops: &mut u64) -> String {
         same_state(&vm, "delay");
         text += &outcome(&vm, &exit);
 
-        let mut replay = Vm::new(base_config(form), &w.program);
-        replay.set_install_schedule(vm.bg_events());
-        let exit = replay.run(budget, &mut NullSink);
-        assert_eq!(exit, VmExit::Halted, "{} replay of delay {delay}", w.name);
+        let mut pooled = Vm::new(delayed(form, delay), &w.program);
+        pooled.attach_pool(TranslatePool::new(1));
+        let pooled_exit = pooled.run(budget, &mut NullSink);
         assert_eq!(
-            outcome(&replay, &exit),
+            outcome(&pooled, &pooled_exit),
             outcome(&vm, &exit),
-            "{} replay of delay {delay} diverged",
+            "{} pool run at delay {delay} diverged",
             w.name
         );
-        text += &outcome(&replay, &exit);
     }
 
+    // The staged drop, on a VM without a pool and on the pool route,
+    // where the dropped region's code may still be on the pool.
     let mut vm = Vm::new(delayed(form, 64), &w.program);
     let (exit, dropped) = run_with_staged_drop(&mut vm, budget);
     assert_eq!(exit, VmExit::Halted, "{} staged drop", w.name);
     same_state(&vm, "staged drop");
     *drops += dropped.is_some() as u64;
     text += &format!("{dropped:?}|{}", outcome(&vm, &exit));
+    let mut pooled = Vm::new(delayed(form, 64), &w.program);
+    pooled.attach_pool(TranslatePool::new(1));
+    let pooled_run = run_with_staged_drop(&mut pooled, budget);
+    assert_eq!(
+        (pooled_run.1, outcome(&pooled, &pooled_run.0)),
+        (dropped, outcome(&vm, &exit)),
+        "{} staged drop on the pool route diverged",
+        w.name
+    );
 
     let mut warm = Vm::new(
         VmConfig {
@@ -175,7 +178,7 @@ fn install_routes_match_the_pinned_digest() {
     }
     assert!(drops > 0, "no staged translation was ever dropped");
     assert_eq!(
-        digest, 0xd540_3766_0cb1_1dfb,
+        digest, 0x37a2_9ad9_762b_81b7,
         "install routes changed: digest {digest:#018x} ({drops} staged drops)"
     );
 }

@@ -1,8 +1,8 @@
 //! Differential resilience suite for the supervised translation pool:
 //! every pool fault class — worker panic mid-request, worker death
 //! before the reply, deadline-busting delays, and backpressure
-//! saturation — must degrade to synchronous translation or
-//! interpretation, with the architected end state identical to a pure
+//! saturation — must fall back to inline translation for the same count
+//! anchor, with the architected end state identical to a pure
 //! interpreter's, across the whole workload suite and both I-ISA forms.
 //!
 //! Each test runs with a deterministic seeded [`PoolFaults`] plan on a
@@ -33,7 +33,7 @@ fn faulted_config(form: IsaForm) -> VmConfig {
             ..ProfileConfig::default()
         },
         // Tight deadline: a delayed or dead worker costs at most this
-        // much per VM step before the synchronous fallback kicks in.
+        // much per VM step before the inline fallback kicks in.
         translate_timeout: Duration::from_millis(20),
         ..VmConfig::default()
     }
@@ -62,8 +62,9 @@ fn run_faulted(
 }
 
 /// Every request panics inside the worker: the contained panic must
-/// come back as a structured reply that demotes the region, and the run
-/// must stay interpreter-identical.
+/// come back as a structured reply that the VM answers by translating
+/// inline — without demoting the region, since a host fault says nothing
+/// about the translation — and the run must stay interpreter-identical.
 #[test]
 fn panic_mid_request_degrades_cleanly() {
     let mut panics = 0u64;
@@ -82,6 +83,7 @@ fn panic_mid_request_degrades_cleanly() {
                 },
             );
             panics += vm.stats().pool_panics;
+            assert_eq!(vm.stats().demotions, 0, "{}: a panic demoted", w.name);
         }
     }
     assert!(
@@ -91,8 +93,8 @@ fn panic_mid_request_degrades_cleanly() {
 }
 
 /// Every request murders its worker before the reply: the deadline must
-/// expire, the supervisor must respawn workers, and the synchronous
-/// fallback must carry the run to the interpreter-identical end state.
+/// expire, the supervisor must respawn workers, and the inline fallback
+/// must carry the run to the interpreter-identical end state.
 #[test]
 fn worker_death_before_reply_falls_back() {
     let mut timeouts = 0u64;
@@ -120,8 +122,8 @@ fn worker_death_before_reply_falls_back() {
     assert!(respawns > 0, "the supervisor never respawned a dead worker");
 }
 
-/// Workers stall far past the deadline: every await must expire into a
-/// synchronous fallback, bounded by the configured timeout.
+/// Workers stall far past the deadline: every await must expire into an
+/// inline fallback, bounded by the configured timeout.
 #[test]
 fn timeout_falls_back_to_sync_translation() {
     let mut timeouts = 0u64;
@@ -160,7 +162,7 @@ fn timeout_falls_back_to_sync_translation() {
 }
 
 /// A one-slot queue on a single worker saturates immediately: excess
-/// submissions must shed to the synchronous path (backpressure), still
+/// submissions must shed to the inline fallback (backpressure), still
 /// installing fragments and still interpreter-identical.
 #[test]
 fn saturation_sheds_to_sync_path() {
