@@ -3,26 +3,28 @@
 //! Three modes:
 //!
 //! * `triage --chaos workload:form:chain:seed[:dDELAY] [-o out.repro]`
-//!   — records that chaos cell (`:dN` selects the delayed-install
-//!   variant, installing translations N retired instructions after
-//!   submission); if it
-//!   fails, bisects to the first divergent fragment execution and
-//!   (with `-o`) writes the minimized `.repro` bundle.
+//!   — runs that chaos cell (`:dN` selects the delayed-install variant,
+//!   installing translations N retired instructions after submission);
+//!   if it fails, localizes the first divergent fragment execution and
+//!   (with `-o`) writes the `.repro` bundle.
 //! * `triage --sabotage workload:form:chain:vstart:slot:xor [-o out.repro]`
 //!   — plants a standing translator-miscompile rule (XOR `xor` into the
 //!   first immediate at/after `slot` of the fragment installed at
 //!   `vstart`), runs, and triages the resulting divergence.
-//! * `triage --repro path` — replays a `.repro` bundle and exits 0 iff
-//!   the reproduced divergence is identical to the bundled expectation.
+//! * `triage --repro path` — re-runs a `.repro` bundle's cell from the
+//!   start and exits 0 iff the reproduced divergence is identical to the
+//!   bundled expectation.
+//!
+//! Every mode drives the cell from the start: a run is a pure function
+//! of its cell, so the bundle records the cell, not the run.
 //!
 //! `vstart`, `slot`, and `xor` accept decimal or `0x` hex.
 //! (`ILDP_SCALE` scales the workloads, default 10.)
 
-use ildp_bench::chaos::chaos_cell_recorded;
+use ildp_bench::chaos::{run_cell, CellRun};
 use ildp_bench::harness_scale;
 use ildp_bench::lint::parse_cell_spec;
-use ildp_bench::triage::{paced_run_events, triage_run, ReproBundle, TriageResult};
-use ildp_core::{ReplayLog, Sabotage};
+use ildp_bench::triage::{triage_run, ReproBundle, Sabotage, TriageResult};
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     let r = match s.strip_prefix("0x") {
@@ -50,10 +52,9 @@ fn fail(msg: &str) -> ! {
 fn deliver(result: TriageResult, out: Option<&str>) -> i32 {
     print!("{}", result.divergence);
     println!(
-        "entry checkpoint at v_insts {} ({} events kept, {} sabotage rules)",
-        result.bundle.snapshot.v_insts,
-        result.bundle.log.events.len(),
-        result.bundle.log.sabotage.len()
+        "entry checkpoint at v_insts {} ({} sabotage rules)",
+        result.bundle.checkpoint,
+        result.bundle.run.sabotage.len()
     );
     if let Some(path) = out {
         let bytes = result.bundle.to_bytes();
@@ -73,10 +74,11 @@ fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
         fail("--chaos wants workload:form:chain:seed[:dDELAY]");
     };
     let w = spec.workload(harness_scale());
-    println!("triage: recording chaos cell {spec}");
-    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, seed, spec.delay);
-    match res {
-        Ok(report) => {
+    println!("triage: running chaos cell {spec}");
+    let run = CellRun::chaos(&w, spec.form, spec.chain, seed, spec.delay);
+    match run_cell(&w, &run) {
+        Ok(outcome) => {
+            let report = outcome.report;
             println!(
                 "cell passed ({} injections, {} healed): nothing to triage",
                 report.injections, report.healed
@@ -86,15 +88,7 @@ fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
         Err(e) => println!("cell failed: {e}"),
     }
     let interval = (w.budget / 128).max(100);
-    match triage_run(
-        &w.program,
-        spec.form,
-        spec.chain,
-        spec.delay,
-        &log,
-        interval,
-        spec.workload,
-    ) {
+    match triage_run(&w.program, &run, interval, spec.workload) {
         Ok(Some(result)) => deliver(result, out),
         Ok(None) => {
             // The cell can fail on tally grounds (audit-escaped
@@ -123,25 +117,16 @@ fn run_sabotage(spec: &str, out: Option<&str>) -> i32 {
         imm_xor: parse_u64(xor).unwrap_or_else(|e| fail(&e)) as u16,
     };
     let w = cell.workload(harness_scale());
-    let log = ReplayLog {
-        seed: 0,
+    let run = CellRun {
         sabotage: vec![rule],
-        events: paced_run_events(w.budget * 2, 500),
+        ..CellRun::new(&w, cell.form, cell.chain)
     };
     println!(
         "triage: sabotaging fragment at {:#x} (slot {}, xor {:#x}) in {}",
         rule.vstart, rule.slot, rule.imm_xor, cell
     );
     let interval = (w.budget / 128).max(100);
-    match triage_run(
-        &w.program,
-        cell.form,
-        cell.chain,
-        None,
-        &log,
-        interval,
-        cell.workload,
-    ) {
+    match triage_run(&w.program, &run, interval, cell.workload) {
         Ok(Some(result)) => deliver(result, out),
         Ok(None) => {
             println!("sabotage did not change the architected outcome (dead immediate?)");
@@ -165,7 +150,7 @@ fn run_repro(path: &str) -> i32 {
     };
     println!(
         "triage: replaying {path} ({}, entry checkpoint at v_insts {})",
-        bundle.workload, bundle.snapshot.v_insts
+        bundle.workload, bundle.checkpoint
     );
     match bundle.replay() {
         Ok(Some(found)) if found == bundle.expected => {

@@ -8,13 +8,15 @@
 //! cells (one per workload × form) send translations to a private pool
 //! that installs them at count anchors, and add dropped installs.
 //!
-//! Cells are named `workload:form:chain:seed[:dDELAY]`. `--repro <spec>`
-//! re-runs one cell and verifies its record→replay; `--seed <n>` runs
-//! every cell with that one seed. `ILDP_CHAOS_SEEDS` sets the seeds per
-//! cell (default 1). A sweep must reach 500 injections.
+//! Cells are named `workload:form:chain:seed[:dDELAY]`. A cell is its
+//! seed: `--repro <spec>` runs one cell twice and requires the two runs
+//! to be identical, and a failure triages from the same spec (`triage
+//! --chaos`). `--seed <n>` runs every cell with that one seed.
+//! `ILDP_CHAOS_SEEDS` sets the seeds per cell (default 1). A sweep must
+//! reach 500 injections.
 
 use super::{cells, CellSpec, LintArgs, LintReport};
-use crate::chaos::{chaos_cell_recorded, chaos_replay, ChaosReport};
+use crate::chaos::{chaos_cell, rerun_identical, CellRun, ChaosReport};
 use ildp_core::ChainPolicy;
 use spec_workloads::Workload;
 
@@ -34,37 +36,20 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
     Ok(report)
 }
 
-/// Re-runs one recorded cell, then verifies the recorded envelope replays
-/// to the identical tally.
+/// Re-runs one cell twice and requires the runs to be identical.
 fn repro(args: &LintArgs, spec: CellSpec) -> LintReport {
     let mut report = LintReport::default();
     let w = spec.workload(args.scale);
     let seed = spec.seed.expect("chaos cells are seeded");
     println!("chaos: re-running cell {spec}");
-    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, seed, spec.delay);
-    let tally = match res {
-        Ok(t) => t,
-        Err(e) => {
-            report.fail(spec.to_string(), vec![e]);
-            return report;
-        }
-    };
-    println!(
-        "cell passed: {} injections, {} healed, {} undetected",
-        tally.injections, tally.healed, tally.undetected
-    );
-    match chaos_replay(&w, spec.form, spec.chain, &log, spec.delay) {
-        Ok(replayed) if replayed == tally => {
-            println!("record/replay verified: replayed tally identical");
-        }
-        Ok(_) => report.fail(
-            spec.to_string(),
-            vec!["replayed tally differs from recorded run".to_string()],
+    let run = CellRun::chaos(&w, spec.form, spec.chain, seed, spec.delay);
+    match rerun_identical(&w, &run) {
+        Ok(tally) => println!(
+            "cell passed: {} injections, {} healed, {} undetected\n\
+             rerun verified: a second run of the seed is identical",
+            tally.injections, tally.healed, tally.undetected
         ),
-        Err(e) => report.fail(
-            spec.to_string(),
-            vec![format!("replay failed where recording passed: {e}")],
-        ),
+        Err(e) => report.fail(spec.to_string(), vec![e]),
     }
     report
 }
@@ -89,7 +74,7 @@ fn sweep(args: &LintArgs) -> LintReport {
             // late, dropped and after-demotion installs must all contain
             // cleanly.
             let delay = delayed.then_some(64 + (seed % 7) * 37);
-            match chaos_cell_recorded(w, form, chain, seed, delay).0 {
+            match chaos_cell(w, form, chain, seed, delay) {
                 Ok(r) => cell_total.merge(&r),
                 Err(error) => {
                     let spec = CellSpec {
@@ -161,6 +146,8 @@ fn sweep(args: &LintArgs) -> LintReport {
     }
     report
         .extra("injections", total.injections)
-        .extra("undetected", total.undetected);
+        .extra("undetected", total.undetected)
+        .extra("healed", total.healed)
+        .extra("staged_drops", total.staged_drops);
     report
 }

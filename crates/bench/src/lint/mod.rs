@@ -6,8 +6,8 @@
 //! |----------|--------------------------------------------------------------|
 //! | `verify` | every fragment passes the verifier and whole-cache dataflow; |
 //! |          | F01–F06 seeds are detected                                   |
-//! | `chaos`  | cache fault injection is detected, healed, replayable        |
-//! | `replay` | snapshot/restore, record/replay and triage bundles roundtrip |
+//! | `chaos`  | cache fault injection is detected, healed, reproducible      |
+//! | `replay` | snapshot/restore, seed reruns and triage bundles roundtrip   |
 //! | `store`  | persistent-store corruption only ever degrades to a miss     |
 //! | `pool`   | translation-pool faults degrade, never diverge or wedge      |
 //! | `region` | re-formed regions match the interpreter; region seeds caught |

@@ -1,4 +1,4 @@
-//! `lint replay`: snapshot/restore and record/replay conformance, in
+//! `lint replay`: snapshot/restore and run-reproduction conformance, in
 //! five gates over the suite:
 //!
 //! 1. **snapshot roundtrip**: every workload × both ISA forms runs to a
@@ -6,9 +6,10 @@
 //!    restores onto a fresh VM; the resumed run must pass the oracle
 //!    against an uninterrupted reference run, with statistics continuing
 //!    cumulatively across the seam.
-//! 2. **record→replay equality**: one recorded chaos cell per workload
-//!    (plus one delayed-install cell, which runs the pool route) must
-//!    replay from its envelope to the identical tally.
+//! 2. **a run is its seed**: one chaos cell per workload (plus one
+//!    delayed-install cell, which runs the pool route) run twice must give
+//!    the identical tally, end state, engine counters and untimed
+//!    statistics.
 //! 3. **pool run = run without a pool**: every workload × both ISA forms
 //!    runs with the background translation pool; a VM without one, its
 //!    translations parked to the same count anchors
@@ -17,22 +18,19 @@
 //!    Installs are count-anchored, so a pool run reproduces by running
 //!    it again; there is no schedule to record.
 //! 4. **region equality**: the same with region re-formation forced hot;
-//!    the [`ReplayEvent::RegionPromote`](ildp_core::ReplayEvent::RegionPromote) / [`ReplayEvent::RegionDrop`](ildp_core::ReplayEvent::RegionDrop)
-//!    witnesses must match and survive the `ReplayLog` wire format. The
-//!    matrix as a whole must record at least one region event.
+//!    the [`RegionEvent`](ildp_core::RegionEvent) witnesses must match.
+//!    The matrix as a whole must record at least one region event.
 //! 5. **triage bundle roundtrip**: a seeded miscompile must triage to a
-//!    `.repro` bundle that survives its wire format and replays to the
-//!    identical divergence.
+//!    `.repro` bundle that survives its wire format and, re-run from the
+//!    start, reproduces the identical divergence.
 //!
 //! The gates have no `--repro` form: a failure re-runs the family.
 
 use super::{form_name, LintArgs, LintReport, ALL_FORMS};
-use crate::chaos::{cell_config, chaos_cell_recorded, chaos_replay, untimed};
-use crate::triage::{paced_run_events, triage_run, ReproBundle};
+use crate::chaos::{cell_config, rerun_identical, untimed, CellRun};
+use crate::triage::{triage_run, ReproBundle, Sabotage};
 use ildp_core::oracle::{self, EndState};
-use ildp_core::{
-    ChainPolicy, NullSink, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit, POOL_INSTALL_DELAY,
-};
+use ildp_core::{ChainPolicy, NullSink, Snapshot, Vm, VmConfig, VmExit, POOL_INSTALL_DELAY};
 use ildp_isa::IsaForm;
 use spec_workloads::{suite, Workload};
 
@@ -87,26 +85,19 @@ fn snapshot_roundtrip(w: &Workload, form: IsaForm) -> Result<(), String> {
     Ok(())
 }
 
-/// One recorded chaos cell must replay to the identical tally.
-fn record_replay(w: &Workload, seed: u64, delay: Option<u64>) -> Result<(), String> {
+/// Two runs of one chaos cell must be identical.
+fn rerun(w: &Workload, seed: u64, delay: Option<u64>) -> Result<(), String> {
     let (form, chain) = (IsaForm::Modified, ChainPolicy::SwPredDualRas);
     let cell = format!("{}:{}:{}:{}", w.name, form_name(form), chain.label(), seed);
-    let (res, log) = chaos_cell_recorded(w, form, chain, seed, delay);
-    let report = res.map_err(|e| format!("{cell}: recorded run failed: {e}"))?;
-    let replayed = chaos_replay(w, form, chain, &log, delay)
-        .map_err(|e| format!("{cell}: replay failed where recording passed: {e}"))?;
-    if replayed != report {
-        return Err(format!("{cell}: replayed tally differs from recorded run"));
-    }
+    let run = CellRun::chaos(w, form, chain, seed, delay);
+    rerun_identical(w, &run).map_err(|e| format!("{cell}: {e}"))?;
     Ok(())
 }
 
 /// A run with the background pool must equal a run without one at the
 /// same install delay: identical end state, region witnesses and
 /// statistics (wall-clock nanos excepted). With `region`, re-formation is
-/// forced hot and the [`ReplayEvent::RegionPromote`](ildp_core::ReplayEvent::RegionPromote) /
-/// [`ReplayEvent::RegionDrop`](ildp_core::ReplayEvent::RegionDrop) witnesses must also survive the
-/// `ReplayLog` wire format. Returns the number of region events recorded.
+/// forced hot. Returns the number of region events recorded.
 fn pool_equality(w: &Workload, form: IsaForm, region: bool) -> Result<u64, String> {
     let cell = format!(
         "{}:{}:{}",
@@ -145,8 +136,8 @@ fn pool_equality(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Strin
     EndState::of(&pooled, &exit)
         .check(&EndState::of(&parked, &parked_exit))
         .map_err(|e| format!("{cell}: run without a pool: {e}"))?;
-    let events = pooled.take_region_events();
-    if parked.region_events() != events.as_slice() {
+    let events = pooled.region_events();
+    if parked.region_events() != events {
         return Err(format!(
             "{cell}: region events differ from the run without a pool"
         ));
@@ -156,20 +147,6 @@ fn pool_equality(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Strin
             "{cell}: statistics differ from the run without a pool"
         ));
     }
-    if region {
-        let log = ReplayLog {
-            seed: 0,
-            sabotage: Vec::new(),
-            events: events.clone(),
-        };
-        let roundtripped =
-            ReplayLog::from_bytes(&log.to_bytes()).map_err(|e| format!("{cell}: log wire: {e}"))?;
-        if roundtripped.events != events {
-            return Err(format!(
-                "{cell}: region events changed across the ReplayLog wire roundtrip"
-            ));
-        }
-    }
     Ok(events.len() as u64)
 }
 
@@ -177,23 +154,22 @@ fn pool_equality(w: &Workload, form: IsaForm, region: bool) -> Result<u64, Strin
 /// bundled divergence.
 fn triage_bundle_roundtrip(w: &Workload) -> Result<(), String> {
     let (form, chain) = (IsaForm::Modified, ChainPolicy::SwPredDualRas);
-    let budget = w.budget * 2;
+    let clean = CellRun::new(w, form, chain);
     let mut vm = Vm::new(cell_config(form, chain), &w.program);
-    vm.run(budget, &mut NullSink);
+    vm.run(clean.budget, &mut NullSink);
     let mut vstarts: Vec<u64> = vm.cache().fragments().map(|f| f.vstart).collect();
     vstarts.sort_unstable();
     let interval = (w.budget / 128).max(100);
     for vs in vstarts {
-        let log = ReplayLog {
-            seed: 0,
+        let run = CellRun {
             sabotage: vec![Sabotage {
                 vstart: vs,
                 slot: 0,
                 imm_xor: 1,
             }],
-            events: paced_run_events(budget, 500),
+            ..clean.clone()
         };
-        let Some(result) = triage_run(&w.program, form, chain, None, &log, interval, w.name)
+        let Some(result) = triage_run(&w.program, &run, interval, w.name)
             .map_err(|e| format!("{}: triage: {e}", w.name))?
         else {
             continue; // dead immediate; try the next fragment
@@ -256,17 +232,12 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
                 res.map(|()| ok),
             );
         }
-        let res = record_replay(w, 4242, None);
-        let ok = format!("{name:<10} record/replay ok");
-        tally(
-            r,
-            &mut checks,
-            format!("{name}:record_replay"),
-            res.map(|()| ok),
-        );
-        let res = record_replay(w, 4242, Some(96));
-        let ok = format!("{name:<10} record/replay (delayed install) ok");
-        let gate = format!("{name}:record_replay_delayed");
+        let res = rerun(w, 4242, None);
+        let ok = format!("{name:<10} two runs of a seed identical ok");
+        tally(r, &mut checks, format!("{name}:rerun"), res.map(|()| ok));
+        let res = rerun(w, 4242, Some(96));
+        let ok = format!("{name:<10} two runs of a seed identical (delayed install) ok");
+        let gate = format!("{name}:rerun_delayed");
         tally(r, &mut checks, gate, res.map(|()| ok));
         for form in ALL_FORMS {
             let f = form_name(form);
@@ -301,8 +272,8 @@ pub(super) fn run(args: &LintArgs) -> Result<LintReport, String> {
         Ok(format!("region event coverage ok ({region_events} events)"))
     };
     tally(r, &mut checks, "region:coverage".to_string(), res);
-    // One triage bundle roundtrip (gzip): the full failing-run → bisect →
-    // localize → bundle → replay pipeline.
+    // One triage bundle roundtrip (gzip): the full failing-run → monitor
+    // → localize → bundle → replay pipeline.
     let name = suite[0].name;
     let res = triage_bundle_roundtrip(&suite[0]);
     let ok = format!("{name:<10} triage bundle roundtrip ok");

@@ -1,29 +1,26 @@
-//! Automatic divergence triage: from a failing recorded run to a
-//! minimized, deterministic `.repro` bundle.
+//! Automatic divergence triage: from a failing cell to a minimized,
+//! deterministic `.repro` bundle.
 //!
-//! Given a program, a recorded nondeterministic envelope
-//! ([`ReplayLog`] — run budgets, injection schedule, and standing
-//! [`Sabotage`] miscompile rules), the engine:
+//! A cell ([`CellRun`]: form, chain policy, injection seed, install
+//! delay, standing [`Sabotage`] miscompile rules and budget) runs the
+//! same way every time it is driven from the start by the one cell driver
+//! ([`CellDriver`]). Given a program and a cell, the engine:
 //!
-//! 1. **monitors** — replays the envelope while taking periodic
-//!    checkpoints ([`Snapshot`]) at fragment boundaries, then compares
-//!    the end state against the oracle's instruction-accurate reference
-//!    interpreter ([`RefInterp`]);
-//! 2. **bisects** — on divergence, binary-searches the checkpoints for
-//!    the last one whose architected state still matches the reference
-//!    (divergence is assumed persistent: corrupted architected state does
-//!    not self-correct, which holds for translator miscompiles);
-//! 3. **localizes** — restores a fresh VM from that last-good checkpoint
-//!    and runs boundary-by-boundary in lockstep with a reference started
-//!    *from the same checkpoint* (valid precisely because the checkpoint
-//!    was verified good), reporting the first divergent fragment
-//!    execution and the register/memory diff at its exit boundary.
+//! 1. **monitors** — drives the cell while checking the architected state
+//!    against the oracle's instruction-accurate reference interpreter
+//!    ([`RefInterp`]) at checkpoints taken at the driver's own pauses,
+//!    so watching the run does not change it. The last checkpoint that
+//!    matches is where localization starts;
+//! 2. **localizes** — re-runs the cell from the start to that checkpoint
+//!    and then steps fragment boundary by fragment boundary in lockstep
+//!    with a reference advanced to the same count, reporting the first
+//!    divergent fragment execution and the register/memory diff at its
+//!    exit boundary.
 //!
-//! The result is packaged as a [`ReproBundle`] — program slice, entry
-//! checkpoint, trimmed envelope, and expected divergence — whose
-//! [`replay`](ReproBundle::replay) re-runs the identical localization
-//! procedure, so the reported divergence reproduces bit-identically from
-//! the bundle alone.
+//! The result is packaged as a [`ReproBundle`] — the whole program, the
+//! cell, the checkpoint's retired count and the expected divergence —
+//! whose [`replay`](ReproBundle::replay) re-runs the localization, so the
+//! reported divergence reproduces bit-identically from the bundle alone.
 //!
 //! Count-anchored lockstep relies on [`Vm::v_instructions`] being a pure
 //! function of the architected position: architectural NOPs are excluded
@@ -31,208 +28,114 @@
 //! translated), so the reference can advance to exactly the VM's count
 //! and compare state, no matter how much of either timeline ran
 //! translated.
+//!
+//! [`Vm::v_instructions`]: ildp_core::Vm::v_instructions
 
-use crate::chaos::{apply_event, audit_and_heal, delayed_config, ChaosReport};
+use crate::chaos::{CellDriver, CellRun, ChaosReport};
 use alpha_isa::Program;
-use ildp_core::oracle::{End, EndState, RefInterp};
+use ildp_core::oracle::{self, End, EndState, RefInterp};
 use ildp_core::wire::Cursor;
-use ildp_core::{
-    wire, ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Snapshot, SnapshotError, Vm,
-    VmConfig, VmExit,
-};
+use ildp_core::{wire, ChainPolicy, SnapshotError, VmExit};
 use ildp_isa::{ASrc, IInst, IsaForm};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Magic number of the `.repro` bundle wire format (`"ILPB"`).
 pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
 /// Current `.repro` bundle format version. Version 2 sealed with the
-/// word-wise [`wire::checksum`]; version 3 embeds a version-6
-/// [`ReplayLog`] and records the cell's install delay.
-pub const REPRO_VERSION: u32 = 3;
+/// word-wise [`wire::checksum`]; version 3 embedded a replay log and an
+/// entry snapshot; version 4 holds the whole program and the cell, which
+/// replay re-runs from the start.
+pub const REPRO_VERSION: u32 = 4;
 
-/// XORs `rule.imm_xor` into the first immediate operand at or after
-/// `rule.slot` (wrapping) of a fragment's code — the modelled translator
-/// miscompile. Structurally the fragment stays valid (C01–C07 still
-/// pass); semantically it is wrong. Returns whether an immediate was
-/// found.
-fn sabotage_insts(insts: &mut [IInst], rule: &Sabotage) -> bool {
-    let n = insts.len();
-    if n == 0 {
-        return false;
-    }
-    for k in 0..n {
-        let i = (rule.slot as usize + k) % n;
-        match &mut insts[i] {
-            IInst::Op {
+/// A standing translator-miscompile rule: whenever a fragment with entry
+/// `vstart` is (re)installed, XOR `imm_xor` into the first immediate
+/// operand at or after instruction `slot` (wrapping). The cell driver
+/// lands it at its first pause after each install, so the bug stays
+/// active across evictions and retranslation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Sabotage {
+    /// Entry V-address of the fragment to corrupt.
+    pub vstart: u64,
+    /// Preferred instruction slot (the applier scans forward from here).
+    pub slot: u32,
+    /// Bits to XOR into the immediate.
+    pub imm_xor: u16,
+}
+
+impl Sabotage {
+    /// Applies the modelled miscompile to a fragment's code. Structurally
+    /// the fragment stays valid (C01–C07 still pass); semantically it is
+    /// wrong. Returns whether an immediate was found.
+    pub fn corrupt(&self, insts: &mut [IInst]) -> bool {
+        let n = insts.len();
+        for k in 0..n {
+            let i = (self.slot as usize + k) % n;
+            if let IInst::Op {
                 rhs: ASrc::Imm(imm),
                 ..
             }
-            | IInst::AddHigh { imm, .. } => {
-                *imm = (*imm as u16 ^ rule.imm_xor) as i16;
+            | IInst::AddHigh { imm, .. } = &mut insts[i]
+            {
+                *imm = (*imm as u16 ^ self.imm_xor) as i16;
                 return true;
             }
-            _ => {}
         }
+        false
     }
-    false
 }
 
-/// Paces a run as a series of `Run` budget pauses `pace` retired
-/// V-instructions apart, ending at `budget`. A standing sabotage rule
-/// lands at the first pause after its victim fragment installs, so
-/// pacing the envelope this finely makes the landing time a property of
-/// the *log* (and therefore of any bundle trimmed from it) rather than
-/// of whatever checkpoint interval a triage run happens to choose.
-pub fn paced_run_events(budget: u64, pace: u64) -> Vec<ReplayEvent> {
-    let pace = pace.max(1);
-    let mut events: Vec<ReplayEvent> = (1..=budget / pace)
-        .map(|k| ReplayEvent::Run { budget: k * pace })
-        .collect();
-    if !budget.is_multiple_of(pace) || events.is_empty() {
-        events.push(ReplayEvent::Run { budget });
-    }
-    events
+/// What a monitored run of a cell found.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Monitored {
+    /// The injection tally.
+    pub report: ChaosReport,
+    /// The state at the end of the run, or at the first checkpoint that
+    /// failed the oracle, where monitoring stops.
+    pub end: EndState,
+    /// Retired count of the last checkpoint that matched the reference
+    /// (0, the program entry, if none did).
+    pub last_good: u64,
+    /// Whether the run diverged from the reference.
+    pub diverged: bool,
 }
 
-/// Drives a VM through a recorded envelope: applies standing sabotage
-/// rules at every pause (the first pause after a matching fragment
-/// installs corrupts it, tracked per cache slot so retranslations are
-/// re-corrupted), and applies the logged injection events once the run
-/// has reached their recorded anchor.
-pub struct LogDriver<'a, 'p> {
-    /// The driven VM.
-    pub vm: Vm<'p>,
-    log: &'a ReplayLog,
-    pos: usize,
-    corrupted: HashSet<u32>,
-    report: ChaosReport,
-}
-
-impl<'a, 'p> LogDriver<'a, 'p> {
-    /// Wraps a VM (fresh or restored) for log-driven execution. Installs
-    /// are count-anchored, so a VM configured with the recorded cell's
-    /// install delay lands every translation where the recording did,
-    /// with or without a pool.
-    pub fn new(vm: Vm<'p>, log: &'a ReplayLog) -> LogDriver<'a, 'p> {
-        let mut d = LogDriver {
-            vm,
-            log,
-            pos: 0,
-            corrupted: HashSet::new(),
-            report: ChaosReport::default(),
-        };
-        d.apply_sabotage();
-        d
-    }
-
-    /// Injection tally accumulated while draining events.
-    pub fn report(&self) -> ChaosReport {
-        self.report
-    }
-
-    fn apply_sabotage(&mut self) {
-        for rule in &self.log.sabotage {
-            let Some(id) = self.vm.cache().lookup(rule.vstart) else {
-                continue;
+/// Drives `run` from the start, checking the architected state against a
+/// reference at each of the driver's pauses at least `interval` retired
+/// instructions past the previous checkpoint, and at the end. `retired`
+/// is the reference run's retired count (see [`CellDriver::new`]).
+pub fn monitor(program: &Program, run: &CellRun, retired: u64, interval: u64) -> Monitored {
+    let mut driver = CellDriver::new(program, run, retired);
+    let mut reference = RefInterp::from_start(program);
+    let (mut last_good, mut next_cp) = (0, interval);
+    let mut exit = VmExit::Budget;
+    while exit == VmExit::Budget {
+        let Some(e) = driver.next_pause() else { break };
+        exit = e;
+        let v = driver.vm().v_instructions();
+        if exit != VmExit::Budget || v < next_cp {
+            continue;
+        }
+        next_cp = v + interval;
+        let state = EndState::of(driver.vm(), &exit);
+        reference.advance_to(v);
+        if reference.state().check(&state).is_err() {
+            return Monitored {
+                report: driver.report(),
+                end: state,
+                last_good,
+                diverged: true,
             };
-            if self.corrupted.contains(&id.0) {
-                continue;
-            }
-            let edited = self
-                .vm
-                .cache_mut()
-                .edit_fragment(id, |f| sabotage_insts(&mut f.insts, rule));
-            if edited == Some(true) {
-                self.corrupted.insert(id.0);
-            }
         }
+        last_good = v;
     }
-
-    /// Applies every event whose governing `Run` anchor the VM has
-    /// reached. In the recorded timeline events fired at the pause ending
-    /// `Run {{ budget }}`, i.e. at the first boundary with
-    /// `v_insts >= budget`; replay applies them at the first *pause* past
-    /// that point, which is the same boundary when the caller paces runs
-    /// by the same budgets, and a deterministic refinement when stepping
-    /// boundary-by-boundary.
-    fn drain_events(&mut self) {
-        while let Some(&ReplayEvent::Run { budget }) = self.log.events.get(self.pos) {
-            if budget > self.vm.v_instructions() {
-                break;
-            }
-            self.pos += 1;
-            while let Some(ev) = self.log.events.get(self.pos) {
-                match ev {
-                    ReplayEvent::Run { .. } => break,
-                    ReplayEvent::AuditHeal => {
-                        let flagged = audit_and_heal(&mut self.vm, &mut self.report);
-                        // Healed slots may be retranslated later; let the
-                        // standing rules re-corrupt the new slot.
-                        self.corrupted.retain(|id| !flagged.contains(id));
-                    }
-                    other => {
-                        apply_event(&mut self.vm, other, &mut self.report);
-                    }
-                }
-                self.pos += 1;
-            }
-        }
-    }
-
-    /// Runs to the first fragment boundary at or past `target`, then
-    /// applies sabotage rules and any newly-anchored events.
-    pub fn run_to(&mut self, target: u64) -> VmExit {
-        let exit = self.vm.run(target, &mut NullSink);
-        self.apply_sabotage();
-        self.drain_events();
-        exit
-    }
-
-    /// Advances exactly one fragment boundary.
-    pub fn step(&mut self) -> VmExit {
-        let v = self.vm.v_instructions();
-        self.run_to(v + 1)
-    }
-
-    /// Replays the envelope's own run schedule to completion, pausing
-    /// additionally every `interval` retired instructions to take a
-    /// checkpoint. Returns the checkpoints (the first is the pre-run
-    /// state) and the final exit.
-    pub fn run_monitored(&mut self, interval: u64) -> (Vec<Snapshot>, VmExit) {
-        let interval = interval.max(1);
-        let mut cps = vec![self.vm.snapshot()];
-        let mut next_cp = self.vm.v_instructions() + interval;
-        let mut exit = VmExit::Budget;
-        let budgets: Vec<u64> = self
-            .log
-            .events
-            .iter()
-            .filter_map(|ev| match ev {
-                ReplayEvent::Run { budget } => Some(*budget),
-                _ => None,
-            })
-            .collect();
-        for budget in budgets {
-            loop {
-                let v = self.vm.v_instructions();
-                if v >= budget {
-                    break;
-                }
-                while next_cp <= v {
-                    next_cp += interval;
-                }
-                exit = self.run_to(budget.min(next_cp));
-                if exit != VmExit::Budget {
-                    return (cps, exit);
-                }
-                if self.vm.v_instructions() >= next_cp {
-                    cps.push(self.vm.snapshot());
-                }
-            }
-        }
-        (cps, exit)
+    let end = EndState::of(driver.vm(), &exit);
+    reference.catch_up(&end);
+    Monitored {
+        report: driver.report(),
+        diverged: reference.state().check(&end).is_err(),
+        end,
+        last_good,
     }
 }
 
@@ -359,31 +262,45 @@ fn divergence(
     }
 }
 
-/// Restores a VM from a verified-good checkpoint and single-steps
-/// fragment boundaries in lockstep with a reference started from the
-/// same checkpoint, until the first boundary that fails the oracle (or
-/// `max_v` retired instructions). Returns `None` if the timelines agree
-/// to a common end (halt or trap).
+/// Re-runs `run` from the start to the verified-good checkpoint at
+/// `checkpoint` retired instructions, then single-steps fragment
+/// boundaries in lockstep with a reference advanced to the same count,
+/// until the first boundary that fails the oracle. Returns `None` if the
+/// timelines agree to a common end (halt or trap).
 pub fn localize(
     program: &Program,
-    config: VmConfig,
-    snap: &Snapshot,
-    log: &ReplayLog,
-    max_v: u64,
+    run: &CellRun,
+    retired: u64,
+    checkpoint: u64,
 ) -> Result<Option<Divergence>, String> {
-    let vm = Vm::restore(config, program, snap).map_err(|e| format!("restore failed: {e}"))?;
-    let mut driver = LogDriver::new(vm, log);
-    let mut reference = RefInterp::from_snapshot(program, snap);
-    loop {
-        if driver.vm.v_instructions() >= max_v {
+    let mut driver = CellDriver::new(program, run, retired);
+    while driver.vm().v_instructions() < checkpoint {
+        if driver.next_pause() != Some(VmExit::Budget) {
             return Err(format!(
-                "localization exceeded {max_v} instructions without reproducing the divergence"
+                "the re-run ended before the checkpoint at v_insts {checkpoint}"
             ));
         }
-        let entry = driver.vm.cpu().pc;
-        let translated = driver.vm.cache().lookup(entry).is_some();
+    }
+    let v = driver.vm().v_instructions();
+    if v != checkpoint {
+        return Err(format!(
+            "the re-run paused at v_insts {v}, not at the checkpoint at {checkpoint}"
+        ));
+    }
+    let mut reference = RefInterp::from_start(program);
+    reference.advance_to(checkpoint);
+    loop {
+        if driver.vm().v_instructions() >= run.budget {
+            return Err(format!(
+                "localization reached the budget of {} instructions without reproducing \
+                 the divergence",
+                run.budget
+            ));
+        }
+        let entry = driver.vm().cpu().pc;
+        let translated = driver.vm().cache().lookup(entry).is_some();
         let exit = driver.step();
-        let actual = EndState::of(&driver.vm, &exit);
+        let actual = EndState::of(driver.vm(), &exit);
         reference.catch_up(&actual);
         let expected = reference.state();
         if expected.check(&actual).is_err() {
@@ -405,152 +322,83 @@ pub struct TriageResult {
     pub bundle: ReproBundle,
 }
 
-/// Monitors a log-driven run, and on divergence from the reference
-/// bisects checkpoints and localizes the first divergent fragment
-/// execution. Returns `None` when the run matches the reference
-/// end-to-end. `delay` is the cell's install delay (a delayed chaos cell;
-/// `None` otherwise), and `workload` a provenance label stored in the
-/// bundle.
+/// Monitors a run of the cell and, on divergence from the reference,
+/// localizes the first divergent fragment execution from the last good
+/// checkpoint. Returns `None` when the run matches the reference
+/// end-to-end. `workload` is a provenance label stored in the bundle.
 pub fn triage_run(
     program: &Program,
-    form: IsaForm,
-    chain: ChainPolicy,
-    delay: Option<u64>,
-    log: &ReplayLog,
+    run: &CellRun,
     interval: u64,
     workload: &str,
 ) -> Result<Option<TriageResult>, String> {
-    // Phase A: monitored run with periodic checkpoints.
-    let config = delayed_config(form, chain, delay);
-    let vm = Vm::new(config, program);
-    let mut driver = LogDriver::new(vm, log);
-    let (cps, exit) = driver.run_monitored(interval);
-    let actual = EndState::of(&driver.vm, &exit);
-    let v_final = actual.retired;
-    let mut reference = RefInterp::from_start(program);
-    reference.catch_up(&actual);
-    if reference.state().check(&actual).is_ok() {
+    let retired = oracle::reference(program, run.budget)?.retired;
+    let monitored = monitor(program, run, retired, interval.max(1));
+    if !monitored.diverged {
         return Ok(None);
     }
-    // Phase B: bisect the checkpoints for the last one whose architected
-    // state matches a from-start reference. Assumes divergence persists
-    // once present (miscompiled state does not self-correct), which makes
-    // "checkpoint diverged" monotone over the run.
-    let diverged = |snap: &Snapshot| {
-        let mut r = RefInterp::from_start(program);
-        r.advance_to(snap.v_insts);
-        r.state().check(&EndState::of_snapshot(snap)).is_err()
-    };
-    // cps[0] is the pre-run state and always good; partition in (0, n).
-    let (mut good, mut bad) = (0usize, cps.len());
-    while bad - good > 1 {
-        let mid = good + (bad - good) / 2;
-        if diverged(&cps[mid]) {
-            bad = mid;
-        } else {
-            good = mid;
-        }
-    }
-    let mut entry = cps[good].clone();
-    // The wall-clock diagnostics in VmStats are not part of the
-    // deterministic envelope; zero them so identical failures produce
-    // byte-identical bundles.
-    entry.stats.verify_nanos = 0;
-    entry.stats.translate_stall_nanos = 0;
-    entry.stats.translate_wall_nanos = 0;
-    entry.stats.pool_await_max_nanos = 0;
-    entry.stats.pool_respawns = 0;
-    let entry = &entry;
-    // Phase C: lockstep localization from the last good checkpoint. The
-    // trimmed log keeps the standing sabotage rules and every event not
-    // yet reflected in the checkpoint.
-    let trimmed = log.trimmed_to(entry.v_insts);
-    let max_v = v_final.max(entry.v_insts) * 2 + 10_000;
-    let Some(divergence) = localize(program, config, entry, &trimmed, max_v)? else {
+    let checkpoint = monitored.last_good;
+    let Some(divergence) = localize(program, run, retired, checkpoint)? else {
         return Err(
-            "final state diverged but lockstep from the last good checkpoint found no \
+            "the run diverged but lockstep from the last good checkpoint found no \
              divergent boundary"
                 .to_string(),
         );
     };
+    // The bundle carries the program image without its symbols: what the
+    // wire format holds.
+    let image = program.data_segments().iter().fold(
+        Program::new(program.code_base(), program.code().to_vec())
+            .with_entry(program.entry())
+            .with_initial_sp(program.initial_sp()),
+        |p, seg| p.with_data(seg.base, seg.bytes.clone()),
+    );
     let bundle = ReproBundle {
-        form,
-        chain,
-        delay,
         workload: workload.to_string(),
-        code_base: program.code_base(),
-        entry_pc: program.entry(),
-        initial_sp: program.initial_sp(),
-        code: program.code().to_vec(),
-        snapshot: entry.clone(),
-        log: trimmed,
+        program: image,
+        run: run.clone(),
+        checkpoint,
         expected: divergence.clone(),
     };
     Ok(Some(TriageResult { divergence, bundle }))
 }
 
-/// A self-contained reproduction artifact: the program slice (code only —
-/// the entry checkpoint carries all initialized memory), the last-good
-/// checkpoint, the trimmed envelope, and the divergence the consumer must
-/// reproduce.
+/// A self-contained reproduction artifact: the whole program, the cell,
+/// the last good checkpoint's retired count, and the divergence a replay
+/// must reproduce. It holds no VM state: replay re-runs the cell from the
+/// start.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ReproBundle {
-    /// I-ISA form of the failing cell.
-    pub form: IsaForm,
-    /// Chain policy of the failing cell.
-    pub chain: ChainPolicy,
-    /// Install delay of the failing cell (a delayed chaos cell).
-    pub delay: Option<u64>,
     /// Workload name, for provenance only.
     pub workload: String,
-    /// V-address the code slice loads at.
-    pub code_base: u64,
-    /// Program entry pc.
-    pub entry_pc: u64,
-    /// Initial stack pointer.
-    pub initial_sp: u64,
-    /// The code words.
-    pub code: Vec<u32>,
-    /// The last-good checkpoint localization starts from.
-    pub snapshot: Snapshot,
-    /// Envelope trimmed to the checkpoint (sabotage rules kept).
-    pub log: ReplayLog,
+    /// The program: code, data segments, entry and stack pointer.
+    pub program: Program,
+    /// The failing cell.
+    pub run: CellRun,
+    /// Retired count of the last good checkpoint, where lockstep starts.
+    pub checkpoint: u64,
     /// The divergence a replay must reproduce exactly.
     pub expected: Divergence,
 }
 
 impl ReproBundle {
-    /// Reconstructs the program slice. Data segments are deliberately
-    /// absent ([`ildp_core::program_digest`] excludes them): the
-    /// checkpoint's dirty pages carry every byte that matters.
-    pub fn program(&self) -> Program {
-        Program::new(self.code_base, self.code.clone())
-            .with_entry(self.entry_pc)
-            .with_initial_sp(self.initial_sp)
-    }
-
-    /// The cell configuration the bundle replays under.
-    pub fn config(&self) -> VmConfig {
-        delayed_config(self.form, self.chain, self.delay)
-    }
-
-    /// Re-runs the localization procedure the bundle was produced by and
-    /// returns the divergence it finds, which must equal
+    /// Re-runs the localization the bundle was produced by and returns
+    /// the divergence it finds, which must equal
     /// [`expected`](ReproBundle::expected) — the procedure is
     /// deterministic, so a mismatch means the build under test behaves
     /// differently from the one that produced the bundle.
     pub fn replay(&self) -> Result<Option<Divergence>, String> {
-        let program = self.program();
-        let max_v = self.expected.v_insts.max(self.snapshot.v_insts) * 2 + 10_000;
-        localize(&program, self.config(), &self.snapshot, &self.log, max_v)
+        let retired = oracle::reference(&self.program, self.run.budget)?.retired;
+        localize(&self.program, &self.run, retired, self.checkpoint)
     }
 
     /// Serializes into the enveloped wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Vec::new();
+        let run = &self.run;
         wire::put_u8(
             &mut p,
-            match self.form {
+            match run.form {
                 IsaForm::Basic => 0,
                 IsaForm::Modified => 1,
                 IsaForm::Straightened => 2,
@@ -558,24 +406,36 @@ impl ReproBundle {
         );
         wire::put_u8(
             &mut p,
-            match self.chain {
+            match run.chain {
                 ChainPolicy::NoPred => 0,
                 ChainPolicy::SwPred => 1,
                 ChainPolicy::SwPredDualRas => 2,
             },
         );
-        wire::put_u8(&mut p, self.delay.is_some() as u8);
-        wire::put_u64(&mut p, self.delay.unwrap_or(0));
+        wire::put_opt_u64(&mut p, run.seed);
+        wire::put_opt_u64(&mut p, run.delay);
+        wire::put_u64(&mut p, run.budget);
+        wire::put_u32(&mut p, run.sabotage.len() as u32);
+        for s in &run.sabotage {
+            wire::put_u64(&mut p, s.vstart);
+            wire::put_u32(&mut p, s.slot);
+            wire::put_u16(&mut p, s.imm_xor);
+        }
         wire::put_bytes(&mut p, self.workload.as_bytes());
-        wire::put_u64(&mut p, self.code_base);
-        wire::put_u64(&mut p, self.entry_pc);
-        wire::put_u64(&mut p, self.initial_sp);
-        wire::put_u32(&mut p, self.code.len() as u32);
-        for &w in &self.code {
+        let program = &self.program;
+        wire::put_u64(&mut p, program.code_base());
+        wire::put_u64(&mut p, program.entry());
+        wire::put_u64(&mut p, program.initial_sp());
+        wire::put_u32(&mut p, program.code().len() as u32);
+        for &w in program.code() {
             wire::put_u32(&mut p, w);
         }
-        wire::put_bytes(&mut p, &self.snapshot.to_bytes());
-        wire::put_bytes(&mut p, &self.log.to_bytes());
+        wire::put_u32(&mut p, program.data_segments().len() as u32);
+        for seg in program.data_segments() {
+            wire::put_u64(&mut p, seg.base);
+            wire::put_bytes(&mut p, &seg.bytes);
+        }
+        wire::put_u64(&mut p, self.checkpoint);
         put_divergence(&mut p, &self.expected);
         wire::seal(REPRO_MAGIC, REPRO_VERSION, &p)
     }
@@ -599,32 +459,47 @@ impl ReproBundle {
             2 => ChainPolicy::SwPredDualRas,
             v => return Err(SnapshotError::BadVersion { version: v as u32 }),
         };
-        let delayed = c.take_u8()? != 0;
-        let delay = Some(c.take_u64()?).filter(|_| delayed);
+        let seed = c.take_opt_u64()?;
+        let delay = c.take_opt_u64()?;
+        let budget = c.take_u64()?;
+        let n = c.take_u32()? as usize;
+        let mut sabotage = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            sabotage.push(Sabotage {
+                vstart: c.take_u64()?,
+                slot: c.take_u32()?,
+                imm_xor: c.take_u16()?,
+            });
+        }
         let workload = String::from_utf8_lossy(c.take_bytes()?).into_owned();
         let code_base = c.take_u64()?;
-        let entry_pc = c.take_u64()?;
+        let entry = c.take_u64()?;
         let initial_sp = c.take_u64()?;
         let n = c.take_u32()? as usize;
         let mut code = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             code.push(c.take_u32()?);
         }
-        let snapshot = Snapshot::from_bytes(c.take_bytes()?)?;
-        let log = ReplayLog::from_bytes(c.take_bytes()?)?;
-        let expected = take_divergence(&mut c)?;
+        let mut program = Program::new(code_base, code)
+            .with_entry(entry)
+            .with_initial_sp(initial_sp);
+        for _ in 0..c.take_u32()? {
+            let base = c.take_u64()?;
+            program = program.with_data(base, c.take_bytes()?.to_vec());
+        }
         Ok(ReproBundle {
-            form,
-            chain,
-            delay,
             workload,
-            code_base,
-            entry_pc,
-            initial_sp,
-            code,
-            snapshot,
-            log,
-            expected,
+            program,
+            run: CellRun {
+                form,
+                chain,
+                seed,
+                delay,
+                sabotage,
+                budget,
+            },
+            checkpoint: c.take_u64()?,
+            expected: take_divergence(&mut c)?,
         })
     }
 }

@@ -34,5 +34,5 @@ fn repro_cells_rerun_alone() {
     let out = lint(&["chaos", "--repro", "gzip:modified:sw_pred.ras:7001:d64"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("record/replay verified"), "{stdout}");
+    assert!(stdout.contains("rerun verified"), "{stdout}");
 }

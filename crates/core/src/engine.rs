@@ -133,6 +133,13 @@ pub enum FragExit {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct EngineStats {
     /// Total I-ISA instructions executed (including dispatch expansion).
+    ///
+    /// The one counter that depends on budget pauses: a self-transfer
+    /// inside one [`Engine::run`] resumes past the fragment's entry
+    /// `set-vpc-base`, while a pause ends the run and the resumed entry
+    /// executes it again. A paced run therefore counts at least as many
+    /// as an unbroken one, never fewer; every other field is
+    /// pause-invariant. Table 2 reads unbroken runs.
     pub executed: u64,
     /// Chaining-overhead instructions executed (including dispatch).
     pub chain_executed: u64,

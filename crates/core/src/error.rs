@@ -102,9 +102,9 @@ impl fmt::Display for TranslateError {
 
 impl std::error::Error for TranslateError {}
 
-/// Why a serialized snapshot / replay artifact could not be loaded or
-/// applied. Every wire format in the workspace (snapshots, replay logs,
-/// `.repro` bundles) shares the same envelope — magic, version, payload,
+/// Why a serialized snapshot or bundle could not be loaded or applied.
+/// Every wire format in the workspace (snapshots, stores, `.repro`
+/// bundles) shares the same envelope — magic, version, payload,
 /// word-wise checksum trailer — and surfaces its failures through this type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotError {

@@ -42,7 +42,6 @@ mod fragment;
 pub mod oracle;
 mod pipeline;
 mod profile;
-mod replay;
 mod snapshot;
 mod strands;
 mod superblock;
@@ -74,7 +73,6 @@ pub use profile::{
     collect_superblock, collect_superblock_with_output, interp_block, Candidates, CollectionTrap,
     InterpEvent, ProfileConfig,
 };
-pub use replay::{ReplayEvent, ReplayLog, Sabotage, REPLAY_MAGIC, REPLAY_VERSION};
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use strands::{plan, Role, TranslationPlan};
 pub use superblock::{
@@ -83,6 +81,6 @@ pub use superblock::{
 };
 pub use translate::{ChainPolicy, TranslateStats, TranslatedCode, TranslationTrace, Translator};
 pub use vm::{
-    trace_original, FlushPolicy, InstallReview, InstallValidator, OnViolation, Vm, VmConfig,
-    VmExit, VmStats, POOL_INSTALL_DELAY,
+    trace_original, FlushPolicy, InstallReview, InstallValidator, OnViolation, RegionEvent, Vm,
+    VmConfig, VmExit, VmStats, POOL_INSTALL_DELAY,
 };

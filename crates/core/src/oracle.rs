@@ -9,8 +9,8 @@
 //! end state of a reference run.
 //!
 //! The reference is [`RefInterp`], an instruction-stepping interpreter
-//! that starts from program entry or a [`Snapshot`] and counts
-//! retirement exactly as [`Vm::v_instructions`] does:
+//! that starts from program entry and counts retirement exactly as
+//! [`Vm::v_instructions`] does:
 //!
 //! * architectural NOPs never count, in any mode;
 //! * an instruction that traps does not retire — the count at a trap is
@@ -18,7 +18,6 @@
 //!   registers are the precise state in front of it.
 
 use crate::error::VmError;
-use crate::snapshot::Snapshot;
 use crate::vm::{Vm, VmExit};
 use alpha_isa::{step, AlignPolicy, Control, CpuState, DecodeCache, Memory, Program, Trap};
 use std::fmt;
@@ -101,17 +100,6 @@ impl EndState {
             vm.v_instructions(),
             exit,
         )
-    }
-
-    /// The state a checkpoint captured, paused at its V-PC.
-    pub fn of_snapshot(snap: &Snapshot) -> EndState {
-        EndState {
-            regs: snap.regs,
-            mem_digest: snap.mem_digest(),
-            output: snap.output.clone(),
-            retired: snap.v_insts,
-            end: End::Paused { pc: snap.pc },
-        }
     }
 
     fn from_parts(
@@ -200,8 +188,8 @@ pub fn reference(program: &Program, budget: u64) -> Result<EndState, String> {
 }
 
 /// The reference interpreter: steps instruction by instruction from
-/// program entry or a checkpoint, to an exact retired count, for
-/// end-of-run and lockstep comparison.
+/// program entry to an exact retired count, for end-of-run and lockstep
+/// comparison.
 pub struct RefInterp {
     decoded: DecodeCache,
     cpu: CpuState,
@@ -222,21 +210,6 @@ impl RefInterp {
             mem,
             output: Vec::new(),
             retired: 0,
-            end: None,
-        }
-    }
-
-    /// A reference positioned at a checkpoint. Only sound when the
-    /// checkpoint's architected state is known to match the reference
-    /// timeline (divergence triage bisects to the last checkpoint it
-    /// verified against a from-start reference).
-    pub fn from_snapshot(program: &Program, snap: &Snapshot) -> RefInterp {
-        RefInterp {
-            decoded: DecodeCache::new(program),
-            cpu: CpuState::with_registers(snap.pc, &snap.regs),
-            mem: snap.to_memory(),
-            output: snap.output.clone(),
-            retired: snap.v_insts,
             end: None,
         }
     }

@@ -196,7 +196,7 @@ pub fn interp_block(
         // `Vm::v_instructions` depend on how much of the run happened to
         // execute translated. Keeping the count NOP-free in the
         // interpreter too makes it a pure function of the architected
-        // position, which snapshot/replay lockstep relies on.
+        // position, which snapshot restore and triage lockstep rely on.
         if !inst.is_nop() {
             *interpreted += 1;
         }

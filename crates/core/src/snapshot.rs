@@ -97,12 +97,6 @@ impl Snapshot {
         mem
     }
 
-    /// Content digest of the captured memory image (comparable with
-    /// [`Memory::content_digest`]).
-    pub fn mem_digest(&self) -> u64 {
-        self.to_memory().content_digest()
-    }
-
     /// Serializes into the enveloped wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Vec::new();
@@ -438,11 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_digest_matches_rebuilt_memory() {
+    fn rebuilt_memory_holds_the_captured_pages() {
         let snap = sample();
         let mem = snap.to_memory();
         assert_eq!(mem.read_u8(0x10 << 12), 1);
-        assert_eq!(snap.mem_digest(), mem.content_digest());
     }
 
     #[test]

@@ -313,7 +313,9 @@ pub struct VmStats {
 impl VmStats {
     /// Dynamic I-ISA instructions per retired V-ISA instruction
     /// (Table 2: "relative number of dynamic instructions"; paper
-    /// averages: basic 1.60, modified 1.36).
+    /// averages: basic 1.60, modified 1.36). It reads
+    /// [`EngineStats::executed`](crate::EngineStats::executed), so budget
+    /// pauses can only raise it: compare unbroken runs.
     pub fn dynamic_expansion(&self) -> f64 {
         if self.engine.v_insts == 0 {
             0.0

@@ -30,6 +30,7 @@ pub use background::POOL_INSTALL_DELAY;
 pub use config::{
     FlushPolicy, InstallReview, InstallValidator, OnViolation, VmConfig, VmExit, VmStats,
 };
+pub use region::RegionEvent;
 pub(crate) use run::alpha_view;
 pub use run::trace_original;
 
@@ -39,7 +40,6 @@ use crate::error::SnapshotError;
 use crate::fragment::{FragmentId, TranslationCache};
 use crate::pipeline::{TranslatePool, TranslateResponse};
 use crate::profile::{Candidates, ProfileConfig};
-use crate::replay::ReplayEvent;
 use crate::snapshot::{program_digest, Snapshot};
 use crate::translate::{ChainPolicy, Translator};
 use alpha_isa::{CpuState, DecodeCache, Memory, Program};
@@ -115,7 +115,7 @@ pub struct Vm<'p> {
     staged: Vec<Staged>,
     /// Count-anchored region promotion and refusal events this run
     /// produced: the witness that two runs re-formed the same regions.
-    region_events: Vec<ReplayEvent>,
+    region_events: Vec<RegionEvent>,
     /// The shared warm-start fragment store, when attached.
     store: Option<Arc<FragmentStore>>,
     /// Store keys of fragments this VM installed, so SMC invalidation and
@@ -319,7 +319,7 @@ impl<'p> Vm<'p> {
     /// translated), excluding architectural NOPs — every execution mode
     /// elides them from the count, so this is a pure function of the
     /// architected position regardless of what was translated when.
-    /// Snapshot/replay lockstep is count-anchored on exactly this value.
+    /// Triage lockstep is count-anchored on exactly this value.
     pub fn v_instructions(&self) -> u64 {
         self.stats.interpreted + self.engine.stats.v_insts
     }
@@ -409,15 +409,10 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The count-anchored region promotion and refusal events recorded so
-    /// far ([`ReplayEvent::RegionPromote`], [`ReplayEvent::RegionDrop`]).
-    pub fn region_events(&self) -> &[ReplayEvent] {
+    /// The count-anchored region promotions and refusals so far, in
+    /// order: the witness that two runs re-formed the same regions.
+    pub fn region_events(&self) -> &[RegionEvent] {
         &self.region_events
-    }
-
-    /// Drains the recorded region events (see [`Vm::region_events`]).
-    pub fn take_region_events(&mut self) -> Vec<ReplayEvent> {
-        std::mem::take(&mut self.region_events)
     }
 
     /// Attaches a shared warm-start fragment store. Must be called before

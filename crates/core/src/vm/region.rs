@@ -5,7 +5,30 @@
 
 use super::{InstallReview, Vm};
 use crate::pipeline::{translate_job, TranslateOutput};
-use crate::replay::ReplayEvent;
+
+/// A region re-formation decision, anchored at the retired count it was
+/// made at. Promotion is a pure function of deterministic state, so two
+/// runs of the same program and configuration record the same sequence.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RegionEvent {
+    /// A hot fragment chain was re-formed into a merged region installed
+    /// at its head.
+    RegionPromote {
+        /// Entry V-address of the region head.
+        fragment_vstart: u64,
+        /// Retired-instruction count when the region installed.
+        at_v_insts: u64,
+    },
+    /// A region re-formation was refused (verifier rejection under
+    /// `OnViolation::Reject`): the head is banned from re-promotion and
+    /// its constituent fragments keep running.
+    RegionDrop {
+        /// Entry V-address of the refused region head.
+        fragment_vstart: u64,
+        /// Retired-instruction count at the refusal.
+        at_v_insts: u64,
+    },
+}
 
 impl Vm<'_> {
     /// Profile-guided region re-formation, the [`crate::FragExit::RegionHot`]
@@ -27,8 +50,7 @@ impl Vm<'_> {
     /// Promotion is derived purely from deterministic state (the cache,
     /// the retained superblocks, the demotion ladder), so any two runs of
     /// the same program and configuration promote at the same anchors; the
-    /// recorded [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`]
-    /// pair is the witness the replay harness compares.
+    /// recorded [`RegionEvent`] is the witness the differentials compare.
     pub(super) fn promote_region(&mut self, head: u64) {
         if self.region_banned.contains(&head) || self.demotion.get(&head).copied().unwrap_or(0) != 0
         {
@@ -168,7 +190,7 @@ impl Vm<'_> {
             };
         if !admitted {
             self.region_banned.insert(head);
-            self.region_events.push(ReplayEvent::RegionDrop {
+            self.region_events.push(RegionEvent::RegionDrop {
                 fragment_vstart: head,
                 at_v_insts,
             });
@@ -192,7 +214,7 @@ impl Vm<'_> {
         self.cache.mark_region(id);
         self.stats.regions_formed += 1;
         self.stats.seam_pairs_eliminated += blocks.len() as u64 - 1;
-        self.region_events.push(ReplayEvent::RegionPromote {
+        self.region_events.push(RegionEvent::RegionPromote {
             fragment_vstart: head,
             at_v_insts,
         });

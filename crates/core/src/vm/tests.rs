@@ -1,5 +1,5 @@
 use super::*;
-use crate::engine::NullSink;
+use crate::engine::{EngineStats, NullSink};
 use crate::oracle::{reference, EndState};
 use crate::translate::ChainPolicy;
 use alpha_isa::{Assembler, Reg};
@@ -423,5 +423,31 @@ fn delayed_installs_land_exactly_on_mid_block_anchors() {
         // the engine's executed-instruction count is not compared.)
         assert_eq!(vm.stats().interpreted, stepped.stats().interpreted);
         assert_eq!(vm.stats().engine.v_insts, stepped.stats().engine.v_insts);
+    }
+}
+
+#[test]
+fn engine_counters_are_pause_invariant_but_executed() {
+    for calls in [false, true] {
+        let program = phased_program(calls);
+        let mut single = Vm::new(sync_config(), &program);
+        assert_eq!(single.run(u64::MAX, &mut NullSink), VmExit::Halted);
+        let mut stepped = Vm::new(sync_config(), &program);
+        while stepped.run(stepped.v_instructions() + 1, &mut NullSink) == VmExit::Budget {}
+        let (unbroken, paused) = (&single.stats().engine, &stepped.stats().engine);
+        // A self-transfer inside one engine run resumes past the entry
+        // `set-vpc-base`; a pause ends the run, and the resumed entry
+        // executes it again (on the self-looping program, 2,487 stepped
+        // against 2,283 unbroken).
+        assert!(paused.executed >= unbroken.executed, "calls {calls}");
+        let without_executed = |s: &EngineStats| EngineStats {
+            executed: 0,
+            ..s.clone()
+        };
+        assert_eq!(
+            without_executed(paused),
+            without_executed(unbroken),
+            "calls {calls}"
+        );
     }
 }

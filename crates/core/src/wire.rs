@@ -1,5 +1,5 @@
-//! Hand-rolled binary wire helpers shared by the snapshot, replay-log
-//! and `.repro`-bundle formats.
+//! Hand-rolled binary wire helpers shared by the snapshot, store and
+//! `.repro`-bundle formats.
 //!
 //! The build environment is offline (no serde), so every persisted
 //! artifact uses the same tiny scheme: little-endian fixed-width

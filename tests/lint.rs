@@ -41,6 +41,67 @@ fn extra(extras: &[(&'static str, u64)], key: &str) -> u64 {
 }
 
 #[test]
+fn lint_verify_passes_with_pinned_totals() {
+    let extras = run_family("verify");
+    assert_eq!(
+        extras,
+        [
+            ("fragments_verified", 315),
+            ("fragments", 306),
+            ("resolved_edges", 360),
+            ("dead_copy_outs", 0),
+            ("redundant_seam_pairs", 67),
+            ("seeds", 10),
+            ("undetected", 0),
+        ]
+    );
+}
+
+#[test]
+fn lint_chaos_passes_with_pinned_totals() {
+    let extras = run_family("chaos");
+    assert_eq!(
+        extras,
+        [
+            ("injections", 1303),
+            ("undetected", 0),
+            ("healed", 689),
+            ("staged_drops", 26),
+        ]
+    );
+}
+
+#[test]
+fn lint_store_passes_with_pinned_totals() {
+    let extras = run_family("store");
+    assert_eq!(
+        extras,
+        [
+            ("injections", 218),
+            ("undetected", 0),
+            ("quarantined", 176),
+            ("load_rejects", 53),
+        ]
+    );
+}
+
+#[test]
+fn lint_region_passes_with_pinned_totals() {
+    let extras = run_family("region");
+    assert_eq!(
+        extras,
+        [
+            ("regions_formed", 99),
+            ("region_entries", 87_912),
+            ("seam_pairs_eliminated", 99),
+            ("regions_verified", 99),
+            ("seeds", 9),
+            ("undetected", 0),
+        ]
+    );
+}
+
+#[test]
 fn lint_pool_passes_with_pinned_totals() {
     let extras = run_family("pool");
     let pinned: Vec<u64> = ["checks", "installs", "undetected"]
