@@ -18,12 +18,18 @@
 //! patched. Retirement statistics come from a per-fragment prefix table
 //! ([`Retired`]), settled at fragment exits and self-loops rather than
 //! counted per instruction.
+//!
+//! The same register file and op semantics also run interpreted code:
+//! [`Engine::run_lowered`] executes the straight-line runs of the
+//! interpreter's lowered tier ([`LoweredCode`](crate::profile::LoweredCode)),
+//! whose ops come from [`lower_alpha`], one per Alpha instruction.
 
 use crate::classify::{CategoryCounts, UsageCat};
 use crate::error::VmError;
 use crate::fragment::{
     FragmentId, IMeta, RecoveryEntry, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
 };
+use crate::profile::Lowered;
 use crate::translate::mem_width;
 use alpha_isa::{
     AlignPolicy, CpuState, Inst, JumpKind, MemOp, Memory, Operand, OperateOp, PalFunc, Reg, Trap,
@@ -305,6 +311,87 @@ fn operand(src: ASrc, acc: Acc) -> (Slot, i16) {
     }
 }
 
+/// Expands to a `match` on the [`Op`] `$op` whose arms for the register
+/// ops — every op but the memory accesses and the control transfers —
+/// execute the op on the [`RegFile`] `$f` and evaluate to `$done`; the
+/// caller's `$arms` handle every other op. The one definition of the
+/// register ops, shared by fragments ([`Engine::run`]) and interpreted
+/// runs ([`Engine::run_lowered`]). A macro rather than a function so
+/// each caller dispatches once: a shared function behind a catch-all
+/// arm costs the engine a second dispatch per op.
+macro_rules! register_ops {
+    ($f:ident, $op:expr, $done:expr, { $($arms:tt)* }) => {
+        match $op {
+            Op::Nop => $done,
+            Op::Alu {
+                op,
+                acc,
+                dst,
+                a,
+                ka,
+                b,
+                kb,
+            } => {
+                let r = op.eval($f.val(a, ka), $f.val(b, kb));
+                $f[acc] = r;
+                $f[dst] = r;
+                $done
+            }
+            Op::AddImm { acc, dst, a, imm } => {
+                let r = $f[a].wrapping_add(imm as i64 as u64);
+                $f[acc] = r;
+                $f[dst] = r;
+                $done
+            }
+            Op::Const { acc, dst, value } => {
+                $f[acc] = value;
+                $f[dst] = value;
+                $done
+            }
+            Op::Cmov {
+                op,
+                acc,
+                dst,
+                a,
+                ka,
+                b,
+                kb,
+            } => {
+                let r = if op.cmov_taken($f.val(a, ka)) {
+                    $f.val(b, kb)
+                } else {
+                    $f[acc]
+                };
+                $f[acc] = r;
+                $f[dst] = r;
+                $done
+            }
+            Op::CmovSelect {
+                lbs,
+                acc,
+                dst,
+                value,
+                kv,
+                old,
+            } => {
+                let r = if ($f[acc] & 1 == 1) == lbs {
+                    $f.val(value, kv)
+                } else {
+                    $f[old]
+                };
+                $f[acc] = r;
+                $f[dst] = r;
+                $done
+            }
+            Op::Mov { dst, src } => {
+                $f[dst] = $f[src];
+                $done
+            }
+            $($arms)*
+        }
+    };
+}
+
 /// The engine's unified register file: GPRs r0–r30, the read-zero slot
 /// for r31, the accumulators and the write sink, addressed by [`Slot`].
 /// It holds 256 entries so that every `u8` slot is in bounds without a
@@ -335,6 +422,51 @@ impl RegFile {
         self[s].wrapping_add(k as i64 as u64)
     }
 
+    /// The effective address of a memory op, checked against `align`.
+    #[inline(always)]
+    fn address(
+        &self,
+        addr: Slot,
+        disp: i32,
+        width: MemWidth,
+        align: AlignPolicy,
+    ) -> Result<u64, Trap> {
+        let a = self[addr].wrapping_add(disp as i64 as u64);
+        let bytes = width.bytes();
+        if align == AlignPolicy::Enforce && bytes > 1 && !a.is_multiple_of(bytes as u64) {
+            return Err(Trap::UnalignedAccess {
+                addr: a,
+                required: bytes,
+            });
+        }
+        Ok(a)
+    }
+
+    /// `acc, dst <- mem[a]`, `a` checked by [`address`](RegFile::address).
+    #[inline(always)]
+    fn read_mem(&mut self, mem: &Memory, width: MemWidth, acc: Slot, dst: Slot, a: u64) {
+        let v = match width {
+            MemWidth::U8 => mem.read_u8(a) as u64,
+            MemWidth::U16 => mem.read_u16(a) as u64,
+            MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
+            MemWidth::U64 => mem.read_u64(a),
+        };
+        self[acc] = v;
+        self[dst] = v;
+    }
+
+    /// `mem[a] <- value + kv`, `a` checked by [`address`](RegFile::address).
+    #[inline(always)]
+    fn write_mem(&self, mem: &mut Memory, width: MemWidth, a: u64, value: Slot, kv: i16) {
+        let v = self.val(value, kv);
+        match width {
+            MemWidth::U8 => mem.write_u8(a, v as u8),
+            MemWidth::U16 => mem.write_u16(a, v as u16),
+            MemWidth::I32 => mem.write_u32(a, v as u32),
+            MemWidth::U64 => mem.write_u64(a, v),
+        }
+    }
+
     /// Loads the architected GPRs at engine entry.
     fn load(&mut self, cpu: &CpuState) {
         self.0[..32].copy_from_slice(&cpu.registers());
@@ -342,9 +474,7 @@ impl RegFile {
 
     /// Writes the GPRs back to the architected state at engine exit.
     fn store(&self, cpu: &mut CpuState) {
-        let mut regs = [0; 32];
-        regs.copy_from_slice(&self.0[..32]);
-        cpu.set_registers(&regs);
+        cpu.set_registers(self.0.first_chunk().expect("the file starts with the GPRs"));
     }
 
     /// The precise architected register state at a PEI (paper §2.2): the
@@ -691,7 +821,7 @@ fn lower_operate(op: OperateOp, (acc_s, dst): (Slot, Slot), lhs: ASrc, rhs: ASrc
 /// form. Results go to GPR slots only (accumulator slot [`SINK`]), except
 /// a cmov's: its accumulator slot is its destination register, which
 /// keeps its old value when the move is not taken.
-fn lower_alpha(inst: Inst) -> Op {
+pub(crate) fn lower_alpha(inst: Inst) -> Op {
     match inst {
         Inst::Operate { op, ra, rb, rc } => {
             let rhs = match rb {
@@ -754,6 +884,24 @@ fn lower_alpha(inst: Inst) -> Op {
             unreachable!("the straightened form carries no {inst:?}")
         }
     }
+}
+
+/// Why [`Engine::run_lowered`] stopped.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum LoweredEnd {
+    /// In front of an entry that is not a lowered op, of a cut, or with
+    /// the budget retired: the caller tells which.
+    Stop,
+    /// The op at the stop index trapped; it did not execute or retire.
+    Trap(Trap),
+    /// The op in front of the stop index stored into a page holding
+    /// translated source code; the store has completed and retired.
+    SmcStore {
+        /// Guest address written.
+        addr: u64,
+        /// Width of the store in bytes.
+        len: u64,
+    },
 }
 
 /// One row of a fragment's retirement prefix table: what instructions
@@ -1058,68 +1206,7 @@ impl Engine {
 
                 // The fragment control transfers to, if any; `None` falls
                 // through to idx + 1.
-                let goto = match op {
-                    Op::Nop => None,
-                    Op::Alu {
-                        op,
-                        acc,
-                        dst,
-                        a,
-                        ka,
-                        b,
-                        kb,
-                    } => {
-                        let r = op.eval(f.val(a, ka), f.val(b, kb));
-                        f[acc] = r;
-                        f[dst] = r;
-                        None
-                    }
-                    Op::AddImm { acc, dst, a, imm } => {
-                        let r = f[a].wrapping_add(imm as i64 as u64);
-                        f[acc] = r;
-                        f[dst] = r;
-                        None
-                    }
-                    Op::Const { acc, dst, value } => {
-                        f[acc] = value;
-                        f[dst] = value;
-                        None
-                    }
-                    Op::Cmov {
-                        op,
-                        acc,
-                        dst,
-                        a,
-                        ka,
-                        b,
-                        kb,
-                    } => {
-                        let r = if op.cmov_taken(f.val(a, ka)) {
-                            f.val(b, kb)
-                        } else {
-                            f[acc]
-                        };
-                        f[acc] = r;
-                        f[dst] = r;
-                        None
-                    }
-                    Op::CmovSelect {
-                        lbs,
-                        acc,
-                        dst,
-                        value,
-                        kv,
-                        old,
-                    } => {
-                        let r = if (f[acc] & 1 == 1) == lbs {
-                            f.val(value, kv)
-                        } else {
-                            f[old]
-                        };
-                        f[acc] = r;
-                        f[dst] = r;
-                        None
-                    }
+                let goto = register_ops!(f, op, None, {
                     Op::Load {
                         width,
                         acc,
@@ -1127,25 +1214,18 @@ impl Engine {
                         addr,
                         disp,
                     } => {
-                        let a = f[addr].wrapping_add(disp as i64 as u64);
-                        if let Err(trap) = check_align(a, width, self.config.align) {
-                            fault!(FragExit::Trap {
+                        let a = match f.address(addr, disp, width, self.config.align) {
+                            Ok(a) => a,
+                            Err(trap) => fault!(FragExit::Trap {
                                 vaddr: frag.meta[idx].vaddr,
                                 trap,
                                 state: precise(f),
-                            });
-                        }
+                            }),
+                        };
                         if S::TRACING {
                             d.mem_addr = Some(a);
                         }
-                        let v = match width {
-                            MemWidth::U8 => mem.read_u8(a) as u64,
-                            MemWidth::U16 => mem.read_u16(a) as u64,
-                            MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
-                            MemWidth::U64 => mem.read_u64(a),
-                        };
-                        f[acc] = v;
-                        f[dst] = v;
+                        f.read_mem(mem, width, acc, dst, a);
                         None
                     }
                     Op::Store {
@@ -1155,14 +1235,14 @@ impl Engine {
                         value,
                         kv,
                     } => {
-                        let a = f[addr].wrapping_add(disp as i64 as u64);
-                        if let Err(trap) = check_align(a, width, self.config.align) {
-                            fault!(FragExit::Trap {
+                        let a = match f.address(addr, disp, width, self.config.align) {
+                            Ok(a) => a,
+                            Err(trap) => fault!(FragExit::Trap {
                                 vaddr: frag.meta[idx].vaddr,
                                 trap,
                                 state: precise(f),
-                            });
-                        }
+                            }),
+                        };
                         let len = width.bytes() as u64;
                         if cache.smc_hit(a, len) {
                             // Self-modifying code: surface the store
@@ -1180,17 +1260,7 @@ impl Engine {
                         if S::TRACING {
                             d.mem_addr = Some(a);
                         }
-                        let v = f.val(value, kv);
-                        match width {
-                            MemWidth::U8 => mem.write_u8(a, v as u8),
-                            MemWidth::U16 => mem.write_u16(a, v as u16),
-                            MemWidth::I32 => mem.write_u32(a, v as u32),
-                            MemWidth::U64 => mem.write_u64(a, v),
-                        }
-                        None
-                    }
-                    Op::Mov { dst, src } => {
-                        f[dst] = f[src];
+                        f.write_mem(mem, width, a, value, kv);
                         None
                     }
                     Op::CondBr {
@@ -1338,7 +1408,7 @@ impl Engine {
                         None
                     }
                     Op::Halt => leave!(FragExit::Halt),
-                };
+                });
 
                 if S::TRACING {
                     sink.retire(&d);
@@ -1388,6 +1458,90 @@ impl Engine {
         }
     }
 
+    /// Runs interpreted code from the interpreter's lowered tier
+    /// ([`LoweredCode`](crate::profile::LoweredCode)) on this engine's
+    /// register file, with the ops' semantics shared with fragments:
+    /// `ops[start]`, `ops[start + 1]`, … retire in order until an entry
+    /// that is not a lowered op, a `cuts` entry past `start` (an address
+    /// a fragment was installed at), `budget` retired instructions, a
+    /// trap, or a store into a page holding translated source code.
+    /// Architectural NOPs run but do not retire.
+    ///
+    /// Returns the index it stopped at (the first op not executed), the
+    /// instructions retired and why it stopped. The registers are loaded
+    /// from `cpu` and written back; `cpu.pc` is the caller's to set. A
+    /// trapping op leaves the registers as they were in front of it; a
+    /// store into translated source code has completed when it is
+    /// reported, as in [`step`](alpha_isa::step)-driven interpretation.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_lowered(
+        &mut self,
+        cpu: &mut CpuState,
+        mem: &mut Memory,
+        ops: &[Lowered],
+        cuts: &[bool],
+        start: usize,
+        budget: u64,
+        align: AlignPolicy,
+        cache: &TranslationCache,
+    ) -> (usize, u64, LoweredEnd) {
+        let f = &mut self.file;
+        f.load(cpu);
+        let mut idx = start;
+        let mut retired = 0;
+        let end = loop {
+            let (Some(&Lowered::Op(op)), Some(&cut)) = (ops.get(idx), cuts.get(idx)) else {
+                break LoweredEnd::Stop;
+            };
+            if (cut && idx != start) || retired == budget {
+                break LoweredEnd::Stop;
+            }
+            // NOPs retire in no mode (collection drops them, translated
+            // code never emits them), which keeps the retired count a
+            // pure function of the architected position.
+            if op == Op::Nop {
+                idx += 1;
+                continue;
+            }
+            register_ops!(f, op, (), {
+                Op::Load {
+                    width,
+                    acc,
+                    dst,
+                    addr,
+                    disp,
+                } => match f.address(addr, disp, width, align) {
+                    Ok(a) => f.read_mem(mem, width, acc, dst, a),
+                    Err(trap) => break LoweredEnd::Trap(trap),
+                },
+                Op::Store {
+                    width,
+                    addr,
+                    disp,
+                    value,
+                    kv,
+                } => {
+                    let a = match f.address(addr, disp, width, align) {
+                        Ok(a) => a,
+                        Err(trap) => break LoweredEnd::Trap(trap),
+                    };
+                    f.write_mem(mem, width, a, value, kv);
+                    let len = width.bytes() as u64;
+                    if cache.smc_hit(a, len) {
+                        idx += 1;
+                        retired += 1;
+                        break LoweredEnd::SmcStore { addr: a, len };
+                    }
+                }
+                _ => unreachable!("{op:?} is never lowered for the interpreter"),
+            });
+            retired += 1;
+            idx += 1;
+        };
+        f.store(cpu);
+        (idx, retired, end)
+    }
+
     /// Severs every engine-side fast path into an invalidated fragment:
     /// dual-RAS entries whose direct link names it lose the link and fall
     /// back to dispatch on a hit. The architected (V, I) pair is kept —
@@ -1400,17 +1554,6 @@ impl Engine {
             }
         }
     }
-}
-
-fn check_align(addr: u64, width: MemWidth, policy: AlignPolicy) -> Result<(), Trap> {
-    let bytes = width.bytes();
-    if policy == AlignPolicy::Enforce && bytes > 1 && !addr.is_multiple_of(bytes as u64) {
-        return Err(Trap::UnalignedAccess {
-            addr,
-            required: bytes,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -222,6 +222,9 @@ pub struct TranslationCache {
     /// install.
     entry_filter: Vec<u64>,
     by_istart: HashMap<u64, FragmentId, AddrHasher>,
+    /// Entry V-addresses installed since the interpreter last drained
+    /// them ([`drain_installed`](TranslationCache::drain_installed)).
+    installed: Vec<u64>,
     /// V-target → sites awaiting a fragment at that address.
     pending: HashMap<u64, Vec<(FragmentId, u32)>, AddrHasher>,
     /// Reverse direct-link map: target fragment → the (fragment, slot)
@@ -314,6 +317,14 @@ impl TranslationCache {
             Some(w) if w & bit != 0 => self.by_vstart.get(&vaddr).copied(),
             _ => None,
         }
+    }
+
+    /// The entry V-addresses installed since the last call, oldest
+    /// first: the install hook through which the interpreter's lowered
+    /// tier learns where its runs must stop
+    /// ([`LoweredCode`](crate::profile::LoweredCode)).
+    pub(crate) fn drain_installed(&mut self) -> std::vec::Drain<'_, u64> {
+        self.installed.drain(..)
     }
 
     /// The fragment whose I-ISA entry point is `iaddr`.
@@ -567,6 +578,7 @@ impl TranslationCache {
         }
         let (word, bit) = filter_bit(vstart);
         self.entry_filter[word] |= bit;
+        self.installed.push(vstart);
         self.by_istart.insert(istart, id);
 
         // Resolve this fragment's exits against installed fragments.

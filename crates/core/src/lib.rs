@@ -71,7 +71,7 @@ pub use pipeline::{
 };
 pub use profile::{
     collect_superblock, collect_superblock_with_output, interp_block, Candidates, CollectionTrap,
-    InterpEvent, ProfileConfig,
+    InterpEvent, LoweredCode, ProfileConfig,
 };
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use strands::{plan, Role, TranslationPlan};

@@ -13,6 +13,7 @@
 //! register-indirect jump or trap, a backward taken conditional branch, a
 //! revisited address (cycle), or the maximum size (paper: 200).
 
+use crate::engine::{lower_alpha, Engine, LoweredEnd, Op};
 use crate::fragment::{AddrHasher, TranslationCache};
 use crate::superblock::{CollectedFlow, SbEnd, SbInst, Superblock};
 use alpha_isa::{
@@ -140,6 +141,98 @@ pub enum InterpEvent {
     },
 }
 
+/// One static instruction in the interpreter's lowered tier
+/// ([`LoweredCode`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Lowered {
+    /// Not executed yet.
+    Unseen,
+    /// A non-control instruction as the engine runs it
+    /// ([`lower_alpha`]); an architectural NOP is [`Op::Nop`], which does
+    /// not retire.
+    Op(Op),
+    /// A control transfer or a PAL call, interpreted by [`step`]; an
+    /// undecodable word, whose fetch traps.
+    Step(Result<Inst, Trap>),
+}
+
+// The step entries ride in the ops' spare bytes.
+const _: () = assert!(std::mem::size_of::<Lowered>() == std::mem::size_of::<Op>());
+
+/// The interpreter's lowered tier: one entry per static instruction of a
+/// program's code segment, parallel to its [`DecodeCache`], lowered to
+/// the engine's `Op` at first execution. [`interp_block`] runs each
+/// straight-line stretch of non-control instructions through
+/// `Engine::run_lowered`, on the engine's register file and with the
+/// engine's op semantics, and leaves control transfers and PAL calls to
+/// [`step`].
+///
+/// An entry never goes stale: fetch reads the program's immutable code,
+/// and a store into a code page invalidates translations, not the code
+/// the interpreter runs. The table also marks every address a fragment
+/// was installed at (from `TranslationCache::drain_installed`): a run
+/// stops in front of a mark so the caller can look the fragment up and
+/// end the block there, as it does after every interpreted instruction.
+/// Marks outlive invalidation, so a stale one only costs that lookup.
+#[derive(Debug)]
+pub struct LoweredCode {
+    base: u64,
+    ops: Vec<Lowered>,
+    cuts: Vec<bool>,
+}
+
+impl LoweredCode {
+    /// An empty table for `program`'s code segment.
+    pub fn new(program: &Program) -> LoweredCode {
+        let n = program.code().len();
+        LoweredCode {
+            base: program.code_base(),
+            ops: vec![Lowered::Unseen; n],
+            cuts: vec![false; n],
+        }
+    }
+
+    /// The entry index of `pc`, if it lies in the code segment.
+    fn index(&self, pc: u64) -> Option<usize> {
+        let k = usize::try_from(pc.wrapping_sub(self.base) / 4).ok()?;
+        (pc >= self.base && pc.is_multiple_of(4) && k < self.ops.len()).then_some(k)
+    }
+
+    fn pc(&self, k: usize) -> u64 {
+        self.base + 4 * k as u64
+    }
+
+    /// Lowers the not-yet-seen instructions from entry `k` up to the
+    /// next control transfer.
+    fn lower_from(&mut self, k: usize, decoded: &DecodeCache) {
+        for j in k..self.ops.len() {
+            if self.ops[j] != Lowered::Unseen {
+                return;
+            }
+            let entry = match decoded.fetch(self.pc(j)) {
+                Ok(inst) if inst.is_nop() => Lowered::Op(Op::Nop),
+                Ok(inst @ (Inst::Operate { .. } | Inst::Mem { .. })) => {
+                    Lowered::Op(lower_alpha(inst))
+                }
+                fetched => Lowered::Step(fetched),
+            };
+            self.ops[j] = entry;
+            if matches!(entry, Lowered::Step(_)) {
+                return;
+            }
+        }
+    }
+
+    /// Marks every fragment entry installed since the last call.
+    fn mark_installs(&mut self, cache: &mut TranslationCache) {
+        for vaddr in cache.drain_installed() {
+            if let Some(k) = self.index(vaddr) {
+                self.cuts[k] = true;
+            }
+        }
+    }
+}
+
 /// Interprets one block: instructions run in a tight loop until a taken
 /// control transfer, a PC with an installed fragment, a hot candidate, a
 /// halt, a trap, an SMC store, or `*interpreted` reaching `limit`.
@@ -152,12 +245,14 @@ pub enum InterpEvent {
 /// is the retired count at which the caller's next count-anchored event
 /// is due; the block stops exactly there, never past it.
 ///
-/// Fetches through the predecoded [`DecodeCache`] (one decode per static
-/// instruction for the whole run, not one per step). `interpreted`
-/// counts retired non-NOP instructions (for the translation-overhead
-/// model and the VM's retired count). Stores into pages holding
-/// translated source code are reported as [`InterpEvent::SmcStore`] so
-/// the VM can invalidate before the stale fragments run again.
+/// Straight-line stretches of non-control instructions run from the
+/// lowered tier ([`LoweredCode`]) on `engine`'s register file; control
+/// transfers and PAL calls are fetched through the predecoded
+/// [`DecodeCache`] and run by [`step`]. `interpreted` counts retired
+/// non-NOP instructions (for the translation-overhead model and the VM's
+/// retired count). Stores into pages holding translated source code are
+/// reported as [`InterpEvent::SmcStore`] so the VM can invalidate before
+/// the stale fragments run again.
 ///
 /// `#[inline]`: the VM's run loop, in another codegen unit, calls this
 /// once per interpreted block.
@@ -167,19 +262,65 @@ pub fn interp_block(
     cpu: &mut CpuState,
     mem: &mut Memory,
     decoded: &DecodeCache,
+    lowered: &mut LoweredCode,
+    engine: &mut Engine,
     candidates: &mut Candidates,
     config: &ProfileConfig,
     interpreted: &mut u64,
     limit: u64,
     output: &mut Vec<u8>,
-    cache: &TranslationCache,
+    cache: &mut TranslationCache,
 ) -> InterpEvent {
+    lowered.mark_installs(cache);
     loop {
         if *interpreted >= limit {
             return InterpEvent::BlockEnd;
         }
         let pc = cpu.pc;
-        let inst = match decoded.fetch(pc) {
+        let fetched = match lowered.index(pc) {
+            None => decoded.fetch(pc),
+            Some(k) => match lowered.ops[k] {
+                Lowered::Unseen => {
+                    lowered.lower_from(k, decoded);
+                    continue;
+                }
+                Lowered::Op(_) => {
+                    let (next, retired, end) = engine.run_lowered(
+                        cpu,
+                        mem,
+                        &lowered.ops,
+                        &lowered.cuts,
+                        k,
+                        limit - *interpreted,
+                        config.align,
+                        cache,
+                    );
+                    *interpreted += retired;
+                    cpu.pc = lowered.pc(next);
+                    match end {
+                        LoweredEnd::Stop => {
+                            if lowered.cuts.get(next) == Some(&true)
+                                && cache.lookup(cpu.pc).is_some()
+                            {
+                                return InterpEvent::BlockEnd;
+                            }
+                        }
+                        LoweredEnd::Trap(trap) => {
+                            return InterpEvent::Trapped {
+                                vaddr: cpu.pc,
+                                trap,
+                            }
+                        }
+                        LoweredEnd::SmcStore { addr, len } => {
+                            return InterpEvent::SmcStore { addr, len }
+                        }
+                    }
+                    continue;
+                }
+                Lowered::Step(fetched) => fetched,
+            },
+        };
+        let inst = match fetched {
             Ok(i) => i,
             Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
         };
@@ -190,27 +331,9 @@ pub fn interp_block(
         if let Some(b) = outcome.output {
             output.push(b);
         }
-        // NOPs are excluded from the retire count in *every* mode —
-        // superblock collection drops them and translated code never
-        // emits them — so counting them here would make
-        // `Vm::v_instructions` depend on how much of the run happened to
-        // execute translated. Keeping the count NOP-free in the
-        // interpreter too makes it a pure function of the architected
-        // position, which snapshot restore and triage lockstep rely on.
-        if !inst.is_nop() {
-            *interpreted += 1;
-        }
-        if let Some(acc) = outcome.mem {
-            // Stores never transfer control on Alpha, so reporting the SMC
-            // hit instead of the (Sequential) control outcome loses
-            // nothing.
-            if acc.is_store && cache.smc_hit(acc.addr, acc.bytes as u64) {
-                return InterpEvent::SmcStore {
-                    addr: acc.addr,
-                    len: acc.bytes as u64,
-                };
-            }
-        }
+        // Control transfers and PAL calls are never NOPs, and none of
+        // them stores: every retired instruction here counts.
+        *interpreted += 1;
         match outcome.control {
             Control::Halt => return InterpEvent::Halted,
             Control::Indirect { target, .. } => {
@@ -387,6 +510,7 @@ pub fn collect_superblock_with_output(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use alpha_isa::{Assembler, Reg};
     use ildp_isa::IsaForm;
 
@@ -411,7 +535,9 @@ mod tests {
             threshold: 10,
             ..ProfileConfig::default()
         };
-        let code = TranslationCache::new();
+        let mut code = TranslationCache::new();
+        let mut lowered = LoweredCode::new(&program);
+        let mut engine = Engine::new(EngineConfig::default());
         let mut interp = 0u64;
         let mut blocks = 0;
         let hot = loop {
@@ -420,12 +546,14 @@ mod tests {
                 &mut cpu,
                 &mut mem,
                 &decoded,
+                &mut lowered,
+                &mut engine,
                 &mut cands,
                 &config,
                 &mut interp,
                 u64::MAX,
                 &mut Vec::new(),
-                &code,
+                &mut code,
             ) {
                 InterpEvent::Hot { vaddr } => break vaddr,
                 InterpEvent::BlockEnd => {}
@@ -455,19 +583,23 @@ mod tests {
         let (mut cpu, mut mem) = program.load();
         let mut cands = Candidates::new();
         let config = ProfileConfig::default();
-        let code = TranslationCache::new();
+        let mut code = TranslationCache::new();
+        let mut lowered = LoweredCode::new(&program);
+        let mut engine = Engine::new(EngineConfig::default());
         let mut interp = 0u64;
         let mut block = |cpu: &mut CpuState, interp: &mut u64, limit| {
             interp_block(
                 cpu,
                 &mut mem,
                 &decoded,
+                &mut lowered,
+                &mut engine,
                 &mut cands,
                 &config,
                 interp,
                 limit,
                 &mut Vec::new(),
-                &code,
+                &mut code,
             )
         };
         // The limit counts retired non-NOPs; the block stops as soon as
@@ -495,12 +627,14 @@ mod tests {
             &mut cpu,
             &mut mem,
             &decoded,
+            &mut LoweredCode::new(&program),
+            &mut Engine::new(EngineConfig::default()),
             &mut Candidates::new(),
             &ProfileConfig::default(),
             &mut interp,
             u64::MAX,
             &mut Vec::new(),
-            &code,
+            &mut code,
         );
         assert_eq!(event, InterpEvent::BlockEnd);
         assert_eq!((interp, cpu.pc), (2, 0x1008));
@@ -518,12 +652,14 @@ mod tests {
             &mut cpu,
             &mut mem,
             &decoded,
+            &mut LoweredCode::new(&program),
+            &mut Engine::new(EngineConfig::default()),
             &mut Candidates::new(),
             &config,
             &mut n,
             1,
             &mut Vec::new(),
-            &TranslationCache::new(),
+            &mut TranslationCache::new(),
         );
         assert_eq!(cpu.pc, 0x1004);
         let sb = collect_superblock(&mut cpu, &mut mem, &program, &config).unwrap();

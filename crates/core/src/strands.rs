@@ -285,8 +285,11 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) -> Formation
             }
         }
 
-        // Resolve the strand.
-        let produces = df.produced[i].is_some();
+        // Resolve the strand. A load writes its accumulator even when its
+        // value is dead (a load into r31), so it owns one like a producer:
+        // strand-less, it would clobber whatever strand holds the default
+        // accumulator.
+        let produces = df.produced[i].is_some() || matches!(node.op, NodeOp::Load(_));
         let first_local = (0..3).find_map(|s| locals[s].map(|id| (s, id)));
         let strand: Option<u32> = if let Some((slot, id)) = first_local {
             // Joins the local input's strand.

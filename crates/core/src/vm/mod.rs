@@ -39,7 +39,7 @@ use crate::engine::Engine;
 use crate::error::SnapshotError;
 use crate::fragment::{FragmentId, TranslationCache};
 use crate::pipeline::{TranslatePool, TranslateResponse};
-use crate::profile::{Candidates, ProfileConfig};
+use crate::profile::{Candidates, LoweredCode, ProfileConfig};
 use crate::snapshot::{program_digest, Snapshot};
 use crate::translate::{ChainPolicy, Translator};
 use alpha_isa::{CpuState, DecodeCache, Memory, Program};
@@ -76,6 +76,8 @@ pub struct Vm<'p> {
     program: &'p Program,
     /// Predecoded code segment driving the interpreter's fetches.
     decoded: DecodeCache,
+    /// The interpreter's lowered tier, parallel to `decoded`.
+    lowered: LoweredCode,
     cpu: CpuState,
     mem: Memory,
     candidates: Candidates,
@@ -147,6 +149,7 @@ impl<'p> Vm<'p> {
             config,
             program,
             decoded: DecodeCache::new(program),
+            lowered: LoweredCode::new(program),
             cpu,
             mem,
             candidates: Candidates::new(),

@@ -102,12 +102,14 @@ impl Vm<'_> {
                 &mut self.cpu,
                 &mut self.mem,
                 &self.decoded,
+                &mut self.lowered,
+                &mut self.engine,
                 &mut self.candidates,
                 &self.config.profile,
                 &mut self.stats.interpreted,
                 limit,
                 &mut self.output,
-                &self.cache,
+                &mut self.cache,
             ) {
                 InterpEvent::BlockEnd => {}
                 InterpEvent::Halted => break VmExit::Halted,

@@ -451,3 +451,163 @@ fn engine_counters_are_pause_invariant_but_executed() {
         );
     }
 }
+
+/// Steps a reference interpreter to exactly `count` retired instructions
+/// and panics with the first difference unless `vm`, stopped with
+/// `exit`, is at the same place in the same state.
+fn assert_at_reference(program: &Program, vm: &Vm, exit: VmExit, count: u64) {
+    let mut r = crate::oracle::RefInterp::from_start(program);
+    r.advance_to(count);
+    if let Err(e) = r.state().check(&EndState::of(vm, &exit)) {
+        panic!("at {count}: {e}");
+    }
+}
+
+/// The address of the label `name` in `program`.
+fn label(program: &Program, name: &str) -> u64 {
+    program.symbols().find(|&(_, n)| n == name).unwrap().0
+}
+
+#[test]
+fn a_fragment_installed_inside_an_interpreted_block_cuts_it() {
+    let program = phased_program(false);
+    let config = interp_only_config();
+    // `mid` is the first loop's fourth instruction, strictly inside the
+    // block the interpreter runs for each iteration.
+    let top = label(&program, "loop0");
+    let mid = top + 12;
+    let mut vm = Vm::new(config, &program);
+    // Ten iterations interpreted, each body one block; stop at the top
+    // of the eleventh.
+    let mut passes = 0;
+    while passes < 11 {
+        assert_eq!(
+            vm.run(vm.v_instructions() + 1, &mut NullSink),
+            VmExit::Budget
+        );
+        passes += u64::from(vm.cpu.pc == top);
+    }
+    // A translation of the path from `mid`, collected on a scratch copy
+    // of the machine: every path it did not follow leaves through an
+    // exit guard, so it is valid for any state at `mid`.
+    let (mut cpu, mut mem) = program.load();
+    cpu.pc = mid;
+    let sb =
+        crate::profile::collect_superblock(&mut cpu, &mut mem, &program, &config.profile).unwrap();
+    let code = config.translator.translate(&sb);
+    vm.install(code, config.translator.form, None, true);
+    let exit = vm.run(u64::MAX, &mut NullSink);
+    assert_oracle(&program, &vm, exit);
+    // Each of the 110 remaining passes ends its interpreted block at
+    // `mid` and enters the fragment there.
+    assert_eq!(vm.stats().engine.fragment_entries, 110);
+}
+
+#[test]
+fn budgets_inside_a_lowered_run_stop_on_the_count() {
+    for config in [interp_only_config(), sync_config()] {
+        let program = phased_program(false);
+        // Every count through the first loop's first forty iterations,
+        // all interpreted (the loop turns hot at its fiftieth), in one
+        // budget each.
+        for b in 1..360 {
+            let mut vm = Vm::new(config, &program);
+            let exit = vm.run(b, &mut NullSink);
+            assert_eq!(exit, VmExit::Budget);
+            assert_eq!(vm.v_instructions(), b, "budget {b} overshot");
+            assert_at_reference(&program, &vm, exit, b);
+        }
+    }
+}
+
+#[test]
+fn anchors_inside_a_lowered_run_stop_on_the_count() {
+    let program = phased_program(false);
+    for delay in 1..=12 {
+        let config = VmConfig {
+            install_delay: Some(delay),
+            ..sync_config()
+        };
+        let mut vm = Vm::new(config, &program);
+        // Run to each anchor as it is parked, and check the install
+        // happens exactly there.
+        let mut installs = 0;
+        loop {
+            let exit = vm.run(vm.v_instructions() + 1, &mut NullSink);
+            if let Some(s) = vm.staged.first() {
+                let (vstart, anchor) = (s.vstart(), s.anchor);
+                let exit = vm.run(anchor, &mut NullSink);
+                assert_eq!(exit, VmExit::Budget);
+                assert_eq!(vm.v_instructions(), anchor, "delay {delay}");
+                assert_at_reference(&program, &vm, exit, anchor);
+                // The anchor is serviced at the next safe point.
+                vm.run(anchor, &mut NullSink);
+                assert!(vm.cache.lookup(vstart).is_some(), "delay {delay}");
+                installs += 1;
+            } else if exit != VmExit::Budget {
+                assert_oracle(&program, &vm, exit);
+                break;
+            }
+        }
+        assert_eq!(installs, 3, "delay {delay}");
+    }
+}
+
+#[test]
+fn a_trapping_load_inside_a_run_is_precise() {
+    // Ten iterations of a straight-line run whose load address turns
+    // unaligned on the fourth.
+    let mut asm = Assembler::new(0x1_0000);
+    let buf = asm.zero_block(64);
+    asm.li32(Reg::A1, buf as u32);
+    asm.lda_imm(Reg::A0, 10);
+    let top = asm.here("top");
+    asm.addq(Reg::V0, Reg::A0, Reg::V0);
+    asm.cmpeq_imm(Reg::A0, 6, Reg::new(3));
+    asm.addq(Reg::A1, Reg::new(3), Reg::new(3));
+    asm.ldq(Reg::new(4), 0, Reg::new(3));
+    asm.addq(Reg::V0, Reg::new(4), Reg::V0);
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.halt();
+    let program = asm.finish().unwrap();
+    let load = label(&program, "top") + 12;
+    for config in [interp_only_config(), sync_config()] {
+        let mut vm = Vm::new(config, &program);
+        let exit = vm.run(u64::MAX, &mut NullSink);
+        let VmExit::Trapped { vaddr, .. } = exit else {
+            panic!("expected a trap, got {exit:?}");
+        };
+        assert_eq!((vaddr, vm.cpu().pc), (load, load));
+        // The oracle checks the precise registers and that the load did
+        // not retire.
+        assert_oracle(&program, &vm, exit);
+    }
+}
+
+#[test]
+fn an_interpreted_store_into_a_code_page_reports_smc_after_the_write() {
+    // The first loop turns hot and translates; then interpreted code
+    // stores into the code page the fragment was translated from.
+    let mut asm = Assembler::new(0x1_0000);
+    asm.lda_imm(Reg::A0, 120);
+    let top = asm.here("top");
+    asm.addq(Reg::V0, Reg::A0, Reg::V0);
+    asm.subq_imm(Reg::A0, 1, Reg::A0);
+    asm.bne(Reg::A0, top);
+    asm.li32(Reg::A1, 0x1_0800);
+    asm.stq(Reg::V0, 0, Reg::A1);
+    asm.ldq(Reg::new(4), 0, Reg::A1);
+    asm.halt();
+    let program = asm.finish().unwrap();
+    let mut vm = Vm::new(sync_config(), &program);
+    let exit = vm.run(u64::MAX, &mut NullSink);
+    assert_oracle(&program, &vm, exit);
+    assert_eq!(vm.stats().fragments, 1);
+    assert_eq!(vm.stats().smc_invalidations, 1);
+    assert_eq!(vm.cache().live_fragments(), 0);
+    // The store completed before the invalidation: the load behind it
+    // reads the stored value.
+    assert_eq!(vm.cpu().read(Reg::new(4)), vm.cpu().read(Reg::V0));
+    assert_eq!(vm.memory().read_u64(0x1_0800), vm.cpu().read(Reg::V0));
+}

@@ -10,22 +10,81 @@
 //! termination; the random body exercises the classifier, strand
 //! formation, accumulator assignment and chaining on shapes no
 //! hand-written workload covers.
+//!
+//! The body also reaches the edges of the interpreter and of translated
+//! code: architectural NOPs (`bis r31,r31,r31`, `lda r31,…`), loads into
+//! `r31` (which retire), an `ldq` that turns unaligned and traps on one
+//! iteration, a store into the program's own code page (self-modifying
+//! code as the VM sees it) and a `putchar`. A further property runs
+//! each case paced in random budgets and checks the paced end state
+//! equals the unbroken run's.
 
 use alpha_isa::{Assembler, Label, Program, Reg};
 use ildp_core::oracle::{reference, EndState};
-use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig};
+use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum BodyOp {
-    Alu { op: u8, a: u8, b: u8, c: u8 },
-    AluImm { op: u8, a: u8, lit: u8, c: u8 },
-    Load { c: u8, slot: u8 },
-    Store { a: u8, slot: u8 },
-    SkipIf { cond: u8, a: u8 },
-    Call { which: bool },
-    Cmov { op: u8, a: u8, b: u8, c: u8 },
+    Alu {
+        op: u8,
+        a: u8,
+        b: u8,
+        c: u8,
+    },
+    AluImm {
+        op: u8,
+        a: u8,
+        lit: u8,
+        c: u8,
+    },
+    Load {
+        c: u8,
+        slot: u8,
+    },
+    Store {
+        a: u8,
+        slot: u8,
+    },
+    SkipIf {
+        cond: u8,
+        a: u8,
+    },
+    Call {
+        which: bool,
+    },
+    Cmov {
+        op: u8,
+        a: u8,
+        b: u8,
+        c: u8,
+    },
+    /// An architectural NOP: `bis r31,r31,r31` or `lda r31, disp(a)`.
+    Nop {
+        lda: bool,
+        a: u8,
+    },
+    /// `ldq r31, slot(arena)`: retires, but writes nothing.
+    LoadZero {
+        slot: u8,
+    },
+    /// `ldq c, slot(arena)`, unaligned by one byte (a trap) on the
+    /// iteration whose loop counter is `when`.
+    TrapLoad {
+        c: u8,
+        slot: u8,
+        when: u8,
+    },
+    /// `stq a, slot(code base)`: a store into the program's code page.
+    CodeStore {
+        a: u8,
+        slot: u8,
+    },
+    /// `putchar` of register `a`'s low byte.
+    PutChar {
+        a: u8,
+    },
 }
 
 /// Registers the generator may use freely (t0..t7, s0..s1).
@@ -58,6 +117,12 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
         1 => any::<bool>().prop_map(|which| BodyOp::Call { which }),
         1 => (0u8..4, any::<u8>(), any::<u8>(), any::<u8>())
             .prop_map(|(op, a, b, c)| BodyOp::Cmov { op, a, b, c }),
+        1 => (any::<bool>(), any::<u8>()).prop_map(|(lda, a)| BodyOp::Nop { lda, a }),
+        1 => (0u8..64).prop_map(|slot| BodyOp::LoadZero { slot }),
+        1 => (any::<u8>(), 0u8..64, 0u8..200)
+            .prop_map(|(c, slot, when)| BodyOp::TrapLoad { c, slot, when }),
+        1 => (any::<u8>(), 0u8..64).prop_map(|(a, slot)| BodyOp::CodeStore { a, slot }),
+        1 => any::<u8>().prop_map(|a| BodyOp::PutChar { a }),
     ]
 }
 
@@ -113,6 +178,7 @@ fn build_program(ops: &[BodyOp], iters: i16) -> Program {
         asm.lda_imm(*r, (k as i16 + 3) * 257);
     }
     asm.li32(Reg::new(11), arena as u32); // s2 = arena base
+    asm.li32(Reg::new(15), 0x1_0000); // fp = code base
     asm.lda_imm(Reg::A1, iters);
     let top = asm.here("top");
     let mut pending_skip: Option<(Label, usize)> = None;
@@ -160,6 +226,30 @@ fn build_program(ops: &[BodyOp], iters: i16) -> Program {
                     2 => asm.cmovlt(a, b, c),
                     _ => asm.cmovge(a, b, c),
                 }
+            }
+            BodyOp::Nop { lda, a } => {
+                if lda {
+                    asm.lda(Reg::ZERO, i16::from(a), reg(a));
+                } else {
+                    asm.nop();
+                }
+            }
+            BodyOp::LoadZero { slot } => {
+                asm.ldq(Reg::ZERO, (slot as i16) * 8, Reg::new(11));
+            }
+            BodyOp::TrapLoad { c, slot, when } => {
+                // The loop counter runs down from `iters` to 1: a `when`
+                // in that range traps on that iteration, any other never.
+                asm.cmpeq_imm(Reg::A1, when, Reg::new(14));
+                asm.addq(Reg::new(11), Reg::new(14), Reg::new(14));
+                asm.ldq(reg(c), (slot as i16) * 8, Reg::new(14));
+            }
+            BodyOp::CodeStore { a, slot } => {
+                asm.stq(reg(a), (slot as i16) * 8, Reg::new(15));
+            }
+            BodyOp::PutChar { a } => {
+                asm.mov(reg(a), Reg::A0);
+                asm.putchar();
             }
         }
     }
@@ -227,6 +317,43 @@ fn check_fuse(
     }
 }
 
+/// Runs the case unbroken and paced in budgets of `strides` (cycled),
+/// and checks both against the oracle and the paced end state against
+/// the unbroken one.
+fn check_paced(ops: &[BodyOp], iters: i16, strides: &[u64]) {
+    let program = build_program(ops, iters);
+    let budget = 2 * (40_000 + (ops.len() as u64 + 16) * (iters as u64 + 4) * 6);
+    let expected = reference(&program, budget).expect("reference run halts");
+    let config = VmConfig {
+        profile: ProfileConfig {
+            threshold: 4,
+            ..ProfileConfig::default()
+        },
+        ..VmConfig::default()
+    };
+    let mut whole = Vm::new(config, &program);
+    let exit = whole.run(budget, &mut NullSink);
+    let unbroken = EndState::of(&whole, &exit);
+    if let Err(e) = expected.check(&unbroken) {
+        panic!("unbroken run diverged for ops {ops:?}: {e}");
+    }
+    let mut vm = Vm::new(config, &program);
+    let mut calls = 0;
+    let exit = loop {
+        let next = (vm.v_instructions() + strides[calls % strides.len()]).min(budget);
+        calls += 1;
+        let exit = vm.run(next, &mut NullSink);
+        if exit != VmExit::Budget || next == budget {
+            break exit;
+        }
+    };
+    assert_eq!(
+        EndState::of(&vm, &exit),
+        unbroken,
+        "paced run ({calls} calls, strides {strides:?}) diverged for ops {ops:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -276,5 +403,14 @@ proptest! {
         let acc_count = accs(eight);
         check_fuse(&ops, iters, IsaForm::Modified, ChainPolicy::SwPredDualRas, acc_count, true);
         check_fuse(&ops, iters, IsaForm::Basic, ChainPolicy::SwPredDualRas, acc_count, true);
+    }
+
+    #[test]
+    fn random_programs_pace_exactly(
+        ops in prop::collection::vec(body_op(), 4..40),
+        iters in 20i16..60,
+        strides in prop::collection::vec(1u64..3000, 1..8),
+    ) {
+        check_paced(&ops, iters, &strides);
     }
 }
