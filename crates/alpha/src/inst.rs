@@ -352,6 +352,7 @@ impl OperateOp {
     /// For conditional moves this returns the *move value* (operand `b`);
     /// the caller is responsible for testing [`OperateOp::cmov_taken`] and
     /// retaining the old destination when the move is not taken.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         fn sext32(x: u64) -> u64 {
             x as u32 as i32 as i64 as u64
@@ -433,6 +434,7 @@ impl OperateOp {
     /// # Panics
     ///
     /// Panics if called on a non-cmov operation.
+    #[inline]
     pub fn cmov_taken(self, test: u64) -> bool {
         let sv = test as i64;
         match self {

@@ -311,32 +311,148 @@ fn operand(src: ASrc, acc: Acc) -> (Slot, i16) {
     }
 }
 
-/// Expands to a `match` on the [`Op`] `$op` whose arms for the register
-/// ops — every op but the memory accesses and the control transfers —
-/// execute the op on the [`RegFile`] `$f` and evaluate to `$done`; the
-/// caller's `$arms` handle every other op. The one definition of the
-/// register ops, shared by fragments ([`Engine::run`]) and interpreted
-/// runs ([`Engine::run_lowered`]). A macro rather than a function so
-/// each caller dispatches once: a shared function behind a catch-all
-/// arm costs the engine a second dispatch per op.
-macro_rules! register_ops {
-    ($f:ident, $op:expr, $done:expr, { $($arms:tt)* }) => {
-        match $op {
-            Op::Nop => $done,
-            Op::Alu {
-                op,
-                acc,
-                dst,
-                a,
-                ka,
-                b,
-                kb,
-            } => {
-                let r = op.eval($f.val(a, ka), $f.val(b, kb));
-                $f[acc] = r;
-                $f[dst] = r;
-                $done
+/// The one list of the ops whose tag carries their operation: every
+/// non-cmov ALU operation, named as its [`OperateOp`] variant, then the
+/// conditional moves, which share [`Op::Cmov`], then every memory width
+/// as `(MemWidth variant, load op, store op)`. Expands to
+/// `$then! { { $args } [alu] [cmov] [widths] }`, so the [`Op`] variants,
+/// the lowering maps ([`Op::operate`], [`Op::load`], [`Op::store`]) and
+/// [`register_ops!`]'s arms all come from this list.
+macro_rules! with_op_list {
+    ($then:ident! { $($args:tt)* }) => {
+        $then! {
+            { $($args)* }
+            [
+                Addl Addq Subl Subq S4addl S4addq S8addq S4subq S8subq
+                Cmpeq Cmplt Cmple Cmpult Cmpule
+                And Bic Bis Ornot Xor Eqv
+                Sll Srl Sra Extbl Extwl Extll Extql Insbl Mskbl Zapnot Zap
+                Mull Mulq Umulh
+            ]
+            [Cmoveq Cmovne Cmovlt Cmovge Cmovle Cmovgt Cmovlbs Cmovlbc]
+            [
+                (U8, LoadU8, StoreU8)
+                (U16, LoadU16, StoreU16)
+                (I32, LoadI32, StoreI32)
+                (U64, LoadU64, StoreU64)
+            ]
+        }
+    };
+}
+
+/// Defines the enum in `$args` with one more variant per listed ALU
+/// operation, load and store (see [`with_op_list!`]), and its lowering
+/// maps from an operation or width to the variant.
+macro_rules! define_op {
+    (
+        { $(#[$meta:meta])* $vis:vis enum Op { $($body:tt)* } }
+        [$($alu:ident)*] [$($cmov:ident)*] [$(($w:ident, $load:ident, $store:ident))*]
+    ) => {
+        $(#[$meta])*
+        $vis enum Op {
+            $(
+                #[doc = concat!("`acc, dst <- ", stringify!($alu), "(a + ka, b + kb)`.")]
+                $alu(Operands),
+            )*
+            $(
+                #[doc = concat!("`acc, dst <- mem[addr + disp]`, ", stringify!($w), ".")]
+                $load(LoadOperands),
+                #[doc = concat!("`mem[addr + disp] <- value + kv`, ", stringify!($w), ".")]
+                $store(StoreOperands),
+            )*
+            $($body)*
+        }
+
+        impl Op {
+            /// The op computing `op` on `x`: its own variant, or
+            /// [`Op::Cmov`] for a conditional move.
+            fn operate(op: OperateOp, x: Operands) -> Op {
+                match op {
+                    $(OperateOp::$alu => Op::$alu(x),)*
+                    $(OperateOp::$cmov)|* => Op::Cmov { op, x },
+                }
             }
+
+            /// The load of `width`.
+            fn load(width: MemWidth, x: LoadOperands) -> Op {
+                match width {
+                    $(MemWidth::$w => Op::$load(x),)*
+                }
+            }
+
+            /// The store of `width`.
+            fn store(width: MemWidth, x: StoreOperands) -> Op {
+                match width {
+                    $(MemWidth::$w => Op::$store(x),)*
+                }
+            }
+        }
+    };
+}
+
+/// Expands to a `match` on the [`Op`] behind the reference `$op`. Its
+/// arms for the register ops — every op but the memory accesses and the
+/// control transfers — execute the op on the [`RegFile`] `$f` and
+/// evaluate to `$done`. Each load arm binds its width to `$lw` and its
+/// operands to `$l` and runs the caller's `$load`; each store arm does
+/// the same with `$store`. The caller's `$arms` handle every other op.
+/// The one definition of the register ops, shared by fragments
+/// ([`Engine::run`]) and interpreted runs ([`Engine::run_lowered`]). A
+/// macro rather than a function so each caller dispatches once: a
+/// shared function behind a catch-all arm costs the engine a second
+/// dispatch per op. For the same reason every ALU operation and memory
+/// width has its own arm, in which the operation ([`OperateOp::eval`] on
+/// a constant) and the width fold away, and the match reads the op in
+/// place, so each arm loads only its own fields: matching a copy made
+/// the compiler split all 24 bytes into every variant's fields in front
+/// of the jump.
+macro_rules! register_ops {
+    (
+        $f:ident, $op:expr, $done:expr,
+        load($lw:ident, $l:ident) => $load:block,
+        store($sw:ident, $s:ident) => $store:block,
+        { $($arms:tt)* }
+    ) => {
+        with_op_list! {
+            register_ops_match! {
+                $f, $op, $done, ($lw, $l) $load, ($sw, $s) $store, { $($arms)* }
+            }
+        }
+    };
+}
+
+/// [`register_ops!`]'s body, over the list from [`with_op_list!`]; the
+/// conditional moves share the [`Op::Cmov`] arm.
+macro_rules! register_ops_match {
+    (
+        {
+            $f:ident, $op:expr, $done:expr,
+            ($lw:ident, $l:ident) $load:block,
+            ($sw:ident, $s:ident) $store:block,
+            { $($arms:tt)* }
+        }
+        [$($alu:ident)*] $_cmovs:tt [$(($w:ident, $ld:ident, $st:ident))*]
+    ) => {
+        match *$op {
+            Op::Nop => $done,
+            $(
+                Op::$alu(x) => {
+                    let r = OperateOp::$alu.eval($f.val(x.a, x.ka), $f.val(x.b, x.kb));
+                    $f[x.acc] = r;
+                    $f[x.dst] = r;
+                    $done
+                }
+            )*
+            $(
+                Op::$ld($l) => {
+                    let $lw = MemWidth::$w;
+                    $load
+                }
+                Op::$st($s) => {
+                    let $sw = MemWidth::$w;
+                    $store
+                }
+            )*
             Op::AddImm { acc, dst, a, imm } => {
                 let r = $f[a].wrapping_add(imm as i64 as u64);
                 $f[acc] = r;
@@ -348,22 +464,14 @@ macro_rules! register_ops {
                 $f[dst] = value;
                 $done
             }
-            Op::Cmov {
-                op,
-                acc,
-                dst,
-                a,
-                ka,
-                b,
-                kb,
-            } => {
-                let r = if op.cmov_taken($f.val(a, ka)) {
-                    $f.val(b, kb)
+            Op::Cmov { op, x } => {
+                let r = if op.cmov_taken($f.val(x.a, x.ka)) {
+                    $f.val(x.b, x.kb)
                 } else {
-                    $f[acc]
+                    $f[x.acc]
                 };
-                $f[acc] = r;
-                $f[dst] = r;
+                $f[x.acc] = r;
+                $f[x.dst] = r;
                 $done
             }
             Op::CmovSelect {
@@ -490,112 +598,113 @@ impl RegFile {
     }
 }
 
-/// One installed I-ISA instruction lowered for execution: operands
-/// resolved to [`RegFile`] slots, immediates and the ALU operation split
-/// out, direct links folded in. The translation cache lowers every
-/// instruction at install and re-lowers it at every patch, un-patch and
-/// edit ([`lower`]), so [`Engine::run`] dispatches on this type alone.
+/// The operands of an ALU op, `acc, dst <- op(a + ka, b + kb)`, each
+/// operand read as in [`operand`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Op {
-    /// `set-vpc-base`: nothing to execute.
-    Nop,
-    /// `acc, dst <- op(a + ka, b + kb)`: an ALU operation, each operand
-    /// read as in [`operand`].
-    Alu {
-        op: OperateOp,
-        acc: Slot,
-        dst: Slot,
-        a: Slot,
-        ka: i16,
-        b: Slot,
-        kb: i16,
-    },
-    /// `acc, dst <- a + imm`: `addq`/`subq` with a literal and add-high.
-    /// One executed I-ISA instruction in five on `loops` (one in seven on
-    /// `calls`), so it skips [`OperateOp::eval`]'s dispatch.
-    AddImm {
-        acc: Slot,
-        dst: Slot,
-        a: Slot,
-        imm: i32,
-    },
-    /// `acc, dst <- value`: an operation on immediates alone, folded
-    /// (and `load-embedded-target-address` / `save-V-ISA-return-address`,
-    /// which write one of the two).
-    Const { acc: Slot, dst: Slot, value: u64 },
-    /// An Alpha conditional move in operate form:
-    /// `acc, dst <- cmov_taken(a) ? b : acc`.
-    Cmov {
-        op: OperateOp,
-        acc: Slot,
-        dst: Slot,
-        a: Slot,
-        ka: i16,
-        b: Slot,
-        kb: i16,
-    },
-    /// `acc, dst <- (low bit of acc == lbs) ? value : old`.
-    CmovSelect {
-        lbs: bool,
-        acc: Slot,
-        dst: Slot,
-        value: Slot,
-        kv: i16,
-        old: Slot,
-    },
-    /// `acc, dst <- mem[addr + disp]`.
-    Load {
-        width: MemWidth,
-        acc: Slot,
-        dst: Slot,
-        addr: Slot,
-        disp: i32,
-    },
-    /// `mem[addr + disp] <- value`.
-    Store {
-        width: MemWidth,
-        addr: Slot,
-        disp: i32,
-        value: Slot,
-        kv: i16,
-    },
-    /// `copy-to-GPR` / `copy-from-GPR`: `dst <- src`.
-    Mov { dst: Slot, src: Slot },
-    /// A resolved conditional branch; `taken_pc` is the traced target.
-    CondBr {
-        cond: CondKind,
-        src: Slot,
-        k: i16,
-        link: Option<FragmentId>,
-        taken_pc: u64,
-    },
-    /// A resolved unconditional branch.
-    Br { link: Option<FragmentId> },
-    /// A return through the dual-address RAS.
-    Ret { addr: Slot, k: i16 },
-    /// `push-dual-address-RAS` with a resolved I-side address; `link` is
-    /// the raw id of the fragment `iret` enters, [`NO_LINK`] if none.
-    PushRas { vret: u64, iret: u64, link: u32 },
-    /// A dual-RAS push whose I-side address was never resolved.
-    PushRasUnresolved,
-    /// `call-translator-if-condition-is-met`.
-    ExitIf {
-        cond: CondKind,
-        src: Slot,
-        k: i16,
-        vtarget: u64,
-    },
-    /// `call-translator`.
-    Exit { vtarget: u64 },
-    /// Transfer to the shared dispatch code.
-    Dispatch { src: Slot, k: i16 },
-    /// Raise `gentrap`.
-    GenTrap,
-    /// Console byte output.
-    PutChar { src: Slot, k: i16 },
-    /// Halt the machine.
-    Halt,
+pub(crate) struct Operands {
+    acc: Slot,
+    dst: Slot,
+    a: Slot,
+    ka: i16,
+    b: Slot,
+    kb: i16,
 }
+
+/// The operands of a load, `acc, dst <- mem[addr + disp]`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct LoadOperands {
+    acc: Slot,
+    dst: Slot,
+    addr: Slot,
+    disp: i32,
+}
+
+/// The operands of a store, `mem[addr + disp] <- value + kv`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct StoreOperands {
+    addr: Slot,
+    disp: i32,
+    value: Slot,
+    kv: i16,
+}
+
+with_op_list! { define_op! {
+    /// One installed I-ISA instruction lowered for execution: operands
+    /// resolved to [`RegFile`] slots, immediates split out, direct links
+    /// folded in. The translation cache lowers every instruction at
+    /// install and re-lowers it at every patch, un-patch and edit
+    /// ([`lower`]), so [`Engine::run`] dispatches on this type alone, once
+    /// per op: the tag names the ALU operation and the memory width
+    /// (variants generated from [`with_op_list!`]: `Addq`, …, `Umulh`
+    /// over [`Operands`]; `LoadU8`, …, `StoreU64`). Only the rare
+    /// conditional moves and the branch conditions still carry the
+    /// operation they test.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub(crate) enum Op {
+        /// `set-vpc-base`: nothing to execute.
+        Nop,
+        /// `acc, dst <- a + imm`: `addq`/`subq` with a literal, `lda` and
+        /// add-high, whose immediate does not fit [`Operands`].
+        AddImm {
+            acc: Slot,
+            dst: Slot,
+            a: Slot,
+            imm: i32,
+        },
+        /// `acc, dst <- value`: an operation on immediates alone, folded
+        /// (and `load-embedded-target-address` / `save-V-ISA-return-address`,
+        /// which write one of the two).
+        Const { acc: Slot, dst: Slot, value: u64 },
+        /// An Alpha conditional move in operate form:
+        /// `acc, dst <- cmov_taken(a) ? b : acc`.
+        Cmov { op: OperateOp, x: Operands },
+        /// `acc, dst <- (low bit of acc == lbs) ? value : old`.
+        CmovSelect {
+            lbs: bool,
+            acc: Slot,
+            dst: Slot,
+            value: Slot,
+            kv: i16,
+            old: Slot,
+        },
+        /// `copy-to-GPR` / `copy-from-GPR`: `dst <- src`.
+        Mov { dst: Slot, src: Slot },
+        /// A resolved conditional branch; `taken_pc` is the traced target.
+        CondBr {
+            cond: CondKind,
+            src: Slot,
+            k: i16,
+            link: Option<FragmentId>,
+            taken_pc: u64,
+        },
+        /// A resolved unconditional branch.
+        Br { link: Option<FragmentId> },
+        /// A return through the dual-address RAS.
+        Ret { addr: Slot, k: i16 },
+        /// `push-dual-address-RAS` with a resolved I-side address; `link` is
+        /// the raw id of the fragment `iret` enters, [`NO_LINK`] if none.
+        PushRas { vret: u64, iret: u64, link: u32 },
+        /// A dual-RAS push whose I-side address was never resolved.
+        PushRasUnresolved,
+        /// `call-translator-if-condition-is-met`.
+        ExitIf {
+            cond: CondKind,
+            src: Slot,
+            k: i16,
+            vtarget: u64,
+        },
+        /// `call-translator`.
+        Exit { vtarget: u64 },
+        /// Transfer to the shared dispatch code.
+        Dispatch { src: Slot, k: i16 },
+        /// Raise `gentrap`.
+        GenTrap,
+        /// Console byte output.
+        PutChar { src: Slot, k: i16 },
+        /// Halt the machine.
+        Halt,
+    }
+} }
 
 /// [`Op::PushRas`]'s `link` for a push with no direct link.
 const NO_LINK: u32 = u32::MAX;
@@ -667,13 +776,15 @@ pub(crate) fn lower(inst: &IInst, link: Option<FragmentId>, fallthrough: u64) ->
             dst,
         } => {
             let (addr, k) = operand(addr, acc);
-            Op::Load {
+            Op::load(
                 width,
-                acc: acc_slot(acc),
-                dst: dst_slot(dst),
-                addr,
-                disp: i32::from(k) + i32::from(disp),
-            }
+                LoadOperands {
+                    acc: acc_slot(acc),
+                    dst: dst_slot(dst),
+                    addr,
+                    disp: i32::from(k) + i32::from(disp),
+                },
+            )
         }
         IInst::Store {
             acc,
@@ -684,13 +795,15 @@ pub(crate) fn lower(inst: &IInst, link: Option<FragmentId>, fallthrough: u64) ->
         } => {
             let (addr, k) = operand(addr, acc);
             let (value, kv) = operand(value, acc);
-            Op::Store {
+            Op::store(
                 width,
-                addr,
-                disp: i32::from(k) + i32::from(disp),
-                value,
-                kv,
-            }
+                StoreOperands {
+                    addr,
+                    disp: i32::from(k) + i32::from(disp),
+                    value,
+                    kv,
+                },
+            )
         }
         IInst::CopyToGpr { acc, dst } => Op::Mov {
             dst: write_slot(dst),
@@ -776,19 +889,8 @@ fn lower_operate(op: OperateOp, (acc_s, dst): (Slot, Slot), lhs: ASrc, rhs: ASrc
     let (a, ka) = operand(lhs, acc);
     let (b, kb) = operand(rhs, acc);
     let acc = acc_s;
-    if op.is_cmov() {
-        return Op::Cmov {
-            op,
-            acc,
-            dst,
-            a,
-            ka,
-            b,
-            kb,
-        };
-    }
     match (lhs, rhs) {
-        (ASrc::Imm(x), ASrc::Imm(y)) => Op::Const {
+        (ASrc::Imm(x), ASrc::Imm(y)) if !op.is_cmov() => Op::Const {
             acc,
             dst,
             value: op.eval(imm(x), imm(y)),
@@ -805,15 +907,17 @@ fn lower_operate(op: OperateOp, (acc_s, dst): (Slot, Slot), lhs: ASrc, rhs: ASrc
             a,
             imm: -i32::from(y),
         },
-        _ => Op::Alu {
+        _ => Op::operate(
             op,
-            acc,
-            dst,
-            a,
-            ka,
-            b,
-            kb,
-        },
+            Operands {
+                acc,
+                dst,
+                a,
+                ka,
+                b,
+                kb,
+            },
+        ),
     }
 }
 
@@ -850,20 +954,24 @@ pub(crate) fn lower_alpha(inst: Inst) -> Op {
                     a: addr,
                     imm: disp << 16,
                 },
-                _ if op.is_load() => Op::Load {
-                    width: mem_width(op),
-                    acc: SINK,
-                    dst,
-                    addr,
-                    disp,
-                },
-                _ => Op::Store {
-                    width: mem_width(op),
-                    addr,
-                    disp,
-                    value: read_slot(ra),
-                    kv: 0,
-                },
+                _ if op.is_load() => Op::load(
+                    mem_width(op),
+                    LoadOperands {
+                        acc: SINK,
+                        dst,
+                        addr,
+                        disp,
+                    },
+                ),
+                _ => Op::store(
+                    mem_width(op),
+                    StoreOperands {
+                        addr,
+                        disp,
+                        value: read_slot(ra),
+                        kv: 0,
+                    },
+                ),
             }
         }
         Inst::CallPal { func } => match func {
@@ -1150,7 +1258,7 @@ impl Engine {
                         }
                     }};
                 }
-                let Some(&op) = ops.get(idx) else {
+                let Some(op) = ops.get(idx) else {
                     // Ran off the fragment's end without a block terminal —
                     // only reachable through corruption.
                     settle!(ops.len());
@@ -1206,63 +1314,52 @@ impl Engine {
 
                 // The fragment control transfers to, if any; `None` falls
                 // through to idx + 1.
-                let goto = register_ops!(f, op, None, {
-                    Op::Load {
-                        width,
-                        acc,
-                        dst,
-                        addr,
-                        disp,
-                    } => {
-                        let a = match f.address(addr, disp, width, self.config.align) {
-                            Ok(a) => a,
-                            Err(trap) => fault!(FragExit::Trap {
-                                vaddr: frag.meta[idx].vaddr,
-                                trap,
-                                state: precise(f),
-                            }),
-                        };
-                        if S::TRACING {
-                            d.mem_addr = Some(a);
-                        }
-                        f.read_mem(mem, width, acc, dst, a);
-                        None
+                let goto = register_ops!(f, op, None,
+                load(width, m) => {
+                    let a = match f.address(m.addr, m.disp, width, self.config.align) {
+                        Ok(a) => a,
+                        Err(trap) => fault!(FragExit::Trap {
+                            vaddr: frag.meta[idx].vaddr,
+                            trap,
+                            state: precise(f),
+                        }),
+                    };
+                    if S::TRACING {
+                        d.mem_addr = Some(a);
                     }
-                    Op::Store {
-                        width,
-                        addr,
-                        disp,
-                        value,
-                        kv,
-                    } => {
-                        let a = match f.address(addr, disp, width, self.config.align) {
-                            Ok(a) => a,
-                            Err(trap) => fault!(FragExit::Trap {
-                                vaddr: frag.meta[idx].vaddr,
-                                trap,
-                                state: precise(f),
-                            }),
-                        };
-                        let len = width.bytes() as u64;
-                        if cache.smc_hit(a, len) {
-                            // Self-modifying code: surface the store
-                            // *before* it executes, with precise state
-                            // (the store's recovery table). The VM re-runs
-                            // it interpretively after invalidating the
-                            // affected fragments.
-                            fault!(FragExit::SmcStore {
-                                addr: a,
-                                len,
-                                vaddr: frag.meta[idx].vaddr,
-                                state: precise(f),
-                            });
-                        }
-                        if S::TRACING {
-                            d.mem_addr = Some(a);
-                        }
-                        f.write_mem(mem, width, a, value, kv);
-                        None
+                    f.read_mem(mem, width, m.acc, m.dst, a);
+                    None
+                },
+                store(width, m) => {
+                    let a = match f.address(m.addr, m.disp, width, self.config.align) {
+                        Ok(a) => a,
+                        Err(trap) => fault!(FragExit::Trap {
+                            vaddr: frag.meta[idx].vaddr,
+                            trap,
+                            state: precise(f),
+                        }),
+                    };
+                    let len = width.bytes() as u64;
+                    if cache.smc_hit(a, len) {
+                        // Self-modifying code: surface the store *before*
+                        // it executes, with precise state (the store's
+                        // recovery table). The VM re-runs it
+                        // interpretively after invalidating the affected
+                        // fragments.
+                        fault!(FragExit::SmcStore {
+                            addr: a,
+                            len,
+                            vaddr: frag.meta[idx].vaddr,
+                            state: precise(f),
+                        });
                     }
+                    if S::TRACING {
+                        d.mem_addr = Some(a);
+                    }
+                    f.write_mem(mem, width, a, m.value, m.kv);
+                    None
+                },
+                {
                     Op::CondBr {
                         cond,
                         src,
@@ -1490,7 +1587,7 @@ impl Engine {
         let mut idx = start;
         let mut retired = 0;
         let end = loop {
-            let (Some(&Lowered::Op(op)), Some(&cut)) = (ops.get(idx), cuts.get(idx)) else {
+            let (Some(Lowered::Op(op)), Some(&cut)) = (ops.get(idx), cuts.get(idx)) else {
                 break LoweredEnd::Stop;
             };
             if (cut && idx != start) || retired == budget {
@@ -1499,40 +1596,31 @@ impl Engine {
             // NOPs retire in no mode (collection drops them, translated
             // code never emits them), which keeps the retired count a
             // pure function of the architected position.
-            if op == Op::Nop {
+            if *op == Op::Nop {
                 idx += 1;
                 continue;
             }
-            register_ops!(f, op, (), {
-                Op::Load {
-                    width,
-                    acc,
-                    dst,
-                    addr,
-                    disp,
-                } => match f.address(addr, disp, width, align) {
-                    Ok(a) => f.read_mem(mem, width, acc, dst, a),
+            register_ops!(f, op, (),
+            load(width, m) => {
+                match f.address(m.addr, m.disp, width, align) {
+                    Ok(a) => f.read_mem(mem, width, m.acc, m.dst, a),
                     Err(trap) => break LoweredEnd::Trap(trap),
-                },
-                Op::Store {
-                    width,
-                    addr,
-                    disp,
-                    value,
-                    kv,
-                } => {
-                    let a = match f.address(addr, disp, width, align) {
-                        Ok(a) => a,
-                        Err(trap) => break LoweredEnd::Trap(trap),
-                    };
-                    f.write_mem(mem, width, a, value, kv);
-                    let len = width.bytes() as u64;
-                    if cache.smc_hit(a, len) {
-                        idx += 1;
-                        retired += 1;
-                        break LoweredEnd::SmcStore { addr: a, len };
-                    }
                 }
+            },
+            store(width, m) => {
+                let a = match f.address(m.addr, m.disp, width, align) {
+                    Ok(a) => a,
+                    Err(trap) => break LoweredEnd::Trap(trap),
+                };
+                f.write_mem(mem, width, a, m.value, m.kv);
+                let len = width.bytes() as u64;
+                if cache.smc_hit(a, len) {
+                    idx += 1;
+                    retired += 1;
+                    break LoweredEnd::SmcStore { addr: a, len };
+                }
+            },
+            {
                 _ => unreachable!("{op:?} is never lowered for the interpreter"),
             });
             retired += 1;

@@ -92,6 +92,7 @@ pub enum CondKind {
 
 impl CondKind {
     /// Evaluates the condition on a 64-bit value.
+    #[inline]
     pub fn eval(self, v: u64) -> bool {
         let s = v as i64;
         match self {

@@ -5,7 +5,8 @@
 //! code-straightening-only form.
 //!
 //! Program shape: a counted outer loop whose body is a random mix of ALU
-//! operations, loads/stores into a private arena, conditional skips and
+//! operations (every non-cmov operate operation, register or literal),
+//! loads/stores of every width into a private arena, conditional skips and
 //! calls to one of two random leaf functions. The counted loop guarantees
 //! termination; the random body exercises the classifier, strand
 //! formation, accumulator assignment and chaining on shapes no
@@ -19,7 +20,7 @@
 //! each case paced in random budgets and checks the paced end state
 //! equals the unbroken run's.
 
-use alpha_isa::{Assembler, Label, Program, Reg};
+use alpha_isa::{Assembler, Inst, Label, MemOp, Operand, OperateOp, Program, Reg};
 use ildp_core::oracle::{reference, EndState};
 use ildp_core::{ChainPolicy, NullSink, ProfileConfig, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
@@ -39,13 +40,19 @@ enum BodyOp {
         lit: u8,
         c: u8,
     },
+    /// A load of `LOADS[width]` at `slot`, `off` accesses into it.
     Load {
+        width: u8,
         c: u8,
         slot: u8,
+        off: u8,
     },
+    /// A store of `STORES[width]` at `slot`, `off` accesses into it.
     Store {
+        width: u8,
         a: u8,
         slot: u8,
+        off: u8,
     },
     SkipIf {
         cond: u8,
@@ -101,18 +108,44 @@ const POOL: [Reg; 10] = [
     Reg::new(10),
 ];
 
+/// Every non-cmov operate operation.
+const ALU_OPS: [OperateOp; 34] = {
+    use OperateOp::*;
+    [
+        Addl, Addq, Subl, Subq, S4addl, S4addq, S8addq, S4subq, S8subq, Cmpeq, Cmplt, Cmple,
+        Cmpult, Cmpule, And, Bic, Bis, Ornot, Xor, Eqv, Sll, Srl, Sra, Extbl, Extwl, Extll, Extql,
+        Insbl, Mskbl, Zapnot, Zap, Mull, Mulq, Umulh,
+    ]
+};
+
+/// Every load and every store, with its width in bytes.
+const LOADS: [(MemOp, u8); 4] = [
+    (MemOp::Ldbu, 1),
+    (MemOp::Ldwu, 2),
+    (MemOp::Ldl, 4),
+    (MemOp::Ldq, 8),
+];
+const STORES: [(MemOp, u8); 4] = [
+    (MemOp::Stb, 1),
+    (MemOp::Stw, 2),
+    (MemOp::Stl, 4),
+    (MemOp::Stq, 8),
+];
+
 fn reg(i: u8) -> Reg {
     POOL[i as usize % POOL.len()]
 }
 
 fn body_op() -> impl Strategy<Value = BodyOp> {
     prop_oneof![
-        4 => (0u8..8, any::<u8>(), any::<u8>(), any::<u8>())
+        4 => (0..ALU_OPS.len() as u8, any::<u8>(), any::<u8>(), any::<u8>())
             .prop_map(|(op, a, b, c)| BodyOp::Alu { op, a, b, c }),
-        3 => (0u8..8, any::<u8>(), any::<u8>(), any::<u8>())
+        3 => (0..ALU_OPS.len() as u8, any::<u8>(), any::<u8>(), any::<u8>())
             .prop_map(|(op, a, lit, c)| BodyOp::AluImm { op, a, lit, c }),
-        2 => (any::<u8>(), 0u8..64).prop_map(|(c, slot)| BodyOp::Load { c, slot }),
-        2 => (any::<u8>(), 0u8..64).prop_map(|(a, slot)| BodyOp::Store { a, slot }),
+        2 => (0u8..4, any::<u8>(), 0u8..64, any::<u8>())
+            .prop_map(|(width, c, slot, off)| BodyOp::Load { width, c, slot, off }),
+        2 => (0u8..4, any::<u8>(), 0u8..64, any::<u8>())
+            .prop_map(|(width, a, slot, off)| BodyOp::Store { width, a, slot, off }),
         1 => (0u8..4, any::<u8>()).prop_map(|(cond, a)| BodyOp::SkipIf { cond, a }),
         1 => any::<bool>().prop_map(|which| BodyOp::Call { which }),
         1 => (0u8..4, any::<u8>(), any::<u8>(), any::<u8>())
@@ -126,32 +159,21 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
     ]
 }
 
-fn emit_alu(asm: &mut Assembler, op: u8, a: Reg, b: Reg, c: Reg) {
-    match op {
-        0 => asm.addq(a, b, c),
-        1 => asm.subq(a, b, c),
-        2 => asm.xor(a, b, c),
-        3 => asm.and(a, b, c),
-        4 => asm.bis(a, b, c),
-        5 => asm.s8addq(a, b, c),
-        6 => asm.cmplt(a, b, c),
-        7 => asm.mull(a, b, c),
-        _ => unreachable!(),
-    }
+fn emit_alu(asm: &mut Assembler, op: u8, ra: Reg, rb: Operand, rc: Reg) {
+    let op = ALU_OPS[op as usize];
+    asm.inst(Inst::Operate { op, ra, rb, rc });
 }
 
-fn emit_alu_imm(asm: &mut Assembler, op: u8, a: Reg, lit: u8, c: Reg) {
-    match op {
-        0 => asm.addq_imm(a, lit, c),
-        1 => asm.subq_imm(a, lit, c),
-        2 => asm.xor_imm(a, lit, c),
-        3 => asm.and_imm(a, lit, c),
-        4 => asm.sll_imm(a, lit % 63, c),
-        5 => asm.srl_imm(a, lit % 63, c),
-        6 => asm.cmpult_imm(a, lit, c),
-        7 => asm.zapnot_imm(a, lit, c),
-        _ => unreachable!(),
-    }
+/// Emits `(op, width)` of `LOADS` or `STORES` on `ra` at the `off`-th
+/// naturally aligned access into arena slot `slot`.
+fn emit_mem(asm: &mut Assembler, (op, width): (MemOp, u8), ra: Reg, slot: u8, off: u8) {
+    let disp = i16::from(slot) * 8 + i16::from(off % (8 / width) * width);
+    asm.inst(Inst::Mem {
+        op,
+        ra,
+        rb: Reg::new(11),
+        disp,
+    });
 }
 
 fn build_program(ops: &[BodyOp], iters: i16) -> Program {
@@ -193,14 +215,24 @@ fn build_program(ops: &[BodyOp], iters: i16) -> Program {
             }
         }
         match *op {
-            BodyOp::Alu { op, a, b, c } => emit_alu(&mut asm, op, reg(a), reg(b), reg(c)),
-            BodyOp::AluImm { op, a, lit, c } => emit_alu_imm(&mut asm, op, reg(a), lit, reg(c)),
-            BodyOp::Load { c, slot } => {
-                asm.ldq(reg(c), (slot as i16) * 8, Reg::new(11));
+            BodyOp::Alu { op, a, b, c } => {
+                emit_alu(&mut asm, op, reg(a), Operand::Reg(reg(b)), reg(c))
             }
-            BodyOp::Store { a, slot } => {
-                asm.stq(reg(a), (slot as i16) * 8, Reg::new(11));
+            BodyOp::AluImm { op, a, lit, c } => {
+                emit_alu(&mut asm, op, reg(a), Operand::Lit(lit), reg(c))
             }
+            BodyOp::Load {
+                width,
+                c,
+                slot,
+                off,
+            } => emit_mem(&mut asm, LOADS[width as usize], reg(c), slot, off),
+            BodyOp::Store {
+                width,
+                a,
+                slot,
+                off,
+            } => emit_mem(&mut asm, STORES[width as usize], reg(a), slot, off),
             BodyOp::SkipIf { cond, a } => {
                 if pending_skip.is_none() {
                     let label = asm.label(format!("skip{i}"));
