@@ -4,7 +4,7 @@
 //! plus return/call/cmov/two-source blocks covering every exit flavor)
 //! and the per-rule tampering functions that turn a correct translation
 //! into a specific miscompile. The verifier's A/P/C/E detection tests
-//! (`crates/bench/tests/seeded_miscompiles.rs`) and `lint flow`'s F-rule
+//! (`tests/seeded_miscompiles.rs` at the workspace root) and `lint flow`'s F-rule
 //! detection phase both draw from here, so every rule family exercises
 //! the same injection machinery.
 

@@ -225,15 +225,39 @@ pub struct FragmentArtifact {
 }
 
 impl FragmentArtifact {
-    /// Packages a fresh translation for the store.
+    /// Packages a copy of a fresh translation for the store.
     pub fn from_translation(code: &TranslatedCode, form: IsaForm) -> FragmentArtifact {
+        FragmentArtifact {
+            insts: code.insts.clone(),
+            meta: code.meta.clone(),
+            recovery: code.recovery.clone(),
+            ..FragmentArtifact::header(code, form)
+        }
+    }
+
+    /// Packages a fresh translation for the store by value: its code
+    /// moves into the artifact, and
+    /// [`into_translated_code`](FragmentArtifact::into_translated_code)
+    /// gives it back for install. The analysis trace is dropped.
+    pub fn from_translated_code(code: TranslatedCode, form: IsaForm) -> FragmentArtifact {
+        let header = FragmentArtifact::header(&code, form);
+        FragmentArtifact {
+            insts: code.insts,
+            meta: code.meta,
+            recovery: code.recovery,
+            ..header
+        }
+    }
+
+    /// Every field of the artifact but the code.
+    fn header(code: &TranslatedCode, form: IsaForm) -> FragmentArtifact {
         FragmentArtifact {
             vstart: code.vstart,
             form,
             src_inst_count: code.src_inst_count,
-            insts: code.insts.clone(),
-            meta: code.meta.clone(),
-            recovery: code.recovery.clone(),
+            insts: Vec::new(),
+            meta: Vec::new(),
+            recovery: HashMap::new(),
             copies: code.stats.copies,
             strands: code.stats.strands,
             terminations: code.stats.terminations,

@@ -155,8 +155,8 @@ pub struct ValueInfo {
     pub producer: u32,
     /// The architected register this value defines (`None` for temps).
     pub reg: Option<Reg>,
-    /// Node indices that read this value, in order.
-    pub uses: Vec<u32>,
+    /// How many node input slots read this value.
+    pub use_count: u32,
     /// The node index that overwrites the register (`None` if the value is
     /// live past the end of the superblock). Always `None` for temps.
     pub redef: Option<u32>,
@@ -216,11 +216,17 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
     let mut values: Vec<ValueInfo> = Vec::with_capacity(n);
     let mut reaching: Vec<[Option<Reaching>; 3]> = vec![[None; 3]; n];
     let mut produced: Vec<Option<ValueId>> = vec![None; n];
-    let mut live_ins: Vec<Reg> = Vec::new();
+    // Sized once: at most one live-in per register, one temp per node.
+    let mut live_ins: Vec<Reg> = Vec::with_capacity(32);
     // Current definition per architected register, and per temp: temps
     // are numbered in production order, so temp `t` is `temp_def[t]`.
     let mut last_def: [Option<ValueId>; 32] = [None; 32];
-    let mut temp_def: Vec<ValueId> = Vec::new();
+    let mut temp_def: Vec<ValueId> = Vec::with_capacity(n);
+    // The latest exit (side exit or final control transfer) before the
+    // current node. A value's uses all precede its redefinition, so it is
+    // classified at the redefining node: it crosses an exit iff the
+    // latest exit lies strictly between its producer and that node.
+    let mut last_exit: Option<u32> = None;
 
     for (i, node) in nodes.iter().enumerate() {
         // Resolve inputs against reaching definitions.
@@ -230,12 +236,12 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
                 NodeInput::Imm(v) => Reaching::Imm(v),
                 NodeInput::Temp(t) => {
                     let id = temp_def[t as usize];
-                    values[id.0 as usize].uses.push(i as u32);
+                    values[id.0 as usize].use_count += 1;
                     Reaching::Value(id)
                 }
                 NodeInput::Reg(reg) => match last_def[reg.number() as usize] {
                     Some(id) => {
-                        values[id.0 as usize].uses.push(i as u32);
+                        values[id.0 as usize].use_count += 1;
                         Reaching::Value(id)
                     }
                     None => {
@@ -254,7 +260,7 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
             values.push(ValueInfo {
                 producer: i as u32,
                 reg: None,
-                uses: Vec::new(),
+                use_count: 0,
                 redef: None,
                 category: UsageCat::Temp,
             });
@@ -264,56 +270,39 @@ fn analyze_with(nodes: &[Node], oracle: bool) -> Dataflow {
             if !reg.is_zero() {
                 let id = ValueId(values.len() as u32);
                 if let Some(prev) = last_def[reg.number() as usize] {
-                    values[prev.0 as usize].redef = Some(i as u32);
+                    let v = &mut values[prev.0 as usize];
+                    v.redef = Some(i as u32);
+                    let crosses_exit = !oracle && last_exit.is_some_and(|e| e > v.producer);
+                    v.category = match (v.use_count, crosses_exit) {
+                        (2.., _) => UsageCat::Communication,
+                        (1, false) => UsageCat::Local,
+                        (1, true) => UsageCat::LocalToGlobal,
+                        (0, false) => UsageCat::NoUser,
+                        (0, true) => UsageCat::NoUserToGlobal,
+                    };
                 }
                 values.push(ValueInfo {
                     producer: i as u32,
                     reg: Some(reg),
-                    uses: Vec::new(),
+                    use_count: 0,
                     redef: None,
-                    category: UsageCat::NoUser, // classified below
+                    // Reclassified at the redefinition, if there is one.
+                    category: UsageCat::LiveOut,
                 });
                 last_def[reg.number() as usize] = Some(id);
                 produced[i] = Some(id);
             }
         }
-    }
-
-    // Exit positions (side exits and the final control transfer).
-    let exit_positions: Vec<u32> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.is_exit)
-        .map(|(i, _)| i as u32)
-        .collect();
-    let exit_between = |lo: u32, hi_excl: Option<u32>| -> bool {
-        !oracle
-            && exit_positions
-                .iter()
-                .any(|&e| e > lo && hi_excl.is_none_or(|h| e < h))
-    };
-
-    // Classify (paper §3.3 usage categories).
-    for v in values.iter_mut() {
-        if v.reg.is_none() {
-            v.category = UsageCat::Temp;
-            continue;
+        if node.is_exit {
+            last_exit = Some(i as u32);
         }
-        let use_count = v.uses.len();
-        v.category = if use_count >= 2 {
-            UsageCat::Communication
-        } else if v.redef.is_none() {
-            UsageCat::LiveOut
-        } else {
-            let crosses_exit = exit_between(v.producer, v.redef);
-            match (use_count, crosses_exit) {
-                (1, false) => UsageCat::Local,
-                (1, true) => UsageCat::LocalToGlobal,
-                (0, false) => UsageCat::NoUser,
-                (0, true) => UsageCat::NoUserToGlobal,
-                _ => unreachable!(),
-            }
-        };
+    }
+    // A value never redefined is live-out, unless it is read twice.
+    for id in last_def.into_iter().flatten() {
+        let v = &mut values[id.0 as usize];
+        if v.use_count >= 2 {
+            v.category = UsageCat::Communication;
+        }
     }
 
     Dataflow {
@@ -380,7 +369,7 @@ mod tests {
         );
         let v0 = &df.values[0];
         assert_eq!(v0.reg, Some(r(1)));
-        assert_eq!(v0.uses.len(), 1);
+        assert_eq!(v0.use_count, 1);
         assert_eq!(v0.redef, Some(2));
         assert_eq!(v0.category, UsageCat::Local);
     }
@@ -452,7 +441,7 @@ mod tests {
         // Two values: the address temp and the load result.
         assert_eq!(df.values.len(), 2);
         assert_eq!(df.values[0].category, UsageCat::Temp);
-        assert_eq!(df.values[0].uses, vec![1]);
+        assert_eq!(df.values[0].use_count, 1);
         assert_eq!(df.values[1].category, UsageCat::LiveOut);
     }
 

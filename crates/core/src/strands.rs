@@ -17,9 +17,19 @@
 //! runs out of accumulators, the live strand with the farthest next touch
 //! is *terminated*: its current value is spilled to a GPR and the rest of
 //! the strand is re-formed from the GPR (a planned `copy-from-GPR` at the
-//! resumption point). The whole plan is recomputed to a fixpoint after
-//! each round of upgrades; the paper reports (and the tests confirm) that
-//! terminations are rare with four accumulators.
+//! resumption point). Such upgrades, and the basic form's precise-trap
+//! upgrades, change localness and so the strand structure: the plan is
+//! re-formed until a round adds none. The paper reports (and the tests
+//! confirm) that terminations are rare with four accumulators, so one
+//! round is the rule.
+//!
+//! A round's *own* conflict spills (two local inputs, store and select
+//! operand constraints) never force another: formation applies each one
+//! at the moment it finds it, and the spilled value has exactly one
+//! consumer, the node where it is found. Re-forming with the value global
+//! from the start therefore takes every decision the same way and
+//! reproduces the plan. Debug builds run that confirmation round and
+//! assert it.
 
 use crate::classify::{Dataflow, Reaching, UsageCat, ValueId};
 use crate::superblock::{Node, NodeOp};
@@ -38,7 +48,7 @@ pub enum Role {
 }
 
 /// The complete translation plan for one superblock.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct TranslationPlan {
     /// Per node: the strand it belongs to (`None` for strand-less nodes
     /// such as branches on global values).
@@ -74,46 +84,58 @@ pub fn plan(nodes: &[Node], df: &Dataflow, acc_count: usize, pei_copies: bool) -
         "accumulator count out of range"
     );
     let mut upgraded = ValueSet::new(df.values.len());
-    let mut total_terminations = 0u32;
-    // Fixpoint: spill upgrades (two-local conflicts, store/select operand
-    // constraints, accumulator terminations) change localness, which
-    // changes strand structure. Converges because `upgraded` only grows.
-    loop {
-        let mut formation = form_strands(nodes, df, &upgraded);
-        let before = upgraded.len;
-        upgraded.union_with(&formation.local_upgrades);
-        if pei_copies {
-            pei_window_upgrades(nodes, df, &formation, &mut upgraded);
+    let mut terminations = 0u32;
+    // Re-form while precise-trap windows or accumulator terminations
+    // upgrade a value (see the module docs for why a round's own conflict
+    // spills do not). Ends because `upgraded` only grows.
+    let f = loop {
+        let (f, last, round_terminations) = round(nodes, df, &mut upgraded, acc_count, pei_copies);
+        terminations += round_terminations;
+        if last {
+            break f;
         }
-        total_terminations += assign_accumulators(df, &mut formation, &mut upgraded, acc_count);
-        if upgraded.len == before {
-            let final_category = df
-                .values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    if upgraded.contains(ValueId(i as u32)) {
-                        UsageCat::Spill
-                    } else {
-                        v.category
-                    }
-                })
-                .collect();
-            return TranslationPlan {
-                node_strand: formation.node_strand,
-                node_acc: formation.node_acc,
-                pre_copy: formation.pre_copy,
-                input_role: formation.input_role,
-                final_category,
-                strand_count: formation.strand_count,
-                terminations: total_terminations,
-            };
-        }
+    };
+    let plan = f.into_plan(df, &upgraded, terminations);
+    #[cfg(debug_assertions)]
+    {
+        // The confirmation round: it must upgrade nothing, terminate no
+        // strand, and reproduce the plan.
+        let mut confirmed = upgraded.clone();
+        let (again, _, extra) = round(nodes, df, &mut confirmed, acc_count, pei_copies);
+        assert_eq!(
+            again.into_plan(df, &confirmed, terminations + extra),
+            plan,
+            "a confirmation round changed the strand plan"
+        );
     }
+    plan
+}
+
+/// One planning round: forms strands under `upgraded`, adds the round's
+/// own conflict spills, its precise-trap upgrades and its terminations'
+/// spills to `upgraded`, and assigns accumulators. Returns the round's
+/// formation, whether the round is the last one (its trap windows and
+/// terminations upgraded nothing new), and its termination count.
+fn round(
+    nodes: &[Node],
+    df: &Dataflow,
+    upgraded: &mut ValueSet,
+    acc_count: usize,
+    pei_copies: bool,
+) -> (Formation, bool, u32) {
+    let mut f = Formation::new(nodes.len(), df.values.len());
+    f.form(nodes, df, upgraded);
+    upgraded.union_with(&f.local_upgrades);
+    let before = upgraded.len;
+    if pei_copies {
+        pei_window_upgrades(nodes, df, &f, upgraded);
+    }
+    let terminations = assign_accumulators(df, &mut f, upgraded, acc_count);
+    (f, upgraded.len == before, terminations)
 }
 
 /// A set of one dataflow's values, one bit per [`ValueId`].
-#[derive(Default)]
+#[derive(Clone)]
 struct ValueSet {
     words: Vec<u64>,
     len: usize,
@@ -161,177 +183,233 @@ fn spill(
     }
 }
 
+/// One round's strand formation and accumulator assignment. Every table
+/// is sized up front: a fragment forms at most one strand per node.
 struct Formation {
     node_strand: Vec<Option<u32>>,
     node_acc: Vec<Option<Acc>>,
     pre_copy: Vec<Option<Reg>>,
     input_role: Vec<[Option<Role>; 3]>,
     strand_count: u32,
-    /// Per strand: ordered node touches.
-    strand_touches: Vec<Vec<u32>>,
-    /// Per strand: length in nodes so far (for the longer-strand
-    /// heuristic), tracked during formation.
+    /// Per strand: length in nodes (for the longer-strand heuristic),
+    /// counted during formation.
     strand_len: Vec<u32>,
+    /// Strand touches as one flat table: strand `s` touches the nodes
+    /// `touches[touch_start[s]..touch_start[s + 1]]`, in program order.
+    touch_start: Vec<u32>,
+    touches: Vec<u32>,
     /// Per value: the strand carrying it (if acc-carried).
     value_strand: Vec<Option<u32>>,
     /// Values upgraded to spill globals during this formation pass.
     local_upgrades: ValueSet,
 }
 
-fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) -> Formation {
-    let n = nodes.len();
-    let mut f = Formation {
-        node_strand: vec![None; n],
-        node_acc: vec![None; n],
-        pre_copy: vec![None; n],
-        input_role: vec![[None; 3]; n],
-        strand_count: 0,
-        strand_touches: Vec::new(),
-        strand_len: Vec::new(),
-        value_strand: vec![None; df.values.len()],
-        local_upgrades: ValueSet::default(),
-    };
-    // Local upgrades discovered during this pass (conflicts) are applied
-    // immediately — safe because an acc-carried value has exactly one
-    // consumer, the node at which the conflict is discovered.
-    let mut local_upgrades = ValueSet::new(df.values.len());
-    let locality = |lu: &ValueSet, id: ValueId| {
-        df.value(id).category.is_acc_carried() && !upgraded.contains(id) && !lu.contains(id)
-    };
-
-    for (i, node) in nodes.iter().enumerate() {
-        // Gather the candidate-local and global inputs, by input slot.
-        let mut locals: [Option<ValueId>; 3] = [None; 3];
-        let mut global_regs: [Option<Reg>; 3] = [None; 3];
-        for (slot, r) in df.reaching[i].iter().enumerate() {
-            match r {
-                Some(Reaching::Value(id)) => {
-                    if locality(&local_upgrades, *id) {
-                        locals[slot] = Some(*id);
-                    } else {
-                        let reg = df
-                            .value(*id)
-                            .reg
-                            .expect("global value must have an architected register");
-                        global_regs[slot] = Some(reg);
-                    }
-                }
-                Some(Reaching::LiveIn(reg)) => global_regs[slot] = Some(*reg),
-                Some(Reaching::Imm(v)) => f.input_role[i][slot] = Some(Role::Imm(*v)),
-                None => {}
-            }
+impl Formation {
+    fn new(nodes: usize, values: usize) -> Formation {
+        Formation {
+            node_strand: vec![None; nodes],
+            node_acc: vec![None; nodes],
+            pre_copy: vec![None; nodes],
+            input_role: vec![[None; 3]; nodes],
+            strand_count: 0,
+            strand_len: Vec::with_capacity(nodes),
+            touch_start: Vec::with_capacity(nodes + 1),
+            touches: vec![0; nodes],
+            value_strand: vec![None; values],
+            local_upgrades: ValueSet::new(values),
         }
-        let mut to_gpr = |slot, locals: &mut _, global_regs: &mut _| {
-            spill(slot, locals, global_regs, &mut local_upgrades, df)
+    }
+
+    /// The nodes `strand` touches, in program order.
+    fn touches_of(&self, strand: u32) -> &[u32] {
+        let s = strand as usize;
+        &self.touches[self.touch_start[s] as usize..self.touch_start[s + 1] as usize]
+    }
+
+    /// The finished plan: `upgraded` values become spill globals.
+    fn into_plan(self, df: &Dataflow, upgraded: &ValueSet, terminations: u32) -> TranslationPlan {
+        let final_category = df
+            .values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                if upgraded.contains(ValueId(i as u32)) {
+                    UsageCat::Spill
+                } else {
+                    v.category
+                }
+            })
+            .collect();
+        TranslationPlan {
+            node_strand: self.node_strand,
+            node_acc: self.node_acc,
+            pre_copy: self.pre_copy,
+            input_role: self.input_role,
+            final_category,
+            strand_count: self.strand_count,
+            terminations,
+        }
+    }
+
+    fn form(&mut self, nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) {
+        // Local upgrades discovered during this pass (conflicts) are
+        // applied immediately — safe because an acc-carried value has
+        // exactly one consumer, the node at which the conflict is
+        // discovered.
+        let locality = |lu: &ValueSet, id: ValueId| {
+            df.value(id).category.is_acc_carried() && !upgraded.contains(id) && !lu.contains(id)
         };
 
-        // Node-specific constraints that force values global.
-        match node.op {
-            NodeOp::Store(_) => {
-                // At most the address operand (slot 0) stays local; a local
-                // value operand is spilled unless it is the same value.
-                if let [Some(addr), Some(value), _] = locals {
-                    if addr != value {
-                        to_gpr(1, &mut locals, &mut global_regs);
+        for (i, node) in nodes.iter().enumerate() {
+            // Gather the candidate-local and global inputs, by input slot.
+            let mut locals: [Option<ValueId>; 3] = [None; 3];
+            let mut global_regs: [Option<Reg>; 3] = [None; 3];
+            for (slot, r) in df.reaching[i].iter().enumerate() {
+                match r {
+                    Some(Reaching::Value(id)) => {
+                        if locality(&self.local_upgrades, *id) {
+                            locals[slot] = Some(*id);
+                        } else {
+                            let reg = df
+                                .value(*id)
+                                .reg
+                                .expect("global value must have an architected register");
+                            global_regs[slot] = Some(reg);
+                        }
+                    }
+                    Some(Reaching::LiveIn(reg)) => global_regs[slot] = Some(*reg),
+                    Some(Reaching::Imm(v)) => self.input_role[i][slot] = Some(Role::Imm(*v)),
+                    None => {}
+                }
+            }
+            let mut to_gpr = |slot, locals: &mut _, global_regs: &mut _| {
+                spill(slot, locals, global_regs, &mut self.local_upgrades, df)
+            };
+
+            // Node-specific constraints that force values global.
+            match node.op {
+                NodeOp::Store(_) => {
+                    // At most the address operand (slot 0) stays local; a
+                    // local value operand is spilled unless it is the same
+                    // value.
+                    if let [Some(addr), Some(value), _] = locals {
+                        if addr != value {
+                            to_gpr(1, &mut locals, &mut global_regs);
+                        }
+                    }
+                }
+                NodeOp::IndirectJump(_) => {
+                    // Chaining code (software jump prediction, dual-RAS
+                    // return checks, dispatch) reads the target from a GPR;
+                    // force it global. The exception is a temp: the old
+                    // target of a jump through its own link register,
+                    // captured before the link write. It has no register
+                    // to spill to and stays in its accumulator.
+                    for slot in 0..3 {
+                        if locals[slot].is_some_and(|id| df.value(id).reg.is_some()) {
+                            to_gpr(slot, &mut locals, &mut global_regs);
+                        }
+                    }
+                }
+                NodeOp::CmovSelect(_) => {
+                    // The test temp (slot 0) is the accumulator input; the
+                    // move value and old destination are read as GPRs.
+                    to_gpr(1, &mut locals, &mut global_regs);
+                    to_gpr(2, &mut locals, &mut global_regs);
+                    // The old-destination's *reaching architected value*
+                    // must be current in the GPR file (implicit
+                    // destination read).
+                }
+                _ => {
+                    // Generic two-local conflict: temp wins, else longer
+                    // strand.
+                    let mut held = (0..3).filter_map(|s| locals[s].map(|v| (s, v)));
+                    if let (Some((s0, v0)), Some((s1, v1)), None) =
+                        (held.next(), held.next(), held.next())
+                    {
+                        let t0 = df.value(v0).reg.is_none();
+                        let t1 = df.value(v1).reg.is_none();
+                        let keep_first = if t0 == t1 {
+                            let l0 = self.value_strand[v0.0 as usize]
+                                .map(|s| self.strand_len[s as usize])
+                                .unwrap_or(0);
+                            let l1 = self.value_strand[v1.0 as usize]
+                                .map(|s| self.strand_len[s as usize])
+                                .unwrap_or(0);
+                            l1 <= l0
+                        } else {
+                            t0
+                        };
+                        to_gpr(
+                            if keep_first { s1 } else { s0 },
+                            &mut locals,
+                            &mut global_regs,
+                        );
                     }
                 }
             }
-            NodeOp::IndirectJump(_) => {
-                // Chaining code (software jump prediction, dual-RAS return
-                // checks, dispatch) reads the target from a GPR; force it
-                // global. The exception is a temp: the old target of a
-                // jump through its own link register, captured before the
-                // link write. It has no register to spill to and stays in
-                // its accumulator.
-                for slot in 0..3 {
-                    if locals[slot].is_some_and(|id| df.value(id).reg.is_some()) {
-                        to_gpr(slot, &mut locals, &mut global_regs);
-                    }
+
+            // Resolve the strand. A load writes its accumulator even when
+            // its value is dead (a load into r31), so it owns one like a
+            // producer: strand-less, it would clobber whatever strand
+            // holds the default accumulator.
+            let produces = df.produced[i].is_some() || matches!(node.op, NodeOp::Load(_));
+            let first_local = (0..3).find_map(|s| locals[s].map(|id| (s, id)));
+            let strand: Option<u32> = if let Some((slot, id)) = first_local {
+                // Joins the local input's strand.
+                self.input_role[i][slot] = Some(Role::Acc);
+                self.value_strand[id.0 as usize]
+            } else if produces || global_regs.iter().flatten().count() >= 2 {
+                // New strand: a producer, or a branch/store on global
+                // values only that must still satisfy the one-GPR rule.
+                // Two GPR sources → plan a copy-from-GPR for the first;
+                // the node then consumes it through the accumulator.
+                if global_regs.iter().flatten().count() >= 2 {
+                    let slot = (0..3).find(|&s| global_regs[s].is_some()).unwrap();
+                    self.pre_copy[i] = global_regs[slot].take();
+                    self.input_role[i][slot] = Some(Role::Acc);
+                }
+                let s = self.strand_count;
+                self.strand_count += 1;
+                self.strand_len.push(0);
+                Some(s)
+            } else {
+                // Strand-less: a branch/store on one global value.
+                None
+            };
+
+            for (slot, reg) in global_regs.into_iter().enumerate() {
+                if let Some(reg) = reg {
+                    self.input_role[i][slot] = Some(Role::Gpr(reg));
                 }
             }
-            NodeOp::CmovSelect(_) => {
-                // The test temp (slot 0) is the accumulator input; the move
-                // value and old destination are read as GPRs.
-                to_gpr(1, &mut locals, &mut global_regs);
-                to_gpr(2, &mut locals, &mut global_regs);
-                // The old-destination's *reaching architected value* must be
-                // current in the GPR file (implicit destination read).
-            }
-            _ => {
-                // Generic two-local conflict: temp wins, else longer strand.
-                let mut held = (0..3).filter_map(|s| locals[s].map(|v| (s, v)));
-                if let (Some((s0, v0)), Some((s1, v1)), None) =
-                    (held.next(), held.next(), held.next())
-                {
-                    let t0 = df.value(v0).reg.is_none();
-                    let t1 = df.value(v1).reg.is_none();
-                    let keep_first = if t0 == t1 {
-                        let l0 = f.value_strand[v0.0 as usize]
-                            .map(|s| f.strand_len[s as usize])
-                            .unwrap_or(0);
-                        let l1 = f.value_strand[v1.0 as usize]
-                            .map(|s| f.strand_len[s as usize])
-                            .unwrap_or(0);
-                        l1 <= l0
-                    } else {
-                        t0
-                    };
-                    to_gpr(
-                        if keep_first { s1 } else { s0 },
-                        &mut locals,
-                        &mut global_regs,
-                    );
+
+            if let Some(s) = strand {
+                self.node_strand[i] = Some(s);
+                self.strand_len[s as usize] += 1;
+                if let Some(v) = df.produced[i] {
+                    self.value_strand[v.0 as usize] = Some(s);
                 }
             }
         }
 
-        // Resolve the strand. A load writes its accumulator even when its
-        // value is dead (a load into r31), so it owns one like a producer:
-        // strand-less, it would clobber whatever strand holds the default
-        // accumulator.
-        let produces = df.produced[i].is_some() || matches!(node.op, NodeOp::Load(_));
-        let first_local = (0..3).find_map(|s| locals[s].map(|id| (s, id)));
-        let strand: Option<u32> = if let Some((slot, id)) = first_local {
-            // Joins the local input's strand.
-            f.input_role[i][slot] = Some(Role::Acc);
-            f.value_strand[id.0 as usize]
-        } else if produces || global_regs.iter().flatten().count() >= 2 {
-            // New strand: a producer, or a branch/store on global values
-            // only that must still satisfy the one-GPR rule. Two GPR
-            // sources → plan a copy-from-GPR for the first; the node then
-            // consumes it through the accumulator.
-            if global_regs.iter().flatten().count() >= 2 {
-                let slot = (0..3).find(|&s| global_regs[s].is_some()).unwrap();
-                f.pre_copy[i] = global_regs[slot].take();
-                f.input_role[i][slot] = Some(Role::Acc);
-            }
-            let s = f.strand_count;
-            f.strand_count += 1;
-            f.strand_touches.push(Vec::new());
-            f.strand_len.push(0);
-            Some(s)
-        } else {
-            // Strand-less: a branch/store on one global value.
-            None
-        };
-
-        for (slot, reg) in global_regs.into_iter().enumerate() {
-            if let Some(reg) = reg {
-                f.input_role[i][slot] = Some(Role::Gpr(reg));
-            }
+        // Lay the touches out flat, strand by strand. `touch_start[s + 1]`
+        // first holds strand `s`'s start, the sum of the lengths before
+        // it; filling advances it to `s`'s end, which is `s + 1`'s start.
+        self.touch_start.push(0);
+        let mut end = 0;
+        for &len in &self.strand_len {
+            self.touch_start.push(end);
+            end += len;
         }
-
-        if let Some(s) = strand {
-            f.node_strand[i] = Some(s);
-            f.strand_touches[s as usize].push(i as u32);
-            f.strand_len[s as usize] += 1;
-            if let Some(v) = df.produced[i] {
-                f.value_strand[v.0 as usize] = Some(s);
+        for (i, s) in self.node_strand.iter().enumerate() {
+            if let Some(s) = s {
+                let at = &mut self.touch_start[*s as usize + 1];
+                self.touches[*at as usize] = i as u32;
+                *at += 1;
             }
         }
     }
-    f.local_upgrades = local_upgrades;
-    f
 }
 
 /// Basic-form precise-trap rule (paper §2.2): a value whose accumulator is
@@ -340,15 +418,6 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &ValueSet) -> Formation
 /// live at a later PEI must be copied to a GPR. Modified-form fragments
 /// never need this — every producer names its destination GPR.
 fn pei_window_upgrades(nodes: &[Node], df: &Dataflow, f: &Formation, upgraded: &mut ValueSet) {
-    let pei_positions: Vec<u32> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.is_pei)
-        .map(|(i, _)| i as u32)
-        .collect();
-    if pei_positions.is_empty() {
-        return;
-    }
     for (vi, v) in df.values.iter().enumerate() {
         let id = ValueId(vi as u32);
         if v.reg.is_none() || !v.category.is_acc_carried() || upgraded.contains(id) {
@@ -357,7 +426,7 @@ fn pei_window_upgrades(nodes: &[Node], df: &Dataflow, f: &Formation, upgraded: &
         let Some(strand) = f.value_strand[vi] else {
             continue;
         };
-        let touches = &f.strand_touches[strand as usize];
+        let touches = f.touches_of(strand);
         // The accumulator stops holding this value at the strand's next
         // production after it, or (conservatively) at the strand's last
         // touch, after which the accumulator may be reused.
@@ -371,13 +440,10 @@ fn pei_window_upgrades(nodes: &[Node], df: &Dataflow, f: &Formation, upgraded: &
         // A PEI strictly after the clobber and before the register's
         // redefinition (or at the redefining instruction itself, if that
         // instruction can trap) makes the value unrecoverable.
-        let exposed = pei_positions.iter().any(|&p| {
-            let after_clobber = p > clobber;
-            match v.redef {
-                None => after_clobber,
-                Some(rd) => after_clobber && (p < rd || (p == rd && nodes[rd as usize].is_pei)),
-            }
-        });
+        let end = v.redef.map_or(nodes.len(), |rd| rd as usize + 1);
+        let exposed = nodes
+            .get(clobber as usize + 1..end)
+            .is_some_and(|window| window.iter().any(|n| n.is_pei));
         if exposed {
             upgraded.insert(id);
         }
@@ -394,15 +460,17 @@ fn assign_accumulators(
     acc_count: usize,
 ) -> u32 {
     let mut terminations = 0u32;
-    // Active strands: (strand, acc, touches, cursor).
-    let mut active: Vec<(u32, u8, usize)> = Vec::new(); // (strand, acc, next touch cursor)
-    let mut free: Vec<u8> = (0..acc_count as u8).rev().collect();
+    // Per strand, the accumulator it holds; the active strands as
+    // (strand, accumulator, next-touch cursor); the free accumulators,
+    // next to allocate last.
     let mut strand_acc: Vec<Option<u8>> = vec![None; f.strand_count as usize];
+    let mut active: Vec<(u32, u8, usize)> = Vec::with_capacity(acc_count);
+    let mut free: Vec<u8> = (0..acc_count as u8).rev().collect();
 
     for i in 0..f.node_strand.len() {
         // Expire strands whose last touch has passed.
         active.retain(|&(s, acc, cursor)| {
-            if cursor >= f.strand_touches[s as usize].len() {
+            if cursor >= f.touches_of(s).len() {
                 free.push(acc);
                 false
             } else {
@@ -421,10 +489,7 @@ fn assign_accumulators(
                     .iter()
                     .enumerate()
                     .max_by_key(|(_, &(vs, _, cursor))| {
-                        f.strand_touches[vs as usize]
-                            .get(cursor)
-                            .copied()
-                            .unwrap_or(u32::MAX)
+                        f.touches_of(vs).get(cursor).copied().unwrap_or(u32::MAX)
                     })
                     .expect("no free accumulator implies active strands");
                 let (victim, acc, _) = active.swap_remove(pos);
@@ -458,7 +523,7 @@ fn last_value_of_strand(
     strand: u32,
     before: usize,
 ) -> Option<ValueId> {
-    f.strand_touches[strand as usize]
+    f.touches_of(strand)
         .iter()
         .filter(|&&t| (t as usize) < before)
         .rev()

@@ -261,14 +261,24 @@ impl Vm<'_> {
                 code.insts.len() as u64,
             );
         }
-        if let Some(key) = key {
-            if let Some(store) = self.store.as_ref().filter(|_| fresh) {
-                if store.put(key, &FragmentArtifact::from_translation(&code, form)) {
-                    self.stats.warm_stores += 1;
+        let code = match key {
+            Some(key) => {
+                self.store_keys.insert(code.vstart, key);
+                match self.store.as_ref().filter(|_| fresh) {
+                    Some(store) => {
+                        // Publish without a copy: the code goes into the
+                        // artifact and comes back out for install.
+                        let art = FragmentArtifact::from_translated_code(code, form);
+                        if store.put(key, &art) {
+                            self.stats.warm_stores += 1;
+                        }
+                        art.into_translated_code()
+                    }
+                    None => code,
                 }
             }
-            self.store_keys.insert(code.vstart, key);
-        }
+            None => code,
+        };
         if self.stats.warmup_interpreted == 0 {
             self.stats.warmup_interpreted = self.stats.interpreted;
         }

@@ -58,26 +58,29 @@ fn role_asrc(role: Role) -> ASrc {
     }
 }
 
-/// The accumulator-read operands of a node's main instruction, paired with
-/// the node input slot their reaching definition lives in. The boolean
-/// marks implicit reads (the cmov-select test) that have no explicit
-/// operand field to role-check.
-fn read_slots(node: &Node, inst: &IInst) -> Vec<(ASrc, usize, bool)> {
+/// The accumulator-read operands of a node's main instruction (at most
+/// two), paired with the node input slot their reaching definition lives
+/// in. The boolean marks implicit reads (the cmov-select test) that have
+/// no explicit operand field to role-check.
+fn read_slots(node: &Node, inst: &IInst) -> [Option<(ASrc, usize, bool)>; 2] {
+    let one = |src| [Some((src, 0, false)), None];
     match (*inst, node.op) {
-        (IInst::Op { lhs, rhs, .. }, NodeOp::Alu(_)) => vec![(lhs, 0, false), (rhs, 1, false)],
-        (IInst::Op { lhs, .. }, NodeOp::AddImm) => vec![(lhs, 0, false)],
-        (IInst::Op { .. }, NodeOp::Pal(_)) => Vec::new(),
-        (IInst::AddHigh { src, .. }, _) => vec![(src, 0, false)],
-        (IInst::Load { addr, .. }, _) => vec![(addr, 0, false)],
-        (IInst::Store { addr, value, .. }, _) => vec![(addr, 0, false), (value, 1, false)],
-        (IInst::CmovSelect { value, .. }, _) => vec![(ASrc::Acc, 0, true), (value, 1, false)],
-        (IInst::CallTranslatorIfCond { src, .. }, NodeOp::CondBranch(_)) => {
-            vec![(src, 0, false)]
+        (IInst::Op { lhs, rhs, .. }, NodeOp::Alu(_)) => {
+            [Some((lhs, 0, false)), Some((rhs, 1, false))]
         }
-        (IInst::PutChar { src, .. }, _) => vec![(src, 0, false)],
-        (IInst::IndirectJump { addr, .. }, _) => vec![(addr, 0, false)],
-        (IInst::Dispatch { src, .. }, _) => vec![(src, 0, false)],
-        _ => Vec::new(),
+        (IInst::Op { lhs, .. }, NodeOp::AddImm) => one(lhs),
+        (IInst::Op { .. }, NodeOp::Pal(_)) => [None; 2],
+        (IInst::AddHigh { src, .. }, _) => one(src),
+        (IInst::Load { addr, .. }, _) => one(addr),
+        (IInst::Store { addr, value, .. }, _) => [Some((addr, 0, false)), Some((value, 1, false))],
+        (IInst::CmovSelect { value, .. }, _) => {
+            [Some((ASrc::Acc, 0, true)), Some((value, 1, false))]
+        }
+        (IInst::CallTranslatorIfCond { src, .. }, NodeOp::CondBranch(_)) => one(src),
+        (IInst::PutChar { src, .. }, _) => one(src),
+        (IInst::IndirectJump { addr, .. }, _) => one(addr),
+        (IInst::Dispatch { src, .. }, _) => one(src),
+        _ => [None; 2],
     }
 }
 
@@ -316,7 +319,7 @@ pub(crate) fn check(code: &TranslatedCode, tr: &Translator, out: &mut Vec<Violat
             }
             _ => {
                 check_shape(t, node, i, inst, k, vstart, out);
-                for (operand, slot, implicit) in read_slots(node, inst) {
+                for (operand, slot, implicit) in read_slots(node, inst).into_iter().flatten() {
                     if !implicit {
                         if let Some(role) = t.plan.input_role[i][slot] {
                             let want = role_asrc(role);
